@@ -47,7 +47,7 @@ from .matnum import (
     selection_basis,
     sym_sqrt,
 )
-from .spectral import ConjugatePhase, allpass_residual
+from .spectral import ALLPASS_CERT_TOL, ConjugatePhase, allpass_residual
 from .statespace import Realization, constant, inverse, minimal, series
 
 __all__ = [
@@ -61,11 +61,6 @@ __all__ = [
     "enumerate_divisors",
     "continuum_angle_basis",
 ]
-
-# Generated divisors are certified all-pass against this sampled threshold;
-# it is looser than equation residuals because it accumulates evaluation
-# error over the whole circle.
-ALLPASS_CERT_TOL = 1e-7
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ generated objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,6 +33,8 @@ from .errors import (
 )
 from .matnum import DEFAULT_TOL, ToleranceConfig
 from .spectral import (
+    ALLPASS_CERT_TOL,
+    ConjugatePhase,
     allpass_residual,
     conjugate_phase,
     extremal_set,
@@ -41,6 +43,8 @@ from .spectral import (
 from .statespace import (
     PoleZeroReport,
     Realization,
+    _circle,
+    choose_moebius_parameter,
     evalfr_many,
     inverse,
     mcmillan_degree,
@@ -56,14 +60,11 @@ __all__ = [
     "extract_left_divisor",
     "verify_factor",
     "factor_family",
+    "moebius_gate",
+    "family_member",
     "spectrum_gap",
     "orthogonal_equivalence_gap",
 ]
-
-# Sampled all-pass certificates accumulate circle-evaluation error, so they
-# run at a looser threshold than equation residuals.
-ALLPASS_CERT_TOL = 1e-7
-
 
 @dataclass(frozen=True)
 class FactorReport:
@@ -106,10 +107,6 @@ class FactorReport:
         return "\n".join(lines)
 
 
-def _circle(k):
-    return np.exp(2j * np.pi * np.arange(k) / k)
-
-
 def spectrum_gap(w: Realization, w_ref: Realization,
                  config: ToleranceConfig = DEFAULT_TOL,
                  samples: int | None = None) -> float:
@@ -131,18 +128,27 @@ def verify_factor(w: Realization, w_minus: Realization,
 
     Compares spectral density samples on the circle, checks the McMillan
     degree against that of W-, and inventories poles and zeros.  Bad
-    candidates produce a failing report, never an exception.
+    candidates, including those of another input or output width, produce a
+    failing report, never an exception.
     """
     expected = mcmillan_degree(w_minus, config)
-    residual = spectrum_gap(w, w_minus, config, samples)
     degree = mcmillan_degree(w, config)
     reasons = []
     if degree != expected:
         reasons.append(f"McMillan degree {degree} != expected {expected}")
-    if not residual <= config.residual_tol:
+    if (w.n_out, w.n_in) != (w_minus.n_out, w_minus.n_in):
+        residual = float("inf")
         reasons.append(
-            f"spectrum residual {residual:.3e} exceeds {config.residual_tol:.1e}"
+            f"candidate is {w.n_out}x{w.n_in}, the outer factor is "
+            f"{w_minus.n_out}x{w_minus.n_in}"
         )
+    else:
+        residual = spectrum_gap(w, w_minus, config, samples)
+        if not residual <= config.residual_tol:
+            reasons.append(
+                f"spectrum residual {residual:.3e} exceeds "
+                f"{config.residual_tol:.1e}"
+            )
     try:
         pz = poles_zeros(w, config)
     except Exception:
@@ -206,13 +212,71 @@ def extract_left_divisor(w_minus: Realization, w0: Realization,
             "candidate factor is not minimal"
         )
     report = verify_factor(w0, w_minus, config)
-    report = FactorReport(
-        degree=report.degree, expected_degree=report.expected_degree,
-        spectrum_residual=report.spectrum_residual, allpass_residual=ap_res,
-        pole_zero=report.pole_zero, passed=report.passed,
-        reasons=report.reasons,
-    )
-    return t_minus, report
+    return t_minus, replace(report, allpass_residual=ap_res)
+
+
+def moebius_gate(w: Realization, moebius_param: float | bool | None,
+                 config: ToleranceConfig = DEFAULT_TOL):
+    """Apply the gated Moebius change of variable.
+
+    ``None`` or ``False`` leaves ``w`` as given, ``True`` picks a parameter
+    clear of its poles and zeros, and a float is used as the parameter.
+
+    Returns the working model and the parameter ``a`` (None when ungated).
+    """
+    if moebius_param is None or moebius_param is False:
+        return w, None
+    if moebius_param is True:
+        pz = poles_zeros(w, config)
+        zeros = pz.zeros if pz.zeros is not None else []
+        a = choose_moebius_parameter(pz.poles, zeros, config)
+    else:
+        a = float(moebius_param)
+    return moebius(w, a, config), a
+
+
+def family_member(cp: ConjugatePhase, spec, w_minus: Realization,
+                  a: float | None = None,
+                  config: ToleranceConfig = DEFAULT_TOL):
+    """The factor of one subspace specification.
+
+    ``cp`` is the conjugate phase of the working model, ``spec`` a
+    :class:`SubspaceSpec` or an orthogonal projector, ``w_minus`` the outer
+    factor in the original variable and ``a`` the Moebius parameter that
+    maps it to the working variable (None when ungated).  A gated factor is
+    mapped back to the original variable and re-verified against
+    ``w_minus``; a failure there raises.
+
+    Returns the divisor, the factor and its verification report.
+    """
+    if isinstance(spec, SubspaceSpec):
+        pi = projector_from_spec(cp, spec, config)
+    else:
+        pi = np.asarray(spec, dtype=float)
+    div = divisor_from_projector(cp, pi, config)
+    w, report = minimal_factor(cp.extremals.w_minus, div, config)
+    if a is None:
+        return div, w, report
+    try:
+        w = moebius(w, -a, config)
+    except SpectralFactorsError as exc:
+        raise ParameterHitsSpectrum(
+            "factor is improper in the original variable (pole at "
+            "infinity); it is representable only in the transformed "
+            "variable"
+        ) from exc
+    report = verify_factor(w, w_minus, config)
+    if report.degree != report.expected_degree:
+        raise DegreeViolation(
+            f"mapped-back factor degree {report.degree} != "
+            f"{report.expected_degree}"
+        )
+    if not report.spectrum_residual <= config.residual_tol:
+        raise SpectrumMismatch(
+            "mapped-back factor spectrum residual "
+            f"{report.spectrum_residual:.3e}"
+        )
+    return div, w, report
 
 
 def factor_family(w_minus: Realization, specs,
@@ -221,56 +285,15 @@ def factor_family(w_minus: Realization, specs,
     """Generate the factors for a batch of subspace specifications.
 
     ``moebius_param`` routes the pipeline through a Moebius change of
-    variable: a float uses that parameter, ``True`` picks one automatically,
-    ``None`` (default) processes the model as given.  Factors are mapped
-    back to the original variable and re-verified.
+    variable (see :func:`moebius_gate`); ``None`` (default) processes the
+    model as given.  Factors are mapped back to the original variable and
+    re-verified.
 
     Returns a list of (factor, report) pairs, one per specification.
     """
-    from .statespace import choose_moebius_parameter  # local: avoid clutter
-
-    a_param = None
-    w_work = w_minus
-    if moebius_param is not None and moebius_param is not False:
-        if moebius_param is True:
-            pz = poles_zeros(w_minus, config)
-            zeros = pz.zeros if pz.zeros is not None else []
-            a_param = choose_moebius_parameter(pz.poles, zeros, config)
-        else:
-            a_param = float(moebius_param)
-        w_work = moebius(w_minus, a_param, config)
-
+    w_work, a = moebius_gate(w_minus, moebius_param, config)
     cp = conjugate_phase(w_work, config)
-    out = []
-    for spec in specs:
-        if isinstance(spec, SubspaceSpec):
-            pi = projector_from_spec(cp, spec, config)
-        else:
-            pi = np.asarray(spec, dtype=float)
-        div = divisor_from_projector(cp, pi, config)
-        w, report = minimal_factor(w_work, div, config)
-        if a_param is not None:
-            try:
-                w = moebius(w, -a_param, config)
-            except SpectralFactorsError as exc:
-                raise ParameterHitsSpectrum(
-                    "factor is improper in the original variable (pole at "
-                    "infinity); it is representable only in the transformed "
-                    "variable"
-                ) from exc
-            report = verify_factor(w, w_minus, config)
-            if report.degree != report.expected_degree:
-                raise DegreeViolation(
-                    f"mapped-back factor degree {report.degree} != "
-                    f"{report.expected_degree}"
-                )
-            if not report.spectrum_residual <= config.residual_tol:
-                raise SpectrumMismatch(
-                    "mapped-back factor spectrum residual "
-                    f"{report.spectrum_residual:.3e}"
-                )
-        out.append((w, report))
-    return out
+    return [family_member(cp, spec, w_minus, a, config)[1:] for spec in specs]
 
 
 def orthogonal_equivalence_gap(r1: Realization, r2: Realization,

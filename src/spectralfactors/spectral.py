@@ -29,7 +29,13 @@ from .errors import (
     SingularFeedthrough,
 )
 from .matnum import DEFAULT_TOL, ToleranceConfig, solve_stein, sym_sqrt
-from .statespace import Realization, evalfr_many, mcmillan_degree
+from .statespace import (
+    Realization,
+    _circle,
+    _inv,
+    evalfr_many,
+    mcmillan_degree,
+)
 
 __all__ = [
     "ExtremalSet",
@@ -50,14 +56,9 @@ __all__ = [
 
 _STABILITY_MARGIN = 1e-8
 
-
-def _inv(m, err_cls, what, config):
-    if m.shape[0] == 0:
-        return m.copy()
-    u, s, vt = np.linalg.svd(m)
-    if s[0] == 0.0 or s[-1] / s[0] <= config.rank_rel_tol:
-        raise err_cls(f"{what} is singular")
-    return (vt.T / s) @ u.T
+# Sampled all-pass certificates accumulate circle-evaluation error, so they
+# run at a looser threshold than equation residuals.
+ALLPASS_CERT_TOL = 1e-7
 
 
 def zero_matrix(r: Realization, config: ToleranceConfig = DEFAULT_TOL):
@@ -308,7 +309,6 @@ class ConjugatePhase:
     gamma: np.ndarray
     a_inv_t: np.ndarray
     extremals: ExtremalSet
-    moebius_a: float | None = None
 
 
 def check_gramian_identities(cp: ConjugatePhase,
@@ -407,9 +407,7 @@ def spectrum_sample(w: Realization, z,
     """
     z = complex(z)
     if abs(abs(z) - 1.0) <= 1e-9:
-        v = evalfr_many(w, [z], config)[0]
-        phi = v @ v.conj().T
-        return 0.5 * (phi + phi.conj().T)
+        return spectrum_samples(w, [z], config)[0]
     if z == 0:
         raise EvaluationAtPole("spectral density sample undefined at z = 0")
     v = evalfr_many(w, [z], config)[0]
@@ -425,10 +423,6 @@ def spectrum_samples(w: Realization, zs,
     return 0.5 * (phi + np.conj(np.swapaxes(phi, -1, -2)))
 
 
-def _circle_points(k):
-    return np.exp(2j * np.pi * np.arange(k) / k)
-
-
 def allpass_residual(r: Realization, config: ToleranceConfig = DEFAULT_TOL,
                      samples: int | None = None) -> float:
     """Max deviation of G(z) G(z)^H from the identity over circle samples.
@@ -438,7 +432,7 @@ def allpass_residual(r: Realization, config: ToleranceConfig = DEFAULT_TOL,
     """
     if r.n_in != r.n_out:
         raise ValueError("all-pass check requires a square system")
-    zs = _circle_points(samples or config.circle_samples)
+    zs = _circle(samples or config.circle_samples)
     try:
         vals = evalfr_many(r, zs, config)
     except EvaluationAtPole:

@@ -214,15 +214,23 @@ def series(r1: Realization, r2: Realization) -> Realization:
     return Realization(a, b, c, d)
 
 
-def _inv(m, config, err):
+def _inv(m, err, what, config):
+    """Inverse of ``m`` through its SVD; raises ``err`` naming ``what`` when
+    ``m`` is not square or its relative rank gap is within tolerance."""
     if m.shape[0] != m.shape[1]:
-        raise err("matrix is not square")
+        raise err(f"{what} is not square")
     if m.shape[0] == 0:
         return m.copy()
     u, s, vt = np.linalg.svd(m)
     if s[0] == 0.0 or s[-1] / s[0] <= config.rank_rel_tol:
-        raise err(f"matrix is singular (condition ~{s[0] / max(s[-1], 1e-300):.2e})")
+        raise err(f"{what} is singular "
+                  f"(condition ~{s[0] / max(s[-1], 1e-300):.2e})")
     return (vt.T / s) @ u.T
+
+
+def _circle(k):
+    """k equally spaced points on the unit circle, starting at z = 1."""
+    return np.exp(2j * np.pi * np.arange(k) / k)
 
 
 def inverse(r: Realization, config: ToleranceConfig = DEFAULT_TOL) -> Realization:
@@ -230,7 +238,7 @@ def inverse(r: Realization, config: ToleranceConfig = DEFAULT_TOL) -> Realizatio
 
     The state matrix of the inverse is the zero matrix A - B D^{-1} C.
     """
-    d_inv = _inv(r.d, config, SingularFeedthrough)
+    d_inv = _inv(r.d, SingularFeedthrough, "feedthrough D", config)
     a = r.a - r.b @ d_inv @ r.c
     return Realization(a, r.b @ d_inv, -d_inv @ r.c, d_inv)
 
@@ -243,7 +251,7 @@ def adjoint(r: Realization, config: ToleranceConfig = DEFAULT_TOL) -> Realizatio
     """
     if r.n == 0:
         return constant(r.d.T)
-    a_it = _inv(r.a, config, SingularStateMatrix).T
+    a_it = _inv(r.a, SingularStateMatrix, "state matrix A", config).T
     return Realization(a_it, a_it @ r.c.T, -r.b.T @ a_it,
                        r.d.T - r.b.T @ a_it @ r.c.T)
 
@@ -279,13 +287,9 @@ def moebius(r: Realization, a: float,
     if a == 0.0 or r.n == 0:
         return Realization(r.a, r.b, r.c, r.d)
     n = r.n
-    e = np.eye(n) - a * r.a
-    u, s, vt = np.linalg.svd(e)
-    if s[-1] <= config.rank_rel_tol * s[0]:
-        raise ParameterHitsSpectrum(
-            f"1/a = {1.0 / a:.6g} hits the spectrum of the state matrix"
-        )
-    e_inv = (vt.T / s) @ u.T
+    e_inv = _inv(np.eye(n) - a * r.a, ParameterHitsSpectrum,
+                 f"I - a A (1/a = {1.0 / a:.6g} hits the spectrum of A)",
+                 config)
     a_new = e_inv @ (r.a - a * np.eye(n))
     b_new = e_inv @ r.b
     c_new = (1.0 - a * a) * r.c @ e_inv
@@ -484,7 +488,7 @@ def poles_zeros(r: Realization, config: ToleranceConfig = DEFAULT_TOL) -> PoleZe
     zeros = None
     if rm.n_in == rm.n_out:
         try:
-            d_inv = _inv(rm.d, config, SingularFeedthrough)
+            d_inv = _inv(rm.d, SingularFeedthrough, "feedthrough D", config)
         except SingularFeedthrough:
             d_inv = None
         if d_inv is not None:
@@ -493,8 +497,7 @@ def poles_zeros(r: Realization, config: ToleranceConfig = DEFAULT_TOL) -> PoleZe
 
 
 def _sample_points(config, radii=(1.0, 1.37)):
-    k = config.circle_samples
-    base = np.exp(2j * np.pi * np.arange(k) / k)
+    base = _circle(config.circle_samples)
     return np.concatenate([rho * base for rho in radii])
 
 

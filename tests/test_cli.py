@@ -87,6 +87,12 @@ class TestAnalyze:
         assert result.exit_code == 0
         assert json.loads(result.output)["moebius_a"] == 0.3
 
+    @pytest.mark.parametrize("flag", [["--samples", "3"], ["--tol", "-1"]])
+    def test_bad_flag_value_exits_3(self, runner, model_path, flag):
+        result = runner.invoke(main, ["analyze", model_path, *flag])
+        assert result.exit_code == 3
+        assert flag[0] in result.output
+
 
 class TestFactors:
     def test_reference_family(self, runner, model_path, tmp_path, ref_model):
@@ -109,6 +115,25 @@ class TestFactors:
         poles = np.array(row["poles"])
         assert_allclose(poles[:, 0], [2.0, 2.0], atol=1e-8)
         # every emitted model file verifies against the source model
+        for row in summary["factors"]:
+            emitted = read_model(outdir / row["file"]).realization
+            assert sf.verify_factor(emitted, ref_model).passed
+
+    def test_moebius_family(self, runner, model_path, tmp_path, ref_model):
+        specs = tmp_path / "specs.json"
+        specs.write_text(json.dumps({"specs": [
+            {},
+            {"a_select": [0, 1]},
+            {"a_select": [0, 1], "theta_grid": 4},
+        ]}))
+        outdir = tmp_path / "family"
+        result = runner.invoke(main, ["factors", model_path, str(specs),
+                                      "--moebius=0.3", "-d", str(outdir)])
+        assert result.exit_code == 0, result.output
+        summary = json.loads((outdir / "summary.json").read_text())
+        assert summary["moebius_a"] == 0.3
+        assert len(summary["factors"]) == 6
+        assert all(row["degree"] == 2 for row in summary["factors"])
         for row in summary["factors"]:
             emitted = read_model(outdir / row["file"]).realization
             assert sf.verify_factor(emitted, ref_model).passed
@@ -149,6 +174,13 @@ class TestVerify:
         assert result.exit_code == 1
         assert "fail" in result.output
 
+    def test_other_width_candidate_fails(self, runner, model_path, tmp_path):
+        path = tmp_path / "scalar.json"
+        write_model(path, sf.identity(1), name="scalar")
+        result = runner.invoke(main, ["verify", model_path, str(path)])
+        assert result.exit_code == 1
+        assert "candidate is 1x1, the outer factor is 2x2" in result.output
+
 
 class TestSpectrum:
     def test_reference_first_row(self, runner, model_path, tmp_path):
@@ -173,6 +205,11 @@ class TestSpectrum:
         assert result.exit_code == 0
         assert len(rows) == 2
         assert rows[1].startswith("0,")
+
+    def test_zero_samples_exits_3(self, runner, model_path):
+        result = runner.invoke(main, ["spectrum", model_path, "-n", "0"])
+        assert result.exit_code == 3
+        assert "positive" in result.output
 
     def test_all_pass_rows_are_identity(self, runner, tmp_path, ref_values):
         path = tmp_path / "allpass.json"

@@ -72,6 +72,14 @@ class TestVerifyFactor:
         assert not report.passed
         assert report.spectrum_residual > 1.0
 
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_other_width_candidate_fails(self, ref_model, width):
+        report = sf.verify_factor(sf.identity(width), ref_model)
+        assert not report.passed
+        assert (f"candidate is {width}x{width}, the outer factor is 2x2"
+                in report.reasons)
+        assert not any("spectrum residual" in r for r in report.reasons)
+
     def test_report_serializes(self, ref_model):
         report = sf.verify_factor(ref_model, ref_model)
         d = report.to_dict()
