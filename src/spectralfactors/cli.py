@@ -35,12 +35,7 @@ from .modelio import (
     read_spec_entries,
     write_model,
 )
-from .spectral import (
-    check_gramian_identities,
-    conjugate_phase,
-    spectrum_samples,
-    validate_outer,
-)
+from .spectral import conjugate_phase, spectrum_samples, validate_outer
 from .statespace import Realization, moebius
 
 EXIT_OK = 0
@@ -138,7 +133,6 @@ def analyze(model_path, out_path, tol, samples, moebius_value):
     except SpectralFactorsError as exc:
         _fail(EXIT_VALIDATION, str(exc))
     ext = cp.extremals
-    gramian = check_gramian_identities(cp, config)
     report = {
         "model": doc.name,
         "moebius_a": a,
@@ -149,8 +143,8 @@ def analyze(model_path, out_path, tol, samples, moebius_value):
         "y": _mat(ext.y),
         "z": _mat(ext.z),
         "p0_inv": _mat(cp.p0_inv),
-        "gramian_residuals": gramian.residuals(),
-        "gramian_pass": gramian.passed,
+        "gramian_residuals": cp.gramian.residuals(),
+        "gramian_pass": cp.gramian.passed,
         "eigenvalues": {
             "gamma_blocks": _block_table(cp.gamma, config),
             "a_blocks": _block_table(cp.a_inv_t, config),
@@ -214,15 +208,15 @@ def factors(model_path, specs_path, outdir, tol, samples, moebius_value):
                                            config)
             name = f"{doc.name}_factor_{i:03d}"
             write_model(out / f"factor_{i:03d}.json", w, name=name)
-            pz = report.pole_zero
+            pz = report.pole_zero.to_dict()
             rows.append({
                 "factor": name,
                 "file": f"factor_{i:03d}.json",
                 "divisor_degree": div.degree,
                 "subspace_dims": list(div.subspace_dims),
                 "degree": report.degree,
-                "poles": pz.to_dict()["poles"] if pz else None,
-                "zeros": pz.to_dict()["zeros"] if pz else None,
+                "poles": pz["poles"],
+                "zeros": pz["zeros"],
                 "spectrum_residual": report.spectrum_residual,
                 "passed": report.passed,
             })

@@ -121,12 +121,14 @@ def run_demo(config: ToleranceConfig = DEFAULT_TOL) -> list[DemoCheck]:
         DemoCheck("Stein solution Y (pole direction)", _gap(ext.y, ref["y"]), tol),
         DemoCheck("coupling Z = Y + X^-1", _gap(ext.z, ref["z"]), tol),
         DemoCheck("square roots U1, U2",
-                  max(_gap(ext.u1, ref["u1"]), _gap(ext.u2, ref["u2"])), tol),
+                  max(_gap(ext.t1.d, ref["u1"]), _gap(ext.t2.d, ref["u2"])),
+                  tol),
         DemoCheck("stage inputs G1, G2",
-                  max(_gap(ext.g1, ref["g1"]), _gap(ext.g2, ref["g2"])), tol),
+                  max(_gap(ext.t1.b, ref["g1"]), _gap(ext.t2.b, ref["g2"])),
+                  tol),
         DemoCheck("maximum-phase factor B+, D+",
-                  max(_gap(ext.b_plus, ref["b_plus"]),
-                      _gap(ext.d_plus, ref["d_plus"])), tol),
+                  max(_gap(ext.w_plus.b, ref["b_plus"]),
+                      _gap(ext.w_plus.d, ref["d_plus"])), tol),
         DemoCheck("conjugate phase state matrix", _gap(cp.t.a, ref["t_a"]), tol),
         DemoCheck("conjugate phase input matrix", _gap(cp.t.b, ref["t_b"]), tol),
         DemoCheck("conjugate phase output matrix", _gap(cp.t.c, ref["t_c"]), tol),

@@ -147,26 +147,27 @@ def _part_basis(block_matrix, select, basis, part, config):
         raise InvalidSubspace(f"invalid {part} selection: {exc}") from exc
 
 
-def _stacked_basis(cp: ConjugatePhase, spec: SubspaceSpec, config):
-    vg = _part_basis(cp.gamma, spec.gamma_select, spec.gamma_basis,
-                     "gamma", config)
-    va = _part_basis(cp.a_inv_t, spec.a_select, spec.a_basis, "a", config)
-    ng, na = cp.n_gamma, cp.n_a
-    v = np.zeros((ng + na, vg.shape[1] + va.shape[1]))
-    v[:ng, :vg.shape[1]] = vg
-    v[ng:, vg.shape[1]:] = va
-    return v, (vg.shape[1], va.shape[1])
+def _block_projector(vg, va, config):
+    """Orthogonal projector onto the span of a gamma-side basis ``vg`` (top
+    left block) and an a-side basis ``va`` (bottom right block) in the
+    coordinates of diag(Gamma, A^{-T})."""
+    (ng, kg), (na, ka) = vg.shape, va.shape
+    if kg + ka == 0:
+        return np.zeros((ng + na, ng + na))
+    v = np.zeros((ng + na, kg + ka))
+    v[:ng, :kg] = vg
+    v[ng:, kg:] = va
+    return orth_projector(v, config)
 
 
 def projector_from_spec(cp: ConjugatePhase, spec: SubspaceSpec,
                         config: ToleranceConfig = DEFAULT_TOL):
     """Orthogonal projector onto the invariant subspace described by
     ``spec``.  Raises InvalidSubspace if the description is inconsistent."""
-    v, _ = _stacked_basis(cp, spec, config)
-    n = cp.n_gamma + cp.n_a
-    if v.shape[1] == 0:
-        return np.zeros((n, n))
-    return orth_projector(v, config)
+    vg = _part_basis(cp.gamma, spec.gamma_select, spec.gamma_basis,
+                     "gamma", config)
+    va = _part_basis(cp.a_inv_t, spec.a_select, spec.a_basis, "a", config)
+    return _block_projector(vg, va, config)
 
 
 def _split_dims(pi, n_gamma):
@@ -304,8 +305,7 @@ def enumerate_divisors(cp: ConjugatePhase,
     multiplicity >= 2 are reported as continuum families; the caller samples
     them through explicit bases.
     """
-    n2 = cp.t.n
-    if n2 == 0:
+    if cp.t.n == 0:
         ident = divisor_from_projector(cp, np.zeros((0, 0)), config)
         return DivisorEnumeration([ident], [])
     g_blocks = eigen_blocks(cp.gamma, config)
@@ -313,19 +313,14 @@ def enumerate_divisors(cp: ConjugatePhase,
     g_subsets, g_cont = _block_choices(g_blocks, "gamma")
     a_subsets, a_cont = _block_choices(a_blocks, "a")
 
-    ng = cp.n_gamma
     out = []
     for gs in g_subsets:
         vg = (np.hstack([g_blocks[i].basis for i in gs])
-              if gs else np.zeros((ng, 0)))
+              if gs else np.zeros((cp.n_gamma, 0)))
         for as_ in a_subsets:
             va = (np.hstack([a_blocks[i].basis for i in as_])
                   if as_ else np.zeros((cp.n_a, 0)))
-            v = np.zeros((n2, vg.shape[1] + va.shape[1]))
-            v[:ng, :vg.shape[1]] = vg
-            v[ng:, vg.shape[1]:] = va
-            pi = (orth_projector(v, config) if v.shape[1]
-                  else np.zeros((n2, n2)))
+            pi = _block_projector(vg, va, config)
             div = divisor_from_projector(cp, pi, config)
             resid = allpass_residual(div.t_ell, config)
             if resid > ALLPASS_CERT_TOL:

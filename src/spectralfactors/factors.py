@@ -25,6 +25,8 @@ from .divisors import (
 )
 from .errors import (
     DegreeViolation,
+    DimensionMismatch,
+    EvaluationAtPole,
     NotAFactor,
     NotMinimalFactor,
     ParameterHitsSpectrum,
@@ -74,7 +76,7 @@ class FactorReport:
     expected_degree: int
     spectrum_residual: float
     allpass_residual: float | None
-    pole_zero: PoleZeroReport | None
+    pole_zero: PoleZeroReport
     passed: bool
     reasons: tuple = ()
 
@@ -84,7 +86,7 @@ class FactorReport:
             "expected_degree": self.expected_degree,
             "spectrum_residual": self.spectrum_residual,
             "allpass_residual": self.allpass_residual,
-            "pole_zero": None if self.pole_zero is None else self.pole_zero.to_dict(),
+            "pole_zero": self.pole_zero.to_dict(),
             "passed": self.passed,
             "reasons": list(self.reasons),
         }
@@ -98,10 +100,9 @@ class FactorReport:
         ]
         if self.allpass_residual is not None:
             lines.append(f"all-pass residual: {self.allpass_residual:.3e}")
-        if self.pole_zero is not None:
-            lines.append(f"poles:             {np.round(self.pole_zero.poles, 6)}")
-            if self.pole_zero.zeros is not None:
-                lines.append(f"zeros:             {np.round(self.pole_zero.zeros, 6)}")
+        lines.append(f"poles:             {np.round(self.pole_zero.poles, 6)}")
+        if self.pole_zero.zeros is not None:
+            lines.append(f"zeros:             {np.round(self.pole_zero.zeros, 6)}")
         for r in self.reasons:
             lines.append(f"reason:            {r}")
         return "\n".join(lines)
@@ -111,12 +112,20 @@ def spectrum_gap(w: Realization, w_ref: Realization,
                  config: ToleranceConfig = DEFAULT_TOL,
                  samples: int | None = None) -> float:
     """Largest entrywise gap between the two spectral densities on the
-    circle.  Returns ``inf`` if either system has a pole on a sample."""
+    circle.  Returns ``inf`` if either system has a pole on a sample.
+
+    Raises DimensionMismatch if the two systems differ in width.
+    """
+    if (w.n_out, w.n_in) != (w_ref.n_out, w_ref.n_in):
+        raise DimensionMismatch(
+            f"densities of a {w.n_out}x{w.n_in} and a "
+            f"{w_ref.n_out}x{w_ref.n_in} system are not comparable"
+        )
     zs = _circle(samples or config.circle_samples)
     try:
         phi_w = spectrum_samples(w, zs, config)
         phi_ref = spectrum_samples(w_ref, zs, config)
-    except Exception:
+    except EvaluationAtPole:
         return float("inf")
     return float(np.max(np.abs(phi_w - phi_ref)))
 
@@ -127,12 +136,14 @@ def verify_factor(w: Realization, w_minus: Realization,
     """Check a candidate factor against the outer factor's spectrum.
 
     Compares spectral density samples on the circle, checks the McMillan
-    degree against that of W-, and inventories poles and zeros.  Bad
+    degree against that of W-, and inventories poles and zeros; the degree
+    and the inventory come from one reduction of the candidate.  Bad
     candidates, including those of another input or output width, produce a
     failing report, never an exception.
     """
     expected = mcmillan_degree(w_minus, config)
-    degree = mcmillan_degree(w, config)
+    pz = poles_zeros(w, config)
+    degree = pz.degree
     reasons = []
     if degree != expected:
         reasons.append(f"McMillan degree {degree} != expected {expected}")
@@ -149,10 +160,6 @@ def verify_factor(w: Realization, w_minus: Realization,
                 f"spectrum residual {residual:.3e} exceeds "
                 f"{config.residual_tol:.1e}"
             )
-    try:
-        pz = poles_zeros(w, config)
-    except Exception:
-        pz = None
     return FactorReport(
         degree=degree, expected_degree=expected, spectrum_residual=residual,
         allpass_residual=None, pole_zero=pz, passed=not reasons,

@@ -17,7 +17,7 @@ claim downstream depends on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -219,7 +219,12 @@ def plus_to_bar_plus(w_plus: Realization,
 @dataclass(frozen=True)
 class ExtremalSet:
     """The extremal factors of the spectral density of W- together with the
-    quantities produced along the construction chain."""
+    stage quotients and the Stein solutions of the construction chain.
+
+    The stage blocks are read from the realizations: Gamma, G1, H1, U1 are
+    ``t1.a/.b/.c/.d``, G2, H2, U2 are ``t2.b/.c/.d`` (``t2.a`` is A^{-T}),
+    and B+, D+ are ``w_plus.b/.d``.
+    """
 
     w_minus: Realization
     w_plus: Realization
@@ -229,15 +234,6 @@ class ExtremalSet:
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
-    u1: np.ndarray
-    u2: np.ndarray
-    g1: np.ndarray
-    g2: np.ndarray
-    h1: np.ndarray
-    h2: np.ndarray
-    b_plus: np.ndarray
-    d_plus: np.ndarray
-    gamma: np.ndarray
 
 
 def extremal_set(w_minus: Realization,
@@ -263,9 +259,7 @@ def extremal_set(w_minus: Realization,
         z = np.zeros((0, 0))
     return ExtremalSet(
         w_minus=w_minus, w_plus=s1.w_plus, w_bar_plus=s2.w_bar_plus,
-        t1=s1.t1, t2=s2.t2, x=s1.x, y=s2.y, z=z, u1=s1.u1, u2=s2.u2,
-        g1=s1.g1, g2=s2.g2, h1=s1.h1, h2=s2.h2, b_plus=s1.b_plus,
-        d_plus=s1.d_plus, gamma=s1.gamma,
+        t1=s1.t1, t2=s2.t2, x=s1.x, y=s2.y, z=z,
     )
 
 
@@ -298,7 +292,8 @@ class ConjugatePhase:
     states carry the zero matrix of W- (spectrum inside the circle), the
     trailing ``n_a`` states carry A^{-T} (spectrum outside).  ``p0_inv`` is
     assembled from the closed form [[X, -I], [-I, Z]] rather than by
-    numerical inversion.
+    numerical inversion.  ``gramian`` holds the identity residuals that
+    :func:`conjugate_phase` certified.
     """
 
     t: Realization
@@ -309,6 +304,7 @@ class ConjugatePhase:
     gamma: np.ndarray
     a_inv_t: np.ndarray
     extremals: ExtremalSet
+    gramian: GramianCheck
 
 
 def check_gramian_identities(cp: ConjugatePhase,
@@ -354,25 +350,18 @@ def conjugate_phase(w_minus: Realization,
     tolerance or if the realization is not minimal of dimension 2n.
     """
     ext = extremal_set(w_minus, config)
-    n, m = w_minus.n, w_minus.n_in
-    if n == 0:
-        t = Realization(np.zeros((0, 0)), np.zeros((0, m)),
-                        np.zeros((m, 0)), ext.u1 @ ext.u2)
-        return ConjugatePhase(t=t, p0=np.zeros((0, 0)),
-                              p0_inv=np.zeros((0, 0)), n_gamma=0, n_a=0,
-                              gamma=ext.gamma, a_inv_t=np.zeros((0, 0)),
-                              extremals=ext)
-    a_inv_t = np.linalg.inv(w_minus.a).T
+    n = w_minus.n
+    t1, t2 = ext.t1, ext.t2
     x_inv = np.linalg.inv(ext.x)
     y_inv = np.linalg.inv(ext.y)
 
+    # Every block below is empty for a constant W- (n = 0).
     a_t = np.zeros((2 * n, 2 * n))
-    a_t[:n, :n] = ext.gamma
-    a_t[n:, n:] = a_inv_t
-    b_t = np.vstack([ext.g1 @ ext.u2 + x_inv @ ext.g2, ext.g2])
-    c_t = np.hstack([ext.h1, w_minus.b.T @ a_inv_t])
-    d_t = ext.u1 @ ext.u2
-    t = Realization(a_t, b_t, c_t, d_t)
+    a_t[:n, :n] = t1.a
+    a_t[n:, n:] = t2.a
+    b_t = np.vstack([t1.b @ t2.d + x_inv @ t2.b, t2.b])
+    c_t = np.hstack([t1.c, w_minus.b.T @ t2.a])
+    t = Realization(a_t, b_t, c_t, t1.d @ t2.d)
 
     p0 = np.block([[x_inv + x_inv @ y_inv @ x_inv, x_inv @ y_inv],
                    [y_inv @ x_inv, y_inv]])
@@ -384,8 +373,10 @@ def conjugate_phase(w_minus: Realization,
         raise GramianIdentityViolation(
             f"closed-form Gramian inverse fails with residual {inv_resid:.3e}"
         )
+    # The check reads only t, p0 and p0_inv; its result is carried in the
+    # returned record.
     cp = ConjugatePhase(t=t, p0=p0, p0_inv=p0_inv, n_gamma=n, n_a=n,
-                        gamma=ext.gamma, a_inv_t=a_inv_t, extremals=ext)
+                        gamma=t1.a, a_inv_t=t2.a, extremals=ext, gramian=None)
     check = check_gramian_identities(cp, config)
     if not check.passed:
         raise GramianIdentityViolation(
@@ -395,7 +386,7 @@ def conjugate_phase(w_minus: Realization,
         raise GramianIdentityViolation(
             "conjugate phase realization is not minimal of dimension 2n"
         )
-    return cp
+    return replace(cp, gramian=check)
 
 
 def spectrum_sample(w: Realization, z,

@@ -150,14 +150,20 @@ def _sorted_eigs(m):
     return e[np.lexsort((e.imag, e.real))]
 
 
+def _pole_distance(r: Realization, zs):
+    """Distance of each sample in ``zs`` to the nearest eigenvalue of A and
+    the scale max(||A||, 1) that pole guards measure it against."""
+    eigs = np.linalg.eigvals(r.a)
+    dist = np.min(np.abs(zs[:, None] - eigs[None, :]), axis=1)
+    return dist, max(np.linalg.norm(r.a), 1.0)
+
+
 def _pole_guard(r: Realization, zs, config):
     """Raise EvaluationAtPole if any sample sits on the spectrum of A."""
     if r.n == 0:
         return
-    eigs = np.linalg.eigvals(r.a)
-    norm_a = max(np.linalg.norm(r.a), 1.0)
     zs = np.atleast_1d(zs)
-    dist = np.min(np.abs(zs[:, None] - eigs[None, :]), axis=1)
+    dist, norm_a = _pole_distance(r, zs)
     bad = dist <= config.rank_rel_tol * (1.0 + np.abs(zs)) * norm_a
     if np.any(bad):
         raise EvaluationAtPole(
@@ -516,9 +522,7 @@ def eval_gap(r1: Realization, r2: Realization, zs=None,
     for r in (r1, r2):
         if r.n == 0:
             continue
-        eigs = np.linalg.eigvals(r.a)
-        norm_a = max(np.linalg.norm(r.a), 1.0)
-        dist = np.min(np.abs(zs[:, None] - eigs[None, :]), axis=1)
+        dist, norm_a = _pole_distance(r, zs)
         keep &= dist > 1e3 * config.rank_rel_tol * (1.0 + np.abs(zs)) * norm_a
     zs = zs[keep]
     if zs.size == 0:

@@ -1,0 +1,89 @@
+"""Certified facts are computed once and carried forward.
+
+The conjugate phase carries its Gramian check, ``verify_factor`` reduces a
+candidate once, and ``spectrum_gap`` refuses densities of another width.
+"""
+
+import json
+import sys
+
+import pytest
+from click.testing import CliRunner
+
+import spectralfactors as sf
+from spectralfactors import spectral, statespace
+from spectralfactors.cli import main
+from spectralfactors.demo import reference_model
+from spectralfactors.factors import spectrum_gap
+from spectralfactors.modelio import write_model
+
+from helpers import random_outer
+
+
+def _count_calls(monkeypatch, module, name):
+    """Replace ``module.name`` by a counting wrapper in every package module
+    that binds it; returns the list that collects one entry per call."""
+    orig = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if (mod_name.split(".")[0] == "spectralfactors"
+                and getattr(mod, name, None) is orig):
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+MODELS = {
+    "reference": reference_model,
+    "random": lambda: random_outer(5, n_max=4),
+    "constant": lambda: sf.identity(2),
+}
+
+
+@pytest.mark.parametrize("make", MODELS.values(), ids=MODELS.keys())
+def test_conjugate_phase_carries_its_gramian_check(make):
+    cp = sf.conjugate_phase(make())
+    assert cp.gramian.passed
+    assert cp.gramian.residuals() == sf.check_gramian_identities(cp).residuals()
+
+
+def test_cli_analyze_checks_the_gramian_once(monkeypatch, tmp_path, ref_model):
+    path = tmp_path / "model.json"
+    write_model(path, ref_model, name="reference")
+    calls = _count_calls(monkeypatch, spectral, "check_gramian_identities")
+    result = CliRunner().invoke(main, ["analyze", str(path)])
+    assert result.exit_code == 0
+    assert len(calls) == 1
+    report = json.loads(result.output)
+    assert report["gramian_pass"] is True
+    assert (report["gramian_residuals"]
+            == sf.conjugate_phase(ref_model).gramian.residuals())
+
+
+@pytest.mark.parametrize("candidate", ["outer", "w_bar_minus", "scalar"])
+def test_verify_factor_reduces_each_system_once(monkeypatch, ref_model,
+                                                ref_values, candidate):
+    w = {"outer": ref_model, "w_bar_minus": ref_values["w_bar_minus"],
+         "scalar": sf.identity(1)}[candidate]
+    calls = _count_calls(monkeypatch, statespace, "minimal")
+    report = sf.verify_factor(w, ref_model)
+    assert [args[0] for args in calls] == [ref_model, w]
+    assert report.degree == report.pole_zero.degree
+    assert report.passed == (candidate != "scalar")
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_spectrum_gap_rejects_another_width(ref_model, width):
+    with pytest.raises(sf.DimensionMismatch, match="not comparable"):
+        spectrum_gap(sf.identity(width), ref_model)
+
+
+def test_spectrum_gap_is_inf_at_a_pole(ref_model):
+    # Narrowed to EvaluationAtPole, the guard still reports a pole on the
+    # circle as an infinite gap.
+    on_circle = sf.Realization([[1.0]], [[1.0]], [[1.0]], [[1.0]])
+    assert spectrum_gap(on_circle, on_circle) == float("inf")
