@@ -135,7 +135,7 @@ def _part_basis(block_matrix, select, basis, part, config):
                 f"{block_matrix.shape[0]}"
             )
         q = orth_basis(basis, config)
-        if not is_invariant(block_matrix, q, config.residual_tol, config):
+        if not is_invariant(block_matrix, q, config):
             raise InvalidSubspace(
                 f"{part} basis does not span an invariant subspace"
             )
@@ -143,7 +143,8 @@ def _part_basis(block_matrix, select, basis, part, config):
     try:
         return selection_basis(block_matrix, select, config,
                                allow_full_repeated=True)
-    except (AmbiguousEigenspace, SpectralFactorsError) as exc:
+    except (SpectralFactorsError, ValueError) as exc:
+        # ValueError: an index outside the block's spectrum
         raise InvalidSubspace(f"invalid {part} selection: {exc}") from exc
 
 
@@ -205,8 +206,7 @@ def divisor_from_projector(cp: ConjugatePhase, pi,
         raise NotInvariant("matrix is not an orthogonal projector")
 
     basis = basis_from_projector(pi, config)
-    if basis.shape[1] and not is_invariant(a, basis, config.residual_tol,
-                                           config):
+    if basis.shape[1] and not is_invariant(a, basis, config):
         raise NotInvariant(
             "projector range is not an invariant subspace of the conjugate "
             "phase state matrix"

@@ -46,6 +46,7 @@ from .statespace import (
     PoleZeroReport,
     Realization,
     _circle,
+    _inventory,
     choose_moebius_parameter,
     evalfr_many,
     inverse,
@@ -130,23 +131,12 @@ def spectrum_gap(w: Realization, w_ref: Realization,
     return float(np.max(np.abs(phi_w - phi_ref)))
 
 
-def verify_factor(w: Realization, w_minus: Realization,
-                  config: ToleranceConfig = DEFAULT_TOL,
-                  samples: int | None = None) -> FactorReport:
-    """Check a candidate factor against the outer factor's spectrum.
-
-    Compares spectral density samples on the circle, checks the McMillan
-    degree against that of W-, and inventories poles and zeros; the degree
-    and the inventory come from one reduction of the candidate.  Bad
-    candidates, including those of another input or output width, produce a
-    failing report, never an exception.
-    """
-    expected = mcmillan_degree(w_minus, config)
-    pz = poles_zeros(w, config)
-    degree = pz.degree
+def _report(w, w_minus, expected, pz, config, samples=None):
+    """Report on the candidate ``w``, whose minimal realization has the
+    inventory ``pz``, against ``w_minus`` of McMillan degree ``expected``."""
     reasons = []
-    if degree != expected:
-        reasons.append(f"McMillan degree {degree} != expected {expected}")
+    if pz.degree != expected:
+        reasons.append(f"McMillan degree {pz.degree} != expected {expected}")
     if (w.n_out, w.n_in) != (w_minus.n_out, w_minus.n_in):
         residual = float("inf")
         reasons.append(
@@ -161,32 +151,52 @@ def verify_factor(w: Realization, w_minus: Realization,
                 f"{config.residual_tol:.1e}"
             )
     return FactorReport(
-        degree=degree, expected_degree=expected, spectrum_residual=residual,
+        degree=pz.degree, expected_degree=expected, spectrum_residual=residual,
         allpass_residual=None, pole_zero=pz, passed=not reasons,
         reasons=tuple(reasons),
     )
+
+
+def _require_generated(report, what):
+    """Raise the typed error of a generated factor that failed its check."""
+    if report.degree != report.expected_degree:
+        raise DegreeViolation(
+            f"{what} has degree {report.degree}, expected "
+            f"{report.expected_degree}"
+        )
+    if not report.passed:
+        raise SpectrumMismatch(
+            f"{what} spectrum residual {report.spectrum_residual:.3e}"
+        )
+
+
+def verify_factor(w: Realization, w_minus: Realization,
+                  config: ToleranceConfig = DEFAULT_TOL,
+                  samples: int | None = None) -> FactorReport:
+    """Check a candidate factor against the outer factor's spectrum.
+
+    Compares spectral density samples on the circle, checks the McMillan
+    degree against that of W-, and inventories poles and zeros; the degree
+    and the inventory come from one reduction of the candidate.  Bad
+    candidates, including those of another input or output width, produce a
+    failing report, never an exception.
+    """
+    return _report(w, w_minus, mcmillan_degree(w_minus, config),
+                   poles_zeros(w, config), config, samples)
 
 
 def minimal_factor(w_minus: Realization, div: AllPassDivisor,
                    config: ToleranceConfig = DEFAULT_TOL):
     """Minimal spectral factor W = W- T_l generated by a divisor.
 
-    Returns the reduced factor and its verification report.  For a divisor
-    built from the conjugate phase of ``w_minus`` the degree equals the
-    degree of W- and the spectrum matches exactly; violations signal
-    numerical failure and raise.
+    Returns the reduced factor and its report.  The expected degree is the
+    n = deg W- that the conjugate phase certified (the divisor's projector
+    is 2n x 2n); a wrong degree or spectrum is a numerical failure and raises.
     """
     w = minimal(series(w_minus, div.t_ell), config)
-    report = verify_factor(w, w_minus, config)
-    if report.degree != report.expected_degree:
-        raise DegreeViolation(
-            f"generated factor has degree {report.degree}, expected "
-            f"{report.expected_degree}"
-        )
-    if not report.spectrum_residual <= config.residual_tol:
-        raise SpectrumMismatch(
-            f"generated factor spectrum residual {report.spectrum_residual:.3e}"
-        )
+    report = _report(w, w_minus, div.projector.shape[0] // 2,
+                     _inventory(w, config), config)
+    _require_generated(report, "generated factor")
     return w, report
 
 
@@ -198,7 +208,8 @@ def extract_left_divisor(w_minus: Realization, w0: Realization,
     Computes T = W-^{-1} W0 reduced, requires it to be all-pass (otherwise
     the candidate does not share the spectrum: NotAFactor), then certifies
     degree additivity against the conjugate phase function through the
-    cofactor W0^{-1} Wbar+ (failure: NotMinimalFactor).
+    cofactor W0^{-1} Wbar+ (failure: NotMinimalFactor).  The degree n of
+    W- is the state count of Wbar+, which the conjugate phase certified.
 
     Returns the extracted divisor and a report on the candidate.
     """
@@ -212,13 +223,13 @@ def extract_left_divisor(w_minus: Realization, w0: Realization,
     if w_bar_plus is None:
         w_bar_plus = extremal_set(w_minus, config).w_bar_plus
     t_plus = minimal(series(inverse(w0, config), w_bar_plus), config)
-    total = 2 * w_minus.n
-    if t_minus.n + t_plus.n != total:
+    n = w_bar_plus.n
+    if t_minus.n + t_plus.n != 2 * n:
         raise NotMinimalFactor(
-            f"divisor degrees {t_minus.n} + {t_plus.n} != {total}; the "
+            f"divisor degrees {t_minus.n} + {t_plus.n} != {2 * n}; the "
             "candidate factor is not minimal"
         )
-    report = verify_factor(w0, w_minus, config)
+    report = _report(w0, w_minus, n, poles_zeros(w0, config), config)
     return t_minus, replace(report, allpass_residual=ap_res)
 
 
@@ -272,17 +283,9 @@ def family_member(cp: ConjugatePhase, spec, w_minus: Realization,
             "infinity); it is representable only in the transformed "
             "variable"
         ) from exc
-    report = verify_factor(w, w_minus, config)
-    if report.degree != report.expected_degree:
-        raise DegreeViolation(
-            f"mapped-back factor degree {report.degree} != "
-            f"{report.expected_degree}"
-        )
-    if not report.spectrum_residual <= config.residual_tol:
-        raise SpectrumMismatch(
-            "mapped-back factor spectrum residual "
-            f"{report.spectrum_residual:.3e}"
-        )
+    report = _report(w, w_minus, report.expected_degree,
+                     poles_zeros(w, config), config)
+    _require_generated(report, "mapped-back factor")
     return div, w, report
 
 

@@ -435,15 +435,13 @@ def invariant_basis(m, selection, config: ToleranceConfig = DEFAULT_TOL):
     return selection_basis(m, selection, config, allow_full_repeated=False)
 
 
-def is_invariant(m, v, tol=None, config: ToleranceConfig = DEFAULT_TOL):
+def is_invariant(m, v, config: ToleranceConfig = DEFAULT_TOL):
     """True iff the column space of ``v`` is invariant under ``m``.
 
-    Checks ``||M V - V (V^+ M V)|| <= tol * max(1, ||M||)``.
+    Checks ``||M V - V (V^+ M V)|| <= residual_tol * max(1, ||M||)``.
     """
     m = _as_matrix(m, "M")
     v = _as_matrix(v, "V")
-    if tol is None:
-        tol = config.residual_tol
     if v.shape[1] == 0:
         return True
     if v.shape[0] != m.shape[0]:
@@ -453,4 +451,5 @@ def is_invariant(m, v, tol=None, config: ToleranceConfig = DEFAULT_TOL):
         raise RankDeficientBasis("V does not have full column rank")
     mv = m @ v
     resid = mv - v @ (pseudo_inverse(v, config) @ mv)
-    return bool(np.linalg.norm(resid) <= tol * max(1.0, np.linalg.norm(m)))
+    return bool(np.linalg.norm(resid)
+                <= config.residual_tol * max(1.0, np.linalg.norm(m)))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divisors import SubspaceSpec, continuum_angle_basis
-from .matnum import ToleranceConfig, eigen_blocks
+from .matnum import ToleranceConfig, _as_matrix, eigen_blocks
 from .statespace import Realization
 
 __all__ = [
@@ -147,10 +147,27 @@ def read_spec_entries(path) -> list[dict]:
                 raise SpecFileError(
                     f"spec entry {i}: give {part}_select or {part}_basis, not both"
                 )
-        if "theta_grid" in entry and (not isinstance(entry["theta_grid"], int)
-                                      or entry["theta_grid"] < 1):
+            select = entry.get(f"{part}_select", [])
+            if not (isinstance(select, list) and all(map(_is_int, select))):
+                raise SpecFileError(
+                    f"spec entry {i}: {part}_select must be a list of integers"
+                )
+            if f"{part}_basis" in entry:
+                try:
+                    _as_matrix(entry[f"{part}_basis"], "basis")
+                except (TypeError, ValueError) as exc:
+                    raise SpecFileError(
+                        f"spec entry {i}: {part}_basis: {exc}"
+                    ) from exc
+        theta = entry.get("theta_grid", 1)
+        if not (_is_int(theta) and theta >= 1):
             raise SpecFileError(f"spec entry {i}: theta_grid must be a positive int")
     return entries
+
+
+def _is_int(x):
+    """True for a JSON integer (bool is an int subclass but not one)."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _entry_to_spec(entry) -> SubspaceSpec:

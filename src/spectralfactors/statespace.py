@@ -103,10 +103,6 @@ class Realization:
     def n_out(self) -> int:
         return self.d.shape[0]
 
-    def poles(self):
-        """Eigenvalues of A (poles of this particular realization)."""
-        return np.linalg.eigvals(self.a) if self.n else np.zeros(0, complex)
-
     def __repr__(self):
         return f"Realization(n={self.n}, n_out={self.n_out}, n_in={self.n_in})"
 
@@ -309,12 +305,11 @@ _PARAM_GRID = tuple(
 
 
 def choose_moebius_parameter(poles, zeros,
-                             config: ToleranceConfig = DEFAULT_TOL,
-                             max_draws: int = 1000) -> float:
+                             config: ToleranceConfig = DEFAULT_TOL) -> float:
     """Pick a real Moebius parameter clear of the given poles and zeros.
 
-    Scans the fixed grid +-0.1, ..., +-0.9 and then uniform random draws,
-    returning the first ``a`` with |a| <= 0.9 such that a, -a, 1/a and -1/a
+    Scans the fixed grid +-0.1, ..., +-0.9, then 1000 uniform draws, and
+    returns the first ``a`` with |a| <= 0.9 such that a, -a, 1/a and -1/a
     all keep a scale-relative distance from every listed pole and zero.
     """
     pts = [complex(p) for p in list(poles) + list(zeros)]
@@ -330,7 +325,7 @@ def choose_moebius_parameter(poles, zeros,
         if admissible(a):
             return a
     rng = np.random.default_rng(0)
-    for _ in range(max_draws):
+    for _ in range(1000):
         a = float(rng.uniform(-0.9, 0.9))
         if abs(a) > 1e-3 and admissible(a):
             return a
@@ -489,16 +484,18 @@ def poles_zeros(r: Realization, config: ToleranceConfig = DEFAULT_TOL) -> PoleZe
     the minimal zero matrix A - B D^{-1} C (square invertible-D systems
     only; ``zeros`` is None otherwise).
     """
-    rm = minimal(r, config)
+    return _inventory(minimal(r, config), config)
+
+
+def _inventory(rm: Realization, config: ToleranceConfig) -> PoleZeroReport:
+    """Pole/zero inventory of a realization that is already minimal."""
     poles = _sorted_eigs(rm.a)
     zeros = None
-    if rm.n_in == rm.n_out:
-        try:
-            d_inv = _inv(rm.d, SingularFeedthrough, "feedthrough D", config)
-        except SingularFeedthrough:
-            d_inv = None
-        if d_inv is not None:
-            zeros = _sorted_eigs(rm.a - rm.b @ d_inv @ rm.c)
+    try:  # _inv also rejects a non-square D
+        d_inv = _inv(rm.d, SingularFeedthrough, "feedthrough D", config)
+        zeros = _sorted_eigs(rm.a - rm.b @ d_inv @ rm.c)
+    except SingularFeedthrough:
+        pass
     return PoleZeroReport(poles=poles, zeros=zeros, degree=rm.n)
 
 

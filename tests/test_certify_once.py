@@ -2,11 +2,14 @@
 
 The conjugate phase carries its Gramian check, ``verify_factor`` reduces a
 candidate once, and ``spectrum_gap`` refuses densities of another width.
+``minimal_factor`` and ``extract_left_divisor`` take the degree of W- from
+the certified conjugate phase and never reduce W- or a just-reduced factor.
 """
 
 import json
 import sys
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -87,3 +90,60 @@ def test_spectrum_gap_is_inf_at_a_pole(ref_model):
     # circle as an infinite gap.
     on_circle = sf.Realization([[1.0]], [[1.0]], [[1.0]], [[1.0]])
     assert spectrum_gap(on_circle, on_circle) == float("inf")
+
+
+def test_minimal_factor_reduces_only_the_cascade(monkeypatch, ref_model,
+                                                 ref_cp):
+    for div in sf.enumerate_divisors(ref_cp):
+        calls = _count_calls(monkeypatch, statespace, "minimal")
+        degrees = _count_calls(monkeypatch, statespace, "mcmillan_degree")
+        _, report = sf.minimal_factor(ref_model, div)
+        monkeypatch.undo()
+        assert len(calls) == 1 and not degrees
+        assert calls[0][0] is not ref_model
+        assert calls[0][0].n == ref_model.n + div.t_ell.n
+        assert report.passed and report.expected_degree == ref_model.n
+
+
+@pytest.mark.parametrize("candidate", ["outer", "w_bar_minus"])
+def test_extract_left_divisor_reduces_three_systems(monkeypatch, ref_model,
+                                                    ref_values, ref_cp,
+                                                    candidate):
+    w0 = {"outer": ref_model, "w_bar_minus": ref_values["w_bar_minus"]}[
+        candidate]
+    calls = _count_calls(monkeypatch, statespace, "minimal")
+    degrees = _count_calls(monkeypatch, statespace, "mcmillan_degree")
+    _, report = sf.extract_left_divisor(
+        ref_model, w0, w_bar_plus=ref_cp.extremals.w_bar_plus)
+    # T- = W-^{-1} W0, T+ = W0^{-1} Wbar+, then the candidate itself.
+    assert len(calls) == 3 and not degrees
+    assert calls[2][0] is w0
+    assert all(args[0] is not ref_model for args in calls[:2])
+    assert report.passed and report.expected_degree == ref_model.n
+
+
+@pytest.mark.parametrize("make", [MODELS["reference"], MODELS["random"]],
+                         ids=["reference", "random"])
+def test_factor_state_count_is_its_reported_degree(make):
+    w = make()
+    for div in sf.enumerate_divisors(sf.conjugate_phase(w)):
+        factor, report = sf.minimal_factor(w, div)
+        assert factor.n == report.degree == report.pole_zero.degree == w.n
+
+
+def test_non_minimal_outer_factor_keeps_its_verdict(ref_model, ref_cp):
+    # An uncontrollable extra state leaves the transfer function, and so
+    # every generated factor and its degree, unchanged.
+    n = ref_model.n
+    a = np.zeros((n + 1, n + 1))
+    a[:n, :n] = ref_model.a
+    a[n, n] = 0.5
+    padded = sf.Realization(a, np.vstack([ref_model.b, np.zeros((1, 2))]),
+                            np.hstack([ref_model.c, np.ones((2, 1))]),
+                            ref_model.d)
+    assert sf.mcmillan_degree(padded) == n
+    for div in sf.enumerate_divisors(ref_cp):
+        w, report = sf.minimal_factor(padded, div)
+        assert report.passed
+        assert report.degree == report.expected_degree == n
+        assert sf.transfer_equal(w, sf.minimal_factor(ref_model, div)[0])

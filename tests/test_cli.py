@@ -153,6 +153,25 @@ class TestFactors:
                                       "-d", str(tmp_path / "x")])
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize("entry, code", [
+        ({"gamma_select": ["x"]}, 3),
+        ({"gamma_select": 5}, 3),
+        ({"a_basis": [[1, "q"]]}, 3),
+        ({"a_select": [0, 1], "theta_grid": True}, 3),
+        ({"a_select": [7]}, 2),
+    ], ids=["select-str", "select-int", "basis-str", "theta-bool",
+            "select-out-of-range"])
+    def test_malformed_entry_exits_typed(self, runner, model_path, tmp_path,
+                                         entry, code):
+        specs = tmp_path / "bad.json"
+        specs.write_text(json.dumps({"specs": [entry]}))
+        result = runner.invoke(main, ["factors", model_path, str(specs),
+                                      "-d", str(tmp_path / "x")])
+        assert result.exit_code == code
+        assert result.exception is None or isinstance(result.exception,
+                                                      SystemExit)
+        assert "error:" in result.output
+
 
 class TestVerify:
     def test_candidate_passes(self, runner, model_path, candidate_path):

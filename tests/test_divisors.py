@@ -42,6 +42,15 @@ class TestProjectorFromSpec:
         with pytest.raises(sf.InvalidSubspace):
             sf.projector_from_spec(ref_cp, sf.SubspaceSpec(a_select=(0,)))
 
+    @pytest.mark.parametrize("spec", [
+        sf.SubspaceSpec(a_select=(7,)),
+        sf.SubspaceSpec(a_select=(-1,)),
+        sf.SubspaceSpec(gamma_select=(2,)),
+    ])
+    def test_out_of_range_selection_rejected(self, ref_cp, spec):
+        with pytest.raises(sf.InvalidSubspace, match="must lie in"):
+            sf.projector_from_spec(ref_cp, spec)
+
     def test_non_invariant_basis_rejected(self, ref_cp):
         # mixes the two zero-direction eigenvalues 1/4 and 1/3
         spec = sf.SubspaceSpec(gamma_basis=np.array([[1.0], [1.0]]))
