@@ -35,7 +35,7 @@ from .modelio import (
     read_spec_entries,
     write_model,
 )
-from .spectral import conjugate_phase, spectrum_samples, validate_outer
+from .spectral import conjugate_phase, extremal_set, spectrum_samples
 from .statespace import Realization, moebius
 
 EXIT_OK = 0
@@ -69,15 +69,18 @@ def _config_for(doc, tol, samples):
 
 
 def _parse_moebius(value):
-    """--moebius without a value means automatic parameter choice."""
+    """--moebius alone picks the parameter; a given one must be in (-1, 1)."""
     if value is None:
         return None
     if value == "auto":
         return True
     try:
-        return float(value)
+        a = float(value)
     except ValueError:
         _fail(EXIT_PARSE, f"--moebius expects a number, got {value!r}")
+    if not abs(a) < 1.0:
+        _fail(EXIT_PARSE, f"--moebius expects |a| < 1, got {value!r}")
+    return a
 
 
 def _mat(m):
@@ -247,14 +250,14 @@ def verify(model_path, candidate_path, tol, samples):
     cand = _load_model(candidate_path)
     config = _config_for(doc, tol, samples)
     try:
-        validate_outer(doc.realization, config)
+        ext = extremal_set(doc.realization, config)
     except SpectralFactorsError as exc:
         _fail(EXIT_VALIDATION, str(exc))
     report = verify_factor(cand.realization, doc.realization, config)
     if report.passed:
         try:
             _, report = extract_left_divisor(doc.realization, cand.realization,
-                                             config)
+                                             config, w_bar_plus=ext.w_bar_plus)
         except (NotAFactor, NotMinimalFactor) as exc:
             click.echo(str(report))
             click.echo(f"divisor extraction: {exc}")

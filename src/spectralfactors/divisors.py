@@ -305,9 +305,6 @@ def enumerate_divisors(cp: ConjugatePhase,
     multiplicity >= 2 are reported as continuum families; the caller samples
     them through explicit bases.
     """
-    if cp.t.n == 0:
-        ident = divisor_from_projector(cp, np.zeros((0, 0)), config)
-        return DivisorEnumeration([ident], [])
     g_blocks = eigen_blocks(cp.gamma, config)
     a_blocks = eigen_blocks(cp.a_inv_t, config)
     g_subsets, g_cont = _block_choices(g_blocks, "gamma")

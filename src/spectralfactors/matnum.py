@@ -9,6 +9,7 @@ of magnitude, so absolute thresholds are avoided throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 from scipy.linalg import schur
@@ -58,10 +59,15 @@ class ToleranceConfig:
     circle_samples: int = 512
 
     def __post_init__(self):
-        if not (self.rank_rel_tol > 0 and self.residual_tol > 0):
-            raise ValueError("tolerances must be positive")
-        if self.circle_samples < 8:
-            raise ValueError("circle_samples must be at least 8")
+        for name in ("rank_rel_tol", "residual_tol"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, Real)
+                    or not 0 < float(value) < np.inf):
+                raise ValueError(f"{name} must be a positive finite number, "
+                                 f"got {value!r}")
+        k = self.circle_samples
+        if isinstance(k, bool) or not isinstance(k, Integral) or k < 8:
+            raise ValueError(f"circle_samples must be an integer >= 8: {k!r}")
 
 
 DEFAULT_TOL = ToleranceConfig()

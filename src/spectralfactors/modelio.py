@@ -10,7 +10,7 @@ bit-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -80,13 +80,11 @@ def read_model(path) -> ModelDocument:
         t = doc["tolerances"]
         if not isinstance(t, dict):
             raise ModelFileError("tolerances must be an object")
+        given = {f.name: t[f.name] for f in fields(ToleranceConfig)
+                 if f.name in t}
         try:
-            tolerances = ToleranceConfig(
-                rank_rel_tol=float(t.get("rank_rel_tol", ToleranceConfig.rank_rel_tol)),
-                residual_tol=float(t.get("residual_tol", ToleranceConfig.residual_tol)),
-                circle_samples=int(t.get("circle_samples", ToleranceConfig.circle_samples)),
-            )
-        except (TypeError, ValueError) as exc:
+            tolerances = ToleranceConfig(**given)
+        except (OverflowError, ValueError) as exc:
             raise ModelFileError(f"bad tolerances: {exc}") from exc
     return ModelDocument(name=name, realization=realization,
                          tolerances=tolerances)

@@ -2,14 +2,16 @@
 
 Input contract: a minimal realization of the outer (minimum-phase) spectral
 factor W-, square with invertible feedthrough, poles and zeros strictly
-inside the unit circle.  From it this module constructs
+inside the unit circle.  :func:`extremal_set` is the one construction of
 
 * the stable/maximum-phase factor W+ and the all-pass quotient T1 =
   W-^{-1} W+  (zeros flipped outside the circle),
 * the conjugate outer factor Wbar+ and the all-pass quotient T2 =
-  W+^{-1} Wbar+  (poles flipped outside the circle),
-* the conjugate phase function T = T1 T2 together with its structural
-  Gramian P0 and the explicit inverse used by the divisor parametrization.
+  W+^{-1} Wbar+  (poles flipped outside the circle);
+
+:func:`conjugate_phase` assembles T = T1 T2 with its structural Gramian P0
+and the explicit inverse used by the divisor parametrization.  A constant
+W- runs the same code on empty state blocks.
 
 Outer-ness is validated rather than trusted: every sign and definiteness
 claim downstream depends on it.
@@ -26,14 +28,13 @@ from .errors import (
     GramianIdentityViolation,
     NotOuter,
     NotPositiveDefiniteY,
-    SingularFeedthrough,
 )
 from .matnum import DEFAULT_TOL, ToleranceConfig, solve_stein, sym_sqrt
 from .statespace import (
     Realization,
     _circle,
-    _inv,
     evalfr_many,
+    inverse,
     mcmillan_degree,
 )
 
@@ -41,10 +42,7 @@ __all__ = [
     "ExtremalSet",
     "ConjugatePhase",
     "GramianCheck",
-    "zero_matrix",
     "validate_outer",
-    "outer_to_plus",
-    "plus_to_bar_plus",
     "extremal_set",
     "conjugate_phase",
     "spectrum_sample",
@@ -61,29 +59,23 @@ _STABILITY_MARGIN = 1e-8
 ALLPASS_CERT_TOL = 1e-7
 
 
-def zero_matrix(r: Realization, config: ToleranceConfig = DEFAULT_TOL):
-    """Zero matrix A - B D^{-1} C; its eigenvalues are the transmission
-    zeros of a square realization with invertible feedthrough."""
-    d_inv = _inv(r.d, SingularFeedthrough, "feedthrough D", config)
-    return r.a - r.b @ d_inv @ r.c
-
-
 def validate_outer(w: Realization, config: ToleranceConfig = DEFAULT_TOL):
     """Check that ``w`` is a usable minimal outer factor.
 
     Requires: square with invertible D; A and the zero matrix invertible and
     with spectra strictly inside the open unit disc (margin 1e-8); minimal
-    state dimension.  Returns the zero matrix on success.
+    state dimension.  Returns the inverse W^{-1} on success: its state matrix
+    is the zero matrix Gamma = A - B D^{-1} C and its feedthrough is D^{-1}.
 
     Raises NotOuter (spectrum, invertibility or minimality violations) or
     SingularFeedthrough.
     """
     if w.n_in != w.n_out:
         raise NotOuter(f"outer factor must be square, got {w.n_out}x{w.n_in}")
-    gamma = zero_matrix(w, config)
+    w_inv = inverse(w, config)
     if w.n == 0:
-        return gamma
-    for m, what in ((w.a, "pole"), (gamma, "zero")):
+        return w_inv
+    for m, what in ((w.a, "pole"), (w_inv.a, "zero")):
         eigs = np.linalg.eigvals(m)
         radius = float(np.max(np.abs(eigs)))
         if radius >= 1.0 - _STABILITY_MARGIN:
@@ -98,122 +90,7 @@ def validate_outer(w: Realization, config: ToleranceConfig = DEFAULT_TOL):
             )
     if mcmillan_degree(w, config) != w.n:
         raise NotOuter("realization is not minimal")
-    return gamma
-
-
-@dataclass(frozen=True)
-class ZeroFlip:
-    """Stage one: all-pass quotient T1 = W-^{-1} W+ and the factor W+.
-
-    ``x`` is the (negative-definite) solution of the zero-direction Stein
-    equation  Gamma^T X Gamma = X + H1^T H1  with H1 = D^{-1} C.
-    """
-
-    t1: Realization
-    w_plus: Realization
-    gamma: np.ndarray
-    h1: np.ndarray
-    x: np.ndarray
-    u1: np.ndarray
-    g1: np.ndarray
-    b_plus: np.ndarray
-    d_plus: np.ndarray
-
-
-def outer_to_plus(w_minus: Realization,
-                  config: ToleranceConfig = DEFAULT_TOL) -> ZeroFlip:
-    """Flip the zeros of the outer factor outside the circle.
-
-    Produces the all-pass quotient T1 (poles at the zeros of W-) and the
-    maximum-phase stable factor W+ = W- T1 with the same state matrix as W-
-    and zeros at the reciprocals of the zeros of W-.
-
-    Raises NotOuter if the Stein solution fails to be negative definite.
-    """
-    gamma = validate_outer(w_minus, config)
-    n, m = w_minus.n, w_minus.n_in
-    d_inv = _inv(w_minus.d, SingularFeedthrough, "feedthrough D", config)
-    h1 = d_inv @ w_minus.c
-    if n == 0:
-        t1 = Realization(np.zeros((0, 0)), np.zeros((0, m)),
-                         np.zeros((m, 0)), np.eye(m))
-        return ZeroFlip(t1=t1, w_plus=w_minus, gamma=gamma, h1=h1,
-                        x=np.zeros((0, 0)), u1=np.eye(m),
-                        g1=np.zeros((0, m)), b_plus=w_minus.b.copy(),
-                        d_plus=w_minus.d.copy())
-    x = solve_stein(gamma, h1.T @ h1, config)
-    wx = np.linalg.eigvalsh(x)
-    if wx[-1] >= -config.rank_rel_tol * abs(wx[0]):
-        raise NotOuter(
-            "zero-direction Stein solution is not negative definite; the "
-            "realization is not a minimal outer factor"
-        )
-    x_inv = np.linalg.inv(x)
-    u1 = sym_sqrt(np.eye(m) + h1 @ x_inv @ h1.T, config)
-    g1 = gamma @ x_inv @ h1.T @ np.linalg.inv(u1)
-    b_plus = w_minus.b @ u1 + g1
-    d_plus = w_minus.d @ u1
-    t1 = Realization(gamma, g1, h1, u1)
-    w_plus = Realization(w_minus.a, b_plus, w_minus.c, d_plus)
-    return ZeroFlip(t1=t1, w_plus=w_plus, gamma=gamma, h1=h1, x=x, u1=u1,
-                    g1=g1, b_plus=b_plus, d_plus=d_plus)
-
-
-@dataclass(frozen=True)
-class PoleFlip:
-    """Stage two: all-pass quotient T2 = W+^{-1} Wbar+ and the conjugate
-    outer factor Wbar+.
-
-    ``y`` is the (positive-definite) reachability-type Stein solution of
-    Y = A Y A^T + B+ B+^T.
-    """
-
-    t2: Realization
-    w_bar_plus: Realization
-    h2: np.ndarray
-    y: np.ndarray
-    u2: np.ndarray
-    g2: np.ndarray
-
-
-def plus_to_bar_plus(w_plus: Realization,
-                     config: ToleranceConfig = DEFAULT_TOL) -> PoleFlip:
-    """Flip the poles of the stable maximum-phase factor outside the circle.
-
-    Produces the all-pass quotient T2 (poles at the reciprocals of the poles
-    of W+) and the conjugate outer factor Wbar+ = W+ T2, realized directly
-    on n states with state matrix A^{-T}.
-
-    Raises NotPositiveDefiniteY if the Stein solution fails to be positive
-    definite.
-    """
-    n, m = w_plus.n, w_plus.n_in
-    if n == 0:
-        t2 = Realization(np.zeros((0, 0)), np.zeros((0, m)),
-                         np.zeros((m, 0)), np.eye(m))
-        return PoleFlip(t2=t2, w_bar_plus=w_plus, h2=np.zeros((m, 0)),
-                        y=np.zeros((0, 0)), u2=np.eye(m),
-                        g2=np.zeros((0, m)))
-    a_inv_t = np.linalg.inv(w_plus.a).T
-    b_plus = w_plus.b
-    h2 = b_plus.T @ a_inv_t
-    # Reachability form Y = A Y A^T + B+ B+^T of the pole-direction Stein
-    # equation; its right-hand side is far better scaled than H2^T H2 when
-    # A has small eigenvalues.
-    y = solve_stein(w_plus.a.T, -(b_plus @ b_plus.T), config)
-    wy = np.linalg.eigvalsh(y)
-    if wy[0] <= config.rank_rel_tol * abs(wy[-1]):
-        raise NotPositiveDefiniteY(
-            "pole-direction Stein solution is not positive definite"
-        )
-    y_inv = np.linalg.inv(y)
-    u2 = sym_sqrt(np.eye(m) + h2 @ y_inv @ h2.T, config)
-    g2 = a_inv_t @ y_inv @ h2.T @ np.linalg.inv(u2)
-    t2 = Realization(a_inv_t, g2, h2, u2)
-    # Direct n-state realization of W+ T2: the stable part cancels exactly.
-    c_bar = w_plus.c @ y + w_plus.d @ h2
-    w_bar_plus = Realization(a_inv_t, g2, c_bar, w_plus.d @ u2)
-    return PoleFlip(t2=t2, w_bar_plus=w_bar_plus, h2=h2, y=y, u2=u2, g2=g2)
+    return w_inv
 
 
 @dataclass(frozen=True)
@@ -238,29 +115,66 @@ class ExtremalSet:
 
 def extremal_set(w_minus: Realization,
                  config: ToleranceConfig = DEFAULT_TOL) -> ExtremalSet:
-    """Run both construction stages and validate the Gramian couplings.
+    """Validate W- and build its extremal factors in two all-pass stages.
 
-    Besides the stage outputs this checks Z = Y + X^{-1} against its own
-    Stein equation  Z = B B^T + A Z A^T.
+    * Zero flip: X solves  Gamma^T X Gamma = X + H1^T H1  (H1 = D^{-1} C)
+      and must be negative definite; T1 = W-^{-1} W+, and W+ = W- T1 keeps
+      A and carries the zeros of W- reflected outside the circle.
+    * Pole flip: Y solves  Y = A Y A^T + B+ B+^T  and must be positive
+      definite; T2 = W+^{-1} Wbar+, and Wbar+ = W+ T2 is realized directly
+      on n states with state matrix A^{-T}.
+
+    Z = Y + X^{-1} is then checked against  Z = B B^T + A Z A^T.  Raises
+    NotOuter, SingularFeedthrough, NotPositiveDefiniteY or
+    GramianIdentityViolation.
     """
-    s1 = outer_to_plus(w_minus, config)
-    s2 = plus_to_bar_plus(s1.w_plus, config)
-    n = w_minus.n
-    if n:
-        z = s2.y + np.linalg.inv(s1.x)
-        resid = np.linalg.norm(
-            z - w_minus.b @ w_minus.b.T - w_minus.a @ z @ w_minus.a.T
+    w_inv = validate_outer(w_minus, config)
+    a, b, c, d = w_minus.a, w_minus.b, w_minus.c, w_minus.d
+    eye = np.eye(w_minus.n_in)
+
+    gamma = w_inv.a
+    h1 = w_inv.d @ c
+    x = solve_stein(gamma, h1.T @ h1, config)
+    wx = np.linalg.eigvalsh(x)
+    if x.size and wx[-1] >= -config.rank_rel_tol * abs(wx[0]):
+        raise NotOuter(
+            "zero-direction Stein solution is not negative definite; the "
+            "realization is not a minimal outer factor"
         )
-        if resid > config.residual_tol * (1.0 + np.linalg.norm(z)):
-            raise GramianIdentityViolation(
-                f"Z = B B^T + A Z A^T fails with residual {resid:.3e}"
-            )
-    else:
-        z = np.zeros((0, 0))
-    return ExtremalSet(
-        w_minus=w_minus, w_plus=s1.w_plus, w_bar_plus=s2.w_bar_plus,
-        t1=s1.t1, t2=s2.t2, x=s1.x, y=s2.y, z=z,
-    )
+    x_inv = np.linalg.inv(x)
+    u1 = sym_sqrt(eye + h1 @ x_inv @ h1.T, config)
+    g1 = gamma @ x_inv @ h1.T @ np.linalg.inv(u1)
+    t1 = Realization(gamma, g1, h1, u1)
+    w_plus = Realization(a, b @ u1 + g1, c, d @ u1)
+
+    a_inv_t = np.linalg.inv(a).T
+    b_plus = w_plus.b
+    h2 = b_plus.T @ a_inv_t
+    # Reachability form Y = A Y A^T + B+ B+^T of the pole-direction Stein
+    # equation; its right-hand side is far better scaled than H2^T H2 when
+    # A has small eigenvalues.
+    y = solve_stein(a.T, -(b_plus @ b_plus.T), config)
+    wy = np.linalg.eigvalsh(y)
+    if y.size and wy[0] <= config.rank_rel_tol * abs(wy[-1]):
+        raise NotPositiveDefiniteY(
+            "pole-direction Stein solution is not positive definite"
+        )
+    y_inv = np.linalg.inv(y)
+    u2 = sym_sqrt(eye + h2 @ y_inv @ h2.T, config)
+    g2 = a_inv_t @ y_inv @ h2.T @ np.linalg.inv(u2)
+    t2 = Realization(a_inv_t, g2, h2, u2)
+    # Direct n-state realization of W+ T2: the stable part cancels exactly.
+    w_bar_plus = Realization(a_inv_t, g2, c @ y + w_plus.d @ h2,
+                             w_plus.d @ u2)
+
+    z = y + x_inv
+    resid = np.linalg.norm(z - b @ b.T - a @ z @ a.T)
+    if resid > config.residual_tol * (1.0 + np.linalg.norm(z)):
+        raise GramianIdentityViolation(
+            f"Z = B B^T + A Z A^T fails with residual {resid:.3e}"
+        )
+    return ExtremalSet(w_minus=w_minus, w_plus=w_plus, w_bar_plus=w_bar_plus,
+                       t1=t1, t2=t2, x=x, y=y, z=z)
 
 
 @dataclass(frozen=True)
@@ -355,7 +269,6 @@ def conjugate_phase(w_minus: Realization,
     x_inv = np.linalg.inv(ext.x)
     y_inv = np.linalg.inv(ext.y)
 
-    # Every block below is empty for a constant W- (n = 0).
     a_t = np.zeros((2 * n, 2 * n))
     a_t[:n, :n] = t1.a
     a_t[n:, n:] = t2.a

@@ -491,9 +491,8 @@ def _inventory(rm: Realization, config: ToleranceConfig) -> PoleZeroReport:
     """Pole/zero inventory of a realization that is already minimal."""
     poles = _sorted_eigs(rm.a)
     zeros = None
-    try:  # _inv also rejects a non-square D
-        d_inv = _inv(rm.d, SingularFeedthrough, "feedthrough D", config)
-        zeros = _sorted_eigs(rm.a - rm.b @ d_inv @ rm.c)
+    try:  # inverse also rejects a non-square D
+        zeros = _sorted_eigs(inverse(rm, config).a)
     except SingularFeedthrough:
         pass
     return PoleZeroReport(poles=poles, zeros=zeros, degree=rm.n)

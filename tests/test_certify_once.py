@@ -4,6 +4,8 @@ The conjugate phase carries its Gramian check, ``verify_factor`` reduces a
 candidate once, and ``spectrum_gap`` refuses densities of another width.
 ``minimal_factor`` and ``extract_left_divisor`` take the degree of W- from
 the certified conjugate phase and never reduce W- or a just-reduced factor.
+``cli verify`` validates W- once and hands its extremal set to the
+extraction.
 """
 
 import json
@@ -147,3 +149,18 @@ def test_non_minimal_outer_factor_keeps_its_verdict(ref_model, ref_cp):
         assert report.passed
         assert report.degree == report.expected_degree == n
         assert sf.transfer_equal(w, sf.minimal_factor(ref_model, div)[0])
+
+
+def test_cli_verify_carries_one_extremal_set(monkeypatch, tmp_path, ref_model,
+                                             ref_values):
+    model, cand = tmp_path / "model.json", tmp_path / "cand.json"
+    write_model(model, ref_model, name="reference")
+    write_model(cand, ref_values["w_bar_minus"], name="unstable_minphase")
+    calls = _count_calls(monkeypatch, statespace, "minimal")
+    checks = _count_calls(monkeypatch, spectral, "validate_outer")
+    result = CliRunner().invoke(main, ["verify", str(model), str(cand)])
+    assert result.exit_code == 0, result.output
+    # W- twice (validation, expected degree); the candidate twice (its
+    # report, then the extraction's); T- and T+ once each.
+    assert len(checks) == 1
+    assert len(calls) == 6

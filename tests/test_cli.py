@@ -93,6 +93,32 @@ class TestAnalyze:
         assert result.exit_code == 3
         assert flag[0] in result.output
 
+    @pytest.mark.parametrize("value", ["1.5", "nan", "inf"])
+    def test_moebius_out_of_range_exits_3(self, runner, model_path, value):
+        result = runner.invoke(main, ["analyze", model_path,
+                                      f"--moebius={value}"])
+        assert result.exit_code == 3
+        assert "error: --moebius expects |a| < 1" in result.output
+
+    @pytest.mark.parametrize("tolerances", [
+        '{"circle_samples": 8.7}',
+        '{"rank_rel_tol": true}',
+        '{"residual_tol": "1e-3"}',
+        '{"residual_tol": Infinity}',
+        '{"rank_rel_tol": NaN}',
+    ], ids=["samples-float", "tol-bool", "tol-str", "tol-inf", "tol-nan"])
+    def test_malformed_tolerances_exit_3(self, runner, model_path, tmp_path,
+                                         tolerances):
+        doc = json.loads(open(model_path).read())
+        doc["tolerances"] = json.loads(tolerances)
+        path = tmp_path / "tol.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["analyze", str(path)])
+        assert result.exit_code == 3
+        assert result.exception is None or isinstance(result.exception,
+                                                      SystemExit)
+        assert "error: bad tolerances" in result.output
+
 
 class TestFactors:
     def test_reference_family(self, runner, model_path, tmp_path, ref_model):
@@ -199,6 +225,18 @@ class TestVerify:
         result = runner.invoke(main, ["verify", model_path, str(path)])
         assert result.exit_code == 1
         assert "candidate is 1x1, the outer factor is 2x2" in result.output
+
+    def test_infinite_tol_exits_3(self, runner, model_path, tmp_path,
+                                  ref_model):
+        # An infinite tolerance would pass any candidate.
+        path = tmp_path / "scaled.json"
+        write_model(path, sf.Realization(ref_model.a, 2.0 * ref_model.b,
+                                         ref_model.c, 2.0 * ref_model.d),
+                    name="scaled")
+        result = runner.invoke(main, ["verify", model_path, str(path),
+                                      "--tol", "inf"])
+        assert result.exit_code == 3
+        assert "positive finite number" in result.output
 
 
 class TestSpectrum:

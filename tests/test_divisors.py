@@ -164,6 +164,15 @@ class TestEnumerateDivisors:
         assert out[0].degree == 0
         assert not out.continua
 
+    def test_constant_model_gets_its_complement(self):
+        # A constant model runs the same enumeration as any other, so its
+        # one divisor is certified and carries its right complement too.
+        div = sf.enumerate_divisors(sf.conjugate_phase(sf.identity(2)))[0]
+        assert div.right_complement is not None
+        assert div.right_complement.n == 0
+        assert_allclose(sf.evalfr(sf.series(div.t_ell, div.right_complement),
+                                  0.5), np.eye(2), atol=1e-14)
+
     def test_distinct_real_eigenvalues_give_sixteen(self):
         w = sf.Realization(np.diag([0.6, 0.3]), np.diag([0.4, 0.5]),
                            np.diag([0.2, 0.25]), np.eye(2))
