@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -83,6 +84,25 @@ def _parse_moebius(value):
     return a
 
 
+class _MoebiusCommand(click.Command):
+    """Command whose ``--moebius`` also takes a negative parameter, which
+    click would read as the next option because the value is optional."""
+
+    def parse_args(self, ctx, args):
+        args, value, i = list(args), None, 0
+        while i < len(args) and args[i] != "--":
+            arg, nxt = args[i], args[i + 1] if i + 1 < len(args) else ""
+            if arg.startswith("--moebius=-"):
+                args[i], value = "--moebius", arg[len("--moebius="):]
+            elif arg == "--moebius" and re.match(r"-[\d.]", nxt):
+                value = args.pop(i + 1)
+            i += 1
+        rest = super().parse_args(ctx, args)
+        if value is not None:
+            ctx.params["moebius_value"] = value
+        return rest
+
+
 def _mat(m):
     return np.asarray(m).tolist()
 
@@ -118,7 +138,7 @@ def main():
     """Spectral factor families of discrete-time rational densities."""
 
 
-@main.command()
+@main.command(cls=_MoebiusCommand)
 @click.argument("model_path", type=click.Path(exists=False))
 @click.option("-o", "--output", "out_path", type=click.Path(), default=None,
               help="Write the JSON report here instead of stdout.")
@@ -176,7 +196,7 @@ def analyze(model_path, out_path, tol, samples, moebius_value):
     sys.exit(EXIT_OK)
 
 
-@main.command()
+@main.command(cls=_MoebiusCommand)
 @click.argument("model_path", type=click.Path(exists=False))
 @click.argument("specs_path", type=click.Path(exists=False))
 @click.option("-d", "--outdir", type=click.Path(), default="factors",

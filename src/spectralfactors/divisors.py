@@ -11,9 +11,11 @@ Given a projector Pi the divisor realization is
     P   = (Pi P0^{-1} Pi)^+
     Dp  = (I + C P C^T)^{1/2}
     Bp  = A P C^T Dp^{-1}
-    Tl  = minimal realization of (A, Bp, C, Dp)
+    Tl  = (V^T A V, V^T Bp, C V, Dp),   V orthonormal basis of range Pi,
 
 normalized so the constant right factor is symmetric positive definite.
+The compression is minimal, so deg Tl = rank Pi: T is minimal, and
+Pi P0^{-1} Pi is nonsingular on the range.
 Repeated eigenvalues span continua of invariant subspaces; those are never
 enumerated silently but surfaced as continuum records for the caller to
 sample through explicit bases.
@@ -48,7 +50,7 @@ from .matnum import (
     sym_sqrt,
 )
 from .spectral import ALLPASS_CERT_TOL, ConjugatePhase, allpass_residual
-from .statespace import Realization, constant, inverse, minimal, series
+from .statespace import Realization, inverse, minimal, series
 
 __all__ = [
     "SubspaceSpec",
@@ -108,9 +110,9 @@ class ContinuumFamily:
 class AllPassDivisor:
     """A left all-pass divisor with its generating data.
 
-    ``t_ell`` is minimal; ``p`` is the compressed Gramian, ``b_p``/``d_p``
-    the raw input/feedthrough blocks before reduction, ``degree`` the
-    McMillan degree certificate.  ``subspace_dims`` records the (gamma, a)
+    ``t_ell`` is the minimal compression onto the range of ``projector``,
+    ``p`` the compressed Gramian and ``degree`` the McMillan degree, which
+    is the rank of the projector.  ``subspace_dims`` records the (gamma, a)
     split of the generating subspace dimension; ``right_complement`` is
     attached when degree additivity has been certified.
     """
@@ -118,11 +120,8 @@ class AllPassDivisor:
     t_ell: Realization
     projector: np.ndarray
     p: np.ndarray
-    b_p: np.ndarray
-    d_p: np.ndarray
     degree: int
     subspace_dims: tuple = (0, 0)
-    label: str = ""
     right_complement: Realization | None = None
 
 
@@ -141,8 +140,7 @@ def _part_basis(block_matrix, select, basis, part, config):
             )
         return q
     try:
-        return selection_basis(block_matrix, select, config,
-                               allow_full_repeated=True)
+        return selection_basis(block_matrix, select, config)
     except (SpectralFactorsError, ValueError) as exc:
         # ValueError: an index outside the block's spectrum
         raise InvalidSubspace(f"invalid {part} selection: {exc}") from exc
@@ -153,8 +151,6 @@ def _block_projector(vg, va, config):
     left block) and an a-side basis ``va`` (bottom right block) in the
     coordinates of diag(Gamma, A^{-T})."""
     (ng, kg), (na, ka) = vg.shape, va.shape
-    if kg + ka == 0:
-        return np.zeros((ng + na, ng + na))
     v = np.zeros((ng + na, kg + ka))
     v[:ng, :kg] = vg
     v[ng:, kg:] = va
@@ -171,33 +167,25 @@ def projector_from_spec(cp: ConjugatePhase, spec: SubspaceSpec,
     return _block_projector(vg, va, config)
 
 
-def _split_dims(pi, n_gamma):
-    """Dimension split (gamma part, a part) of a block-diagonal projector."""
-    ng = int(round(float(np.trace(pi[:n_gamma, :n_gamma]))))
-    total = int(round(float(np.trace(pi))))
-    return ng, total - ng
-
-
 def divisor_from_projector(cp: ConjugatePhase, pi,
                            config: ToleranceConfig = DEFAULT_TOL) -> AllPassDivisor:
     """Build the left all-pass divisor generated by the projector ``pi``.
 
     ``pi`` must be symmetric, idempotent, and project onto an invariant
     subspace of the conjugate phase state matrix.  The divisor depends only
-    on the range of ``pi``.
+    on the range of ``pi``, on which it is realized: its degree is rank ``pi``.
 
     Raises
     ------
     NotInvariant
         If the range of ``pi`` is not invariant (or ``pi`` is not an
-        orthogonal projector).
+        orthogonal projector), or if Bp leaves the range.
     CompressionNotPD
         If I + C P C^T fails the positive-definiteness check.
     """
     pi = np.asarray(pi, dtype=float)
-    a, b, c, d = cp.t.a, cp.t.b, cp.t.c, cp.t.d
-    n2 = a.shape[0]
-    m = d.shape[0]
+    a, c = cp.t.a, cp.t.c
+    n2, m = a.shape[0], c.shape[0]
     if pi.shape != (n2, n2):
         raise NotInvariant(f"projector must be {n2}x{n2}, got {pi.shape}")
     scale = max(1.0, float(np.linalg.norm(pi)))
@@ -206,11 +194,9 @@ def divisor_from_projector(cp: ConjugatePhase, pi,
         raise NotInvariant("matrix is not an orthogonal projector")
 
     basis = basis_from_projector(pi, config)
-    if basis.shape[1] and not is_invariant(a, basis, config):
-        raise NotInvariant(
-            "projector range is not an invariant subspace of the conjugate "
-            "phase state matrix"
-        )
+    if not is_invariant(a, basis, config):
+        raise NotInvariant("projector range is not an invariant subspace of "
+                           "the conjugate phase state matrix")
 
     p = pseudo_inverse(pi @ cp.p0_inv @ pi, config)
     s = np.eye(m) + c @ p @ c.T
@@ -222,25 +208,16 @@ def divisor_from_projector(cp: ConjugatePhase, pi,
         ) from exc
     b_p = np.linalg.solve(d_p, (a @ p @ c.T).T).T
 
-    if basis.shape[1] == 0:
-        t_ell = constant(d_p)
-    else:
-        # The range of Pi is invariant and contains the columns of Bp, so
-        # compressing onto it preserves the transfer function exactly.
-        leak = np.linalg.norm(b_p - pi @ b_p)
-        if leak <= config.residual_tol * max(1.0, np.linalg.norm(b_p)):
-            compressed = Realization(basis.T @ a @ basis, basis.T @ b_p,
-                                     c @ basis, d_p)
-            t_ell = minimal(compressed, config)
-        else:
-            t_ell = minimal(Realization(a, b_p, c, d_p), config)
-
-    dims = _split_dims(pi, cp.n_gamma)
-    return AllPassDivisor(
-        t_ell=t_ell, projector=pi, p=p, b_p=b_p, d_p=d_p, degree=t_ell.n,
-        subspace_dims=dims,
-        label=f"dim(gamma)={dims[0]}, dim(a)={dims[1]}",
-    )
+    # Bp lies in the invariant range of Pi, so the compression is exact.
+    leak = np.linalg.norm(b_p - pi @ b_p)
+    if leak > config.residual_tol * max(1.0, np.linalg.norm(b_p)):
+        raise NotInvariant(f"Bp leaves the projector range (residual "
+                           f"{leak:.3e})")
+    t_ell = Realization(basis.T @ a @ basis, basis.T @ b_p, c @ basis, d_p)
+    k = basis.shape[1]
+    k_gamma = int(round(float(np.trace(pi[:cp.n_gamma, :cp.n_gamma]))))
+    return AllPassDivisor(t_ell=t_ell, projector=pi, p=p, degree=k,
+                          subspace_dims=(k_gamma, k - k_gamma))
 
 
 def right_complement(cp: ConjugatePhase, div: AllPassDivisor,
@@ -326,8 +303,7 @@ def enumerate_divisors(cp: ConjugatePhase,
                     f"(residual {resid:.3e})"
                 )
             t_r = right_complement(cp, div, config)
-            out.append(replace(div, right_complement=t_r,
-                               label=f"gamma blocks {gs}, a blocks {as_}"))
+            out.append(replace(div, right_complement=t_r))
     return DivisorEnumeration(out, g_cont + a_cont)
 
 

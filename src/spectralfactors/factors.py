@@ -110,8 +110,7 @@ class FactorReport:
 
 
 def spectrum_gap(w: Realization, w_ref: Realization,
-                 config: ToleranceConfig = DEFAULT_TOL,
-                 samples: int | None = None) -> float:
+                 config: ToleranceConfig = DEFAULT_TOL) -> float:
     """Largest entrywise gap between the two spectral densities on the
     circle.  Returns ``inf`` if either system has a pole on a sample.
 
@@ -122,7 +121,7 @@ def spectrum_gap(w: Realization, w_ref: Realization,
             f"densities of a {w.n_out}x{w.n_in} and a "
             f"{w_ref.n_out}x{w_ref.n_in} system are not comparable"
         )
-    zs = _circle(samples or config.circle_samples)
+    zs = _circle(config.circle_samples)
     try:
         phi_w = spectrum_samples(w, zs, config)
         phi_ref = spectrum_samples(w_ref, zs, config)
@@ -131,7 +130,7 @@ def spectrum_gap(w: Realization, w_ref: Realization,
     return float(np.max(np.abs(phi_w - phi_ref)))
 
 
-def _report(w, w_minus, expected, pz, config, samples=None):
+def _report(w, w_minus, expected, pz, config):
     """Report on the candidate ``w``, whose minimal realization has the
     inventory ``pz``, against ``w_minus`` of McMillan degree ``expected``."""
     reasons = []
@@ -144,7 +143,7 @@ def _report(w, w_minus, expected, pz, config, samples=None):
             f"{w_minus.n_out}x{w_minus.n_in}"
         )
     else:
-        residual = spectrum_gap(w, w_minus, config, samples)
+        residual = spectrum_gap(w, w_minus, config)
         if not residual <= config.residual_tol:
             reasons.append(
                 f"spectrum residual {residual:.3e} exceeds "
@@ -171,8 +170,7 @@ def _require_generated(report, what):
 
 
 def verify_factor(w: Realization, w_minus: Realization,
-                  config: ToleranceConfig = DEFAULT_TOL,
-                  samples: int | None = None) -> FactorReport:
+                  config: ToleranceConfig = DEFAULT_TOL) -> FactorReport:
     """Check a candidate factor against the outer factor's spectrum.
 
     Compares spectral density samples on the circle, checks the McMillan
@@ -182,7 +180,7 @@ def verify_factor(w: Realization, w_minus: Realization,
     failing report, never an exception.
     """
     return _report(w, w_minus, mcmillan_degree(w_minus, config),
-                   poles_zeros(w, config), config, samples)
+                   poles_zeros(w, config), config)
 
 
 def minimal_factor(w_minus: Realization, div: AllPassDivisor,
@@ -307,15 +305,14 @@ def factor_family(w_minus: Realization, specs,
 
 
 def orthogonal_equivalence_gap(r1: Realization, r2: Realization,
-                               config: ToleranceConfig = DEFAULT_TOL,
-                               samples: int = 16) -> float:
+                               config: ToleranceConfig = DEFAULT_TOL) -> float:
     """Distance from "equal up to a constant orthogonal right factor".
 
-    Evaluates O(z) = G1(z)^{-1} G2(z) on circle samples and measures the
+    Evaluates O(z) = G1(z)^{-1} G2(z) on 16 circle samples and measures the
     deviation of O from a single real orthogonal constant.  Factors of the
     same spectrum that are essentially equal give a gap at rounding level.
     """
-    zs = np.exp(1j * (0.2831853 + 2.0 * np.pi * np.arange(samples) / samples))
+    zs = np.exp(1j * (0.2831853 + 2.0 * np.pi * np.arange(16) / 16))
     v1 = evalfr_many(r1, zs, config)
     v2 = evalfr_many(r2, zs, config)
     o = np.linalg.solve(v1, v2)

@@ -33,7 +33,6 @@ __all__ = [
     "basis_from_projector",
     "EigenBlock",
     "eigen_blocks",
-    "invariant_basis",
     "selection_basis",
     "is_invariant",
 ]
@@ -51,7 +50,8 @@ class ToleranceConfig:
     residual_tol : float
         Acceptance threshold for equation residuals and sampled identities.
     circle_samples : int
-        Number of unit-circle sample points used by sampled checks.
+        Number of unit-circle sample points used by sampled checks, from 8
+        to 16384 (32 times the default).
     """
 
     rank_rel_tol: float = 1e-9
@@ -66,8 +66,10 @@ class ToleranceConfig:
                 raise ValueError(f"{name} must be a positive finite number, "
                                  f"got {value!r}")
         k = self.circle_samples
-        if isinstance(k, bool) or not isinstance(k, Integral) or k < 8:
-            raise ValueError(f"circle_samples must be an integer >= 8: {k!r}")
+        if (isinstance(k, bool) or not isinstance(k, Integral)
+                or not 8 <= k <= 16384):
+            raise ValueError(f"circle_samples must be an integer in "
+                             f"[8, 16384]: {k!r}")
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -378,14 +380,13 @@ def eigen_blocks(m, config: ToleranceConfig = DEFAULT_TOL):
     return blocks
 
 
-def selection_basis(m, selection, config: ToleranceConfig = DEFAULT_TOL,
-                    allow_full_repeated: bool = False):
+def selection_basis(m, selection, config: ToleranceConfig = DEFAULT_TOL):
     """Basis of the invariant subspace picked by eigenvalue indices.
 
-    ``selection`` indexes the canonically ordered spectrum of ``m``.  Complex
-    pairs must be selected atomically; repeated eigenvalues are accepted only
-    when ``allow_full_repeated`` is set and the whole cluster is selected
-    (the full eigenspace is the only unambiguous choice).
+    ``selection`` indexes the canonically ordered spectrum of ``m``.  A
+    complex pair must be selected whole (else ComplexPairSplit), and so must
+    a repeated eigenvalue: its full eigenspace is the one unambiguous choice,
+    proper subspaces need an explicit basis (else AmbiguousEigenspace).
     """
     m = _as_matrix(m, "M")
     _require_square(m, "M")
@@ -410,11 +411,6 @@ def selection_basis(m, selection, config: ToleranceConfig = DEFAULT_TOL,
                 f"eigenvalue {blk.eigenvalues[0]} has multiplicity {blk.dim}; "
                 "supply an explicit basis"
             )
-        if blk.kind == "repeated" and not allow_full_repeated:
-            raise AmbiguousEigenspace(
-                f"eigenvalue {blk.eigenvalues[0]} has multiplicity {blk.dim}; "
-                "supply an explicit basis"
-            )
         if blk.basis is None:
             raise AmbiguousEigenspace(
                 f"eigenvalue cluster at {blk.eigenvalues[0]} is defective"
@@ -422,23 +418,6 @@ def selection_basis(m, selection, config: ToleranceConfig = DEFAULT_TOL,
         chosen.append(blk.basis)
     v = np.hstack(chosen) if chosen else np.zeros((n, 0))
     return orth_basis(v, config) if v.shape[1] else v
-
-
-def invariant_basis(m, selection, config: ToleranceConfig = DEFAULT_TOL):
-    """Real basis of the invariant subspace spanned by selected eigenvalues.
-
-    Selection indexes the canonically ordered spectrum (ascending real part,
-    then imaginary part).  Repeated eigenvalues are rejected: their invariant
-    subspaces form a continuum and must be supplied as explicit bases.
-
-    Raises
-    ------
-    AmbiguousEigenspace
-        If a selected eigenvalue has multiplicity greater than one.
-    ComplexPairSplit
-        If the selection cuts a complex-conjugate pair.
-    """
-    return selection_basis(m, selection, config, allow_full_repeated=False)
 
 
 def is_invariant(m, v, config: ToleranceConfig = DEFAULT_TOL):

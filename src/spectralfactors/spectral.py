@@ -327,8 +327,8 @@ def spectrum_samples(w: Realization, zs,
     return 0.5 * (phi + np.conj(np.swapaxes(phi, -1, -2)))
 
 
-def allpass_residual(r: Realization, config: ToleranceConfig = DEFAULT_TOL,
-                     samples: int | None = None) -> float:
+def allpass_residual(r: Realization,
+                     config: ToleranceConfig = DEFAULT_TOL) -> float:
     """Max deviation of G(z) G(z)^H from the identity over circle samples.
 
     Returns ``inf`` when a sample hits a pole (a pole on the circle rules
@@ -336,7 +336,7 @@ def allpass_residual(r: Realization, config: ToleranceConfig = DEFAULT_TOL,
     """
     if r.n_in != r.n_out:
         raise ValueError("all-pass check requires a square system")
-    zs = _circle(samples or config.circle_samples)
+    zs = _circle(config.circle_samples)
     try:
         vals = evalfr_many(r, zs, config)
     except EvaluationAtPole:
@@ -346,9 +346,8 @@ def allpass_residual(r: Realization, config: ToleranceConfig = DEFAULT_TOL,
 
 
 def is_all_pass(r: Realization, tol: float | None = None,
-                config: ToleranceConfig = DEFAULT_TOL,
-                samples: int | None = None) -> bool:
+                config: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True iff ||G(z) G(z)^H - I|| <= tol at every circle sample."""
     if tol is None:
         tol = config.residual_tol
-    return allpass_residual(r, config, samples) <= tol
+    return allpass_residual(r, config) <= tol

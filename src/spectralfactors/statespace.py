@@ -45,13 +45,6 @@ __all__ = [
 ]
 
 
-def _arr(x, name):
-    a = np.atleast_2d(np.asarray(x, dtype=float))
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return a
-
-
 @dataclass(frozen=True)
 class Realization:
     """State-space quadruple (A, B, C, D) of a proper rational matrix.
@@ -109,7 +102,7 @@ class Realization:
 
 def constant(d) -> Realization:
     """Constant rational matrix (state dimension zero)."""
-    d = _arr(d, "D")
+    d = np.atleast_2d(np.asarray(d, dtype=float))  # Realization checks it
     return Realization(np.zeros((0, 0)), np.zeros((0, d.shape[1])),
                        np.zeros((d.shape[0], 0)), d)
 
@@ -498,11 +491,6 @@ def _inventory(rm: Realization, config: ToleranceConfig) -> PoleZeroReport:
     return PoleZeroReport(poles=poles, zeros=zeros, degree=rm.n)
 
 
-def _sample_points(config, radii=(1.0, 1.37)):
-    base = _circle(config.circle_samples)
-    return np.concatenate([rho * base for rho in radii])
-
-
 def eval_gap(r1: Realization, r2: Realization, zs=None,
              config: ToleranceConfig = DEFAULT_TOL) -> float:
     """Largest entrywise evaluation gap between two realizations.
@@ -512,7 +500,8 @@ def eval_gap(r1: Realization, r2: Realization, zs=None,
     if (r1.n_out, r1.n_in) != (r2.n_out, r2.n_in):
         raise DimensionMismatch("output/input widths differ")
     if zs is None:
-        zs = _sample_points(config)
+        base = _circle(config.circle_samples)
+        zs = np.concatenate([base, 1.37 * base])
     zs = np.asarray(zs, dtype=complex).ravel()
     keep = np.ones(zs.shape, dtype=bool)
     for r in (r1, r2):

@@ -121,7 +121,7 @@ def test_criterion_4_angle_family(ref):
         assert sf.mcmillan_degree(w_theta, CFG) == 2
         from spectralfactors.factors import spectrum_gap
         worst_spec = max(worst_spec,
-                         spectrum_gap(w_theta, w_minus, CFG, samples=512))
+                         spectrum_gap(w_theta, w_minus, CFG))
     assert worst_d <= 1e-10
     assert worst_spec <= 1e-8
     print(f"\n[criterion 4] PASS angle family: feedthrough gap "
@@ -136,7 +136,7 @@ def test_criterion_5_candidate_cross_check(ref):
         np.array([[-4.0 / 5.0, 8.0 / 5.0], [-8.0 / 5.0, -4.0 / 5.0]]),
         np.array([[-7.0 / 8.0, -7.0 / 4.0], [5.0 / 3.0, -5.0 / 6.0]]),
         2.0 * np.eye(2))
-    report = sf.verify_factor(candidate, w_minus, CFG, samples=512)
+    report = sf.verify_factor(candidate, w_minus, CFG)
     assert report.passed
     assert report.degree == 2
     assert report.spectrum_residual <= 1e-8
@@ -193,7 +193,7 @@ def test_criterion_8_moebius_commutation():
         for div in routed:
             v_lam, _ = sf.minimal_factor(w_lam, div, SUITE_CFG)
             v_back = sf.moebius(v_lam, -a, SUITE_CFG)
-            report = sf.verify_factor(v_back, w, SUITE_CFG, samples=64)
+            report = sf.verify_factor(v_back, w, SUITE_CFG)
             assert report.degree == w.n
             assert report.spectrum_residual <= 1e-7
             worst = max(worst, report.spectrum_residual)

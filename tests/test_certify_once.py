@@ -5,9 +5,11 @@ candidate once, and ``spectrum_gap`` refuses densities of another width.
 ``minimal_factor`` and ``extract_left_divisor`` take the degree of W- from
 the certified conjugate phase and never reduce W- or a just-reduced factor.
 ``cli verify`` validates W- once and hands its extremal set to the
-extraction.
+extraction.  A divisor is the compression of T onto the range of its
+projector, whose rank is its certified degree: it is never reduced.
 """
 
+import dataclasses
 import json
 import sys
 
@@ -16,7 +18,7 @@ import pytest
 from click.testing import CliRunner
 
 import spectralfactors as sf
-from spectralfactors import spectral, statespace
+from spectralfactors import divisors, spectral, statespace
 from spectralfactors.cli import main
 from spectralfactors.demo import reference_model
 from spectralfactors.factors import spectrum_gap
@@ -164,3 +166,31 @@ def test_cli_verify_carries_one_extremal_set(monkeypatch, tmp_path, ref_model,
     # report, then the extraction's); T- and T+ once each.
     assert len(checks) == 1
     assert len(calls) == 6
+
+
+@pytest.mark.parametrize("make", MODELS.values(), ids=MODELS.keys())
+def test_divisor_from_projector_reduces_nothing(monkeypatch, make):
+    cp = sf.conjugate_phase(make())
+    projectors = [div.projector for div in sf.enumerate_divisors(cp)]
+    calls = _count_calls(monkeypatch, statespace, "minimal")
+    for pi in projectors:
+        sf.divisor_from_projector(cp, pi)
+    assert calls == []
+
+
+@pytest.mark.parametrize("make", MODELS.values(), ids=MODELS.keys())
+def test_divisor_degree_is_the_projector_rank(make):
+    assert [f.name for f in dataclasses.fields(sf.AllPassDivisor)] == [
+        "t_ell", "projector", "p", "degree", "subspace_dims",
+        "right_complement"]
+    for div in sf.enumerate_divisors(sf.conjugate_phase(make())):
+        assert div.t_ell.n == div.degree == sum(div.subspace_dims)
+
+
+def test_divisor_input_leaving_the_range_raises(monkeypatch, ref_cp):
+    # Only a projector that passes the invariance test can reach the check
+    # on Bp, so that test is switched off here.
+    monkeypatch.setattr(divisors, "is_invariant", lambda *args: True)
+    v = np.array([[0.0], [0.1], [1.0], [0.0]])   # mixes the two blocks
+    with pytest.raises(sf.NotInvariant, match="Bp leaves the projector"):
+        sf.divisor_from_projector(ref_cp, sf.orth_projector(v))

@@ -87,6 +87,41 @@ class TestAnalyze:
         assert result.exit_code == 0
         assert json.loads(result.output)["moebius_a"] == 0.3
 
+    @pytest.mark.parametrize("argv", [["--moebius=-0.5"],
+                                      ["--moebius", "-0.5"]],
+                             ids=["equals", "separate"])
+    def test_negative_moebius_value(self, runner, model_path, argv):
+        result = runner.invoke(main, ["analyze", model_path, *argv])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["moebius_a"] == -0.5
+
+    @pytest.mark.parametrize("argv", [["--moebius=-1.5"],
+                                      ["--moebius", "-1.5"]],
+                             ids=["equals", "separate"])
+    def test_negative_moebius_out_of_range_exits_3(self, runner, model_path,
+                                                   argv):
+        result = runner.invoke(main, ["analyze", model_path, *argv])
+        assert result.exit_code == 3
+        assert "error: --moebius expects |a| < 1, got '-1.5'" in result.output
+
+    def test_huge_samples_exits_3(self, runner, model_path):
+        result = runner.invoke(main, ["analyze", model_path,
+                                      "--samples", str(10**400)])
+        assert result.exit_code == 3
+        assert "error: bad --tol/--samples value" in result.output
+
+    def test_huge_circle_samples_in_model_exits_3(self, runner, model_path,
+                                                  tmp_path):
+        doc = json.loads(open(model_path).read())
+        doc["tolerances"] = {"circle_samples": 10**400}
+        path = tmp_path / "tol.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["verify", str(path), str(path)])
+        assert result.exit_code == 3
+        assert result.exception is None or isinstance(result.exception,
+                                                      SystemExit)
+        assert "error: bad tolerances" in result.output
+
     @pytest.mark.parametrize("flag", [["--samples", "3"], ["--tol", "-1"]])
     def test_bad_flag_value_exits_3(self, runner, model_path, flag):
         result = runner.invoke(main, ["analyze", model_path, *flag])
@@ -163,6 +198,23 @@ class TestFactors:
         for row in summary["factors"]:
             emitted = read_model(outdir / row["file"]).realization
             assert sf.verify_factor(emitted, ref_model).passed
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["--moebius"], 0.1),
+        (["--moebius", "-0.2"], -0.2),
+    ], ids=["auto", "negative"])
+    def test_moebius_before_outdir(self, runner, model_path, tmp_path, argv,
+                                   expected):
+        # A bare --moebius followed by -d still picks the parameter.
+        specs = tmp_path / "specs.json"
+        specs.write_text(json.dumps({"specs": [{}, {"a_select": [0, 1]}]}))
+        outdir = tmp_path / "family"
+        result = runner.invoke(main, ["factors", model_path, str(specs),
+                                      *argv, "-d", str(outdir)])
+        assert result.exit_code == 0, result.output
+        summary = json.loads((outdir / "summary.json").read_text())
+        assert summary["moebius_a"] == expected
+        assert len(summary["factors"]) == 2
 
     def test_empty_specs(self, runner, model_path, tmp_path):
         specs = tmp_path / "empty.json"

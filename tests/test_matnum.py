@@ -30,6 +30,13 @@ class TestToleranceConfig:
         with pytest.raises(ValueError):
             sf.ToleranceConfig(**kwargs)
 
+    def test_circle_samples_bound(self):
+        # Construction only: nothing is sampled, so nothing is allocated.
+        assert sf.ToleranceConfig(circle_samples=16384).circle_samples == 16384
+        for k in (16385, 10**400):
+            with pytest.raises(ValueError, match=r"\[8, 16384\]"):
+                sf.ToleranceConfig(circle_samples=k)
+
 
 class TestSolveStein:
     def test_reference_zero_direction(self):
@@ -199,30 +206,28 @@ class TestEigenStructure:
 
     def test_invariant_basis_simple_selection(self):
         m = np.diag([0.25, 1 / 3, 2.0, 2.0])
-        v = sf.invariant_basis(m, [0])
+        v = selection_basis(m, [0])
         assert_allclose(np.abs(v), np.array([[1.0], [0.0], [0.0], [0.0]]),
                         atol=1e-12)
 
     def test_invariant_basis_rejects_repeated(self):
         m = np.diag([0.25, 1 / 3, 2.0, 2.0])
         with pytest.raises(sf.AmbiguousEigenspace):
-            sf.invariant_basis(m, [2])
-        with pytest.raises(sf.AmbiguousEigenspace):
-            sf.invariant_basis(m, [2, 3])
+            selection_basis(m, [2])
 
     def test_invariant_basis_both_simple(self):
         m = np.diag([0.25, 1 / 3])
-        v = sf.invariant_basis(m, [0, 1])
+        v = selection_basis(m, [0, 1])
         assert_allclose(sf.orth_projector(v), np.eye(2), atol=1e-12)
 
     def test_complex_pair_split_rejected(self):
         rot = np.array([[0.5, -0.4], [0.4, 0.5]])
         with pytest.raises(sf.ComplexPairSplit):
-            sf.invariant_basis(rot, [0])
+            selection_basis(rot, [0])
 
     def test_selection_allows_full_repeated_cluster(self):
         m = np.diag([0.25, 1 / 3, 2.0, 2.0])
-        v = selection_basis(m, [2, 3], allow_full_repeated=True)
+        v = selection_basis(m, [2, 3])
         pi = sf.orth_projector(v)
         assert_allclose(pi, np.diag([0.0, 0.0, 1.0, 1.0]), atol=1e-10)
 
@@ -234,7 +239,7 @@ class TestEigenStructure:
         for blk in eigen_blocks(m):
             if blk.kind in ("real", "pair") and len(selection) + blk.dim <= 3:
                 selection.extend(blk.indices)
-        v = sf.invariant_basis(m, selection)
+        v = selection_basis(m, selection)
         assert sf.is_invariant(m, v)
 
 

@@ -282,9 +282,10 @@ class TestRandomModelInvariants:
         resid = np.linalg.norm(ext.z - w.b @ w.b.T - w.a @ ext.z @ w.a.T)
         assert resid <= config.residual_tol * (1 + np.linalg.norm(ext.z))
         # all-pass quotients and the conjugate phase itself
-        assert sf.is_all_pass(ext.t1, tol=1e-7, samples=128)
-        assert sf.is_all_pass(ext.t2, tol=1e-7, samples=128)
-        assert sf.is_all_pass(cp.t, tol=1e-7, samples=128)
+        at_128 = sf.ToleranceConfig(circle_samples=128)
+        assert sf.is_all_pass(ext.t1, tol=1e-7, config=at_128)
+        assert sf.is_all_pass(ext.t2, tol=1e-7, config=at_128)
+        assert sf.is_all_pass(cp.t, tol=1e-7, config=at_128)
         assert sf.mcmillan_degree(cp.t) == 2 * n
         # spectra of all extremal factors agree
         zs = np.exp(2j * np.pi * np.arange(64) / 64)
