@@ -27,7 +27,7 @@ from .factors import (
     moebius_gate,
     verify_factor,
 )
-from .matnum import DEFAULT_TOL, eigen_blocks
+from .matnum import _MAX_CIRCLE_SAMPLES, DEFAULT_TOL, eigen_blocks
 from .modelio import (
     ModelFileError,
     SpecFileError,
@@ -300,8 +300,9 @@ def spectrum(model_path, n_samples, csv_path, tol):
     doc = _load_model(model_path)
     config = _config_for(doc, tol, None)
     n = config.circle_samples if n_samples is None else n_samples
-    if n < 1:
-        _fail(EXIT_PARSE, "sample count must be positive")
+    if not 1 <= n <= _MAX_CIRCLE_SAMPLES:
+        _fail(EXIT_PARSE, f"sample count must be positive and at most "
+                          f"{_MAX_CIRCLE_SAMPLES}")
     w = doc.realization
     thetas = 2.0 * np.pi * np.arange(n) / n
     try:

@@ -16,6 +16,19 @@ Given a projector Pi the divisor realization is
 normalized so the constant right factor is symmetric positive definite.
 The compression is minimal, so deg Tl = rank Pi: T is minimal, and
 Pi P0^{-1} Pi is nonsingular on the range.
+
+The right complement Tr with T = Tl Tr is closed form as well (Bart,
+Gohberg, Kaashoek & Van Dooren, SIAM J. Control Optim. 18, 1980).  The
+range M of Pi is invariant under A, and M^x = P0 M^perp under the zero
+matrix A - B D^{-1} C of the all-pass T.  With W an orthonormal basis of
+M^x, S = [V, W] and L2 the last 2n - k rows of S^{-1},
+
+    Tr  = (L2 A W, L2 B, Dp^{-1} C W, Dp^{-1} D),
+
+so deg Tl + deg Tr = 2n by construction.  M and M^x must form a direct
+sum; its margin sigma_min(S) / sigma_max(S) is certified against the
+relative rank tolerance.
+
 Repeated eigenvalues span continua of invariant subspaces; those are never
 enumerated silently but surfaced as continuum records for the caller to
 sample through explicit bases.
@@ -50,7 +63,7 @@ from .matnum import (
     sym_sqrt,
 )
 from .spectral import ALLPASS_CERT_TOL, ConjugatePhase, allpass_residual
-from .statespace import Realization, inverse, minimal, series
+from .statespace import Realization
 
 __all__ = [
     "SubspaceSpec",
@@ -224,18 +237,31 @@ def right_complement(cp: ConjugatePhase, div: AllPassDivisor,
                      config: ToleranceConfig = DEFAULT_TOL) -> Realization:
     """Right all-pass cofactor T_r with T = T_l T_r and additive degrees.
 
-    Raises DegreeAdditivityViolation when the degrees fail to add up to the
-    degree of the conjugate phase function; this flags a numerical rank
-    failure, not a property of valid inputs.
+    T_r is the compression of T onto M^x = P0 M^perp along M = range Pi:
+    with V, W orthonormal bases of M and M^x, S = [V, W] and L2 the last
+    2n - k rows of S^{-1}, T_r = (L2 A W, L2 B, Dp^{-1} C W, Dp^{-1} D)
+    where Dp is the feedthrough of T_l.  Its degree is 2n - k.
+
+    Raises DegreeAdditivityViolation when M and M^x fail to form a direct
+    sum, i.e. when the margin sigma_min(S) / sigma_max(S) is at or below
+    ``config.rank_rel_tol``; the message names the margin.
     """
-    t_r = minimal(series(inverse(div.t_ell, config), cp.t), config)
-    total = cp.t.n
-    if div.degree + t_r.n != total:
+    a, b, c, d = cp.t.a, cp.t.b, cp.t.c, cp.t.d
+    v = basis_from_projector(div.projector, config)
+    k = v.shape[1]
+    v_perp = np.linalg.qr(v, mode="complete")[0][:, k:]
+    w = np.linalg.qr(np.linalg.solve(cp.p0_inv, v_perp))[0]
+    u, s, vt = np.linalg.svd(np.hstack([v, w]))
+    margin = s[-1] / s[0] if s.size else 1.0
+    if not margin > config.rank_rel_tol:
         raise DegreeAdditivityViolation(
-            f"divisor degree {div.degree} + complement degree {t_r.n} != "
-            f"{total}"
+            f"range Pi and P0 (range Pi)^perp do not form a direct sum: "
+            f"margin {margin:.3e} <= {config.rank_rel_tol:.1e}"
         )
-    return t_r
+    l2 = (vt.T[k:] / s) @ u.T                     # last rows of S^{-1}
+    cd = np.linalg.solve(div.t_ell.d, np.hstack([c @ w, d]))
+    return Realization(l2 @ a @ w, l2 @ b, cd[:, :-d.shape[1]],
+                       cd[:, -d.shape[1]:])
 
 
 class DivisorEnumeration(list):

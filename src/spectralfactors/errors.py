@@ -102,8 +102,10 @@ class CompressionNotPD(SpectralFactorsError):
 
 
 class DegreeAdditivityViolation(SpectralFactorsError):
-    """Left and right divisor degrees do not add up to the degree of the
-    conjugate phase function; signals a numerical rank failure."""
+    """A divisor's degrees cannot be certified to add up to the degree of
+    the conjugate phase function: the projector's range and P0 times its
+    orthogonal complement fail to form a direct sum (the message names the
+    margin), or an enumerated divisor fails its all-pass certificate."""
 
 
 # --- factor generation and verification --------------------------------------

@@ -208,6 +208,8 @@ def extract_left_divisor(w_minus: Realization, w0: Realization,
     degree additivity against the conjugate phase function through the
     cofactor W0^{-1} Wbar+ (failure: NotMinimalFactor).  The degree n of
     W- is the state count of Wbar+, which the conjugate phase certified.
+    A certified candidate realized on n states is minimal and is not reduced
+    again; a longer realization is reduced for its report.
 
     Returns the extracted divisor and a report on the candidate.
     """
@@ -227,7 +229,10 @@ def extract_left_divisor(w_minus: Realization, w0: Realization,
             f"divisor degrees {t_minus.n} + {t_plus.n} != {2 * n}; the "
             "candidate factor is not minimal"
         )
-    report = _report(w0, w_minus, n, poles_zeros(w0, config), config)
+    # W0 = W- T- with T- all-pass is a spectral factor, and no spectral
+    # factor of this density has degree below n: on n states it is minimal.
+    pz = _inventory(w0, config) if w0.n == n else poles_zeros(w0, config)
+    report = _report(w0, w_minus, n, pz, config)
     return t_minus, replace(report, allpass_residual=ap_res)
 
 

@@ -38,6 +38,10 @@ __all__ = [
 ]
 
 
+# Ceiling on circle sample counts: 32 times the default of 512.
+_MAX_CIRCLE_SAMPLES = 16384
+
+
 @dataclass(frozen=True)
 class ToleranceConfig:
     """Numerical knobs shared by the whole pipeline.
@@ -67,9 +71,9 @@ class ToleranceConfig:
                                  f"got {value!r}")
         k = self.circle_samples
         if (isinstance(k, bool) or not isinstance(k, Integral)
-                or not 8 <= k <= 16384):
+                or not 8 <= k <= _MAX_CIRCLE_SAMPLES):
             raise ValueError(f"circle_samples must be an integer in "
-                             f"[8, 16384]: {k!r}")
+                             f"[8, {_MAX_CIRCLE_SAMPLES}]: {k!r}")
 
 
 DEFAULT_TOL = ToleranceConfig()

@@ -139,25 +139,12 @@ def _sorted_eigs(m):
     return e[np.lexsort((e.imag, e.real))]
 
 
-def _pole_distance(r: Realization, zs):
-    """Distance of each sample in ``zs`` to the nearest eigenvalue of A and
-    the scale max(||A||, 1) that pole guards measure it against."""
-    eigs = np.linalg.eigvals(r.a)
+def _pole_distance(r: Realization, zs, eigs):
+    """Distance of each sample in ``zs`` to the nearest of the eigenvalues
+    ``eigs`` of A and the scale max(||A||, 1) that pole guards measure it
+    against."""
     dist = np.min(np.abs(zs[:, None] - eigs[None, :]), axis=1)
     return dist, max(np.linalg.norm(r.a), 1.0)
-
-
-def _pole_guard(r: Realization, zs, config):
-    """Raise EvaluationAtPole if any sample sits on the spectrum of A."""
-    if r.n == 0:
-        return
-    zs = np.atleast_1d(zs)
-    dist, norm_a = _pole_distance(r, zs)
-    bad = dist <= config.rank_rel_tol * (1.0 + np.abs(zs)) * norm_a
-    if np.any(bad):
-        raise EvaluationAtPole(
-            f"evaluation point {zs[np.argmax(bad)]} is too close to a pole"
-        )
 
 
 def evalfr(r: Realization, z, config: ToleranceConfig = DEFAULT_TOL):
@@ -176,7 +163,18 @@ def evalfr_many(r: Realization, zs, config: ToleranceConfig = DEFAULT_TOL):
     if r.n == 0:
         return np.broadcast_to(r.d.astype(complex),
                                (zs.size, r.n_out, r.n_in)).copy()
-    _pole_guard(r, zs, config)
+    return _evalfr(r, zs, np.linalg.eigvals(r.a), config)
+
+
+def _evalfr(r: Realization, zs, eigs, config):
+    """:func:`evalfr_many` for n > 0 at the flat complex points ``zs``, with
+    the eigenvalues ``eigs`` of A already computed by the caller."""
+    dist, norm_a = _pole_distance(r, zs, eigs)
+    bad = dist <= config.rank_rel_tol * (1.0 + np.abs(zs)) * norm_a
+    if np.any(bad):
+        raise EvaluationAtPole(
+            f"evaluation point {zs[np.argmax(bad)]} is too close to a pole"
+        )
     eye = np.eye(r.n)
     lhs = zs[:, None, None] * eye - r.a
     rhs = np.broadcast_to(r.b.astype(complex), (zs.size, r.n, r.n_in))
@@ -403,8 +401,8 @@ def minimal(r: Realization, config: ToleranceConfig = DEFAULT_TOL) -> Realizatio
             break
         offset += 0.0937
 
-    v = evalfr_many(r, mu, config) - r.d          # (k_half, m_out, m_in)
-    w = evalfr_many(r, lam, config) - r.d
+    v = _evalfr(r, mu, eigs, config) - r.d        # (k_half, m_out, m_in)
+    w = _evalfr(r, lam, eigs, config) - r.d
 
     # Block Loewner data for the conjugate-completed sample sets, rotated to
     # a real basis analytically: with X = blocks at (mu, lam) and Y = blocks
@@ -507,7 +505,7 @@ def eval_gap(r1: Realization, r2: Realization, zs=None,
     for r in (r1, r2):
         if r.n == 0:
             continue
-        dist, norm_a = _pole_distance(r, zs)
+        dist, norm_a = _pole_distance(r, zs, np.linalg.eigvals(r.a))
         keep &= dist > 1e3 * config.rank_rel_tol * (1.0 + np.abs(zs)) * norm_a
     zs = zs[keep]
     if zs.size == 0:

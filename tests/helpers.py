@@ -1,7 +1,10 @@
-"""Shared test utilities: the closed-form reference channels and a
-well-conditioned random outer-model generator."""
+"""Shared test utilities: the closed-form reference channels, a
+well-conditioned random outer-model generator and the benchmark's
+unfiltered random recipe."""
 
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -63,6 +66,17 @@ def random_outer(seed, n_max=5, m=2):
             continue
         return w
     raise RuntimeError(f"no admissible model for seed {seed}")
+
+
+def recipe_outer(n, seed):
+    """The benchmark's random outer recipe (``bench/workloads.py``) with no
+    filter on conditioning or on what the library does with the model:
+    model ``seed`` of state dimension ``n`` in the probe stream 99."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    wl = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(wl)
+    return sf.Realization(*wl.random_outer(wl._rng(99, n, seed), n))
 
 
 def circle_points(k):

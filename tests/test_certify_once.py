@@ -3,10 +3,12 @@
 The conjugate phase carries its Gramian check, ``verify_factor`` reduces a
 candidate once, and ``spectrum_gap`` refuses densities of another width.
 ``minimal_factor`` and ``extract_left_divisor`` take the degree of W- from
-the certified conjugate phase and never reduce W- or a just-reduced factor.
+the certified conjugate phase and never reduce W- or a just-reduced factor;
+the extraction reduces only T- and T+, and a candidate on more than n states.
 ``cli verify`` validates W- once and hands its extremal set to the
 extraction.  A divisor is the compression of T onto the range of its
-projector, whose rank is its certified degree: it is never reduced.
+projector, whose rank is its certified degree: it is never reduced, and
+neither is its closed-form right complement.
 """
 
 import dataclasses
@@ -110,20 +112,60 @@ def test_minimal_factor_reduces_only_the_cascade(monkeypatch, ref_model,
 
 
 @pytest.mark.parametrize("candidate", ["outer", "w_bar_minus"])
-def test_extract_left_divisor_reduces_three_systems(monkeypatch, ref_model,
-                                                    ref_values, ref_cp,
-                                                    candidate):
+def test_extract_left_divisor_reduces_two_systems(monkeypatch, ref_model,
+                                                  ref_values, ref_cp,
+                                                  candidate):
     w0 = {"outer": ref_model, "w_bar_minus": ref_values["w_bar_minus"]}[
         candidate]
     calls = _count_calls(monkeypatch, statespace, "minimal")
     degrees = _count_calls(monkeypatch, statespace, "mcmillan_degree")
     _, report = sf.extract_left_divisor(
         ref_model, w0, w_bar_plus=ref_cp.extremals.w_bar_plus)
-    # T- = W-^{-1} W0, T+ = W0^{-1} Wbar+, then the candidate itself.
-    assert len(calls) == 3 and not degrees
-    assert calls[2][0] is w0
-    assert all(args[0] is not ref_model for args in calls[:2])
+    # T- = W-^{-1} W0 and T+ = W0^{-1} Wbar+; the certified candidate on n
+    # states is minimal and is not reduced.
+    assert len(calls) == 2 and not degrees
+    assert all(args[0] is not ref_model and args[0] is not w0
+               for args in calls)
     assert report.passed and report.expected_degree == ref_model.n
+
+
+def _padded(r, pole=0.5):
+    """``r`` with one extra unreachable but observable state: the same
+    transfer function on n + 1 states."""
+    n = r.n
+    a = np.zeros((n + 1, n + 1))
+    a[:n, :n] = r.a
+    a[n, n] = pole
+    return sf.Realization(a, np.vstack([r.b, np.zeros((1, r.n_in))]),
+                          np.hstack([r.c, np.ones((r.n_out, 1))]), r.d)
+
+
+def test_extract_left_divisor_reduces_a_padded_candidate(monkeypatch,
+                                                         ref_model, ref_cp):
+    n = ref_model.n
+    for div in sf.enumerate_divisors(ref_cp):
+        w0 = _padded(sf.minimal_factor(ref_model, div)[0])
+        calls = _count_calls(monkeypatch, statespace, "minimal")
+        t_back, report = sf.extract_left_divisor(
+            ref_model, w0, w_bar_plus=ref_cp.extremals.w_bar_plus)
+        monkeypatch.undo()
+        assert len(calls) == 3 and calls[2][0] is w0
+        assert w0.n == n + 1
+        assert report.passed
+        assert report.degree == report.pole_zero.degree == n
+        assert t_back.n == div.degree
+
+
+@pytest.mark.parametrize("make", MODELS.values(), ids=MODELS.keys())
+def test_enumeration_and_complements_reduce_nothing(monkeypatch, make):
+    cp = sf.conjugate_phase(make())
+    divs = sf.enumerate_divisors(cp)
+    calls = _count_calls(monkeypatch, statespace, "minimal")
+    for div in divs:
+        sf.right_complement(cp, div)
+    assert calls == []
+    sf.enumerate_divisors(cp)
+    assert calls == []
 
 
 @pytest.mark.parametrize("make", [MODELS["reference"], MODELS["random"]],
@@ -162,10 +204,11 @@ def test_cli_verify_carries_one_extremal_set(monkeypatch, tmp_path, ref_model,
     checks = _count_calls(monkeypatch, spectral, "validate_outer")
     result = CliRunner().invoke(main, ["verify", str(model), str(cand)])
     assert result.exit_code == 0, result.output
-    # W- twice (validation, expected degree); the candidate twice (its
-    # report, then the extraction's); T- and T+ once each.
+    # W- twice (validation, expected degree); the candidate once (its
+    # report; the extraction does not reduce a certified n-state candidate);
+    # T- and T+ once each.
     assert len(checks) == 1
-    assert len(calls) == 6
+    assert len(calls) == 5
 
 
 @pytest.mark.parametrize("make", MODELS.values(), ids=MODELS.keys())

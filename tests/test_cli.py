@@ -320,6 +320,19 @@ class TestSpectrum:
         assert result.exit_code == 3
         assert "positive" in result.output
 
+    @pytest.mark.parametrize("count", ["16385", str(10**400)])
+    def test_sample_count_above_the_ceiling_exits_3(self, runner, model_path,
+                                                    count):
+        result = runner.invoke(main, ["spectrum", model_path, "-n", count])
+        assert result.exit_code == 3
+        assert "error: sample count must be positive and at most 16384" in (
+            result.output)
+
+    def test_sample_count_at_the_ceiling(self, runner, model_path):
+        result = runner.invoke(main, ["spectrum", model_path, "-n", "16384"])
+        assert result.exit_code == 0
+        assert len(result.output.strip().splitlines()) == 16385
+
     def test_all_pass_rows_are_identity(self, runner, tmp_path, ref_values):
         path = tmp_path / "allpass.json"
         write_model(path, ref_values["divisor_2"], name="allpass")

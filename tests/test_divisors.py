@@ -1,14 +1,18 @@
 """Invariant-subspace parametrization of left all-pass divisors."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import spectralfactors as sf
-from spectralfactors.demo import theta_feedthrough
+from spectralfactors.demo import reference_model, theta_feedthrough
+from spectralfactors.matnum import basis_from_projector
+from spectralfactors.spectral import ALLPASS_CERT_TOL
 from spectralfactors.statespace import eval_gap, transfer_equal
 
-from helpers import random_outer
+from helpers import random_outer, recipe_outer
 
 
 def theta_spec(theta):
@@ -139,6 +143,86 @@ class TestRightComplement:
         t_r = sf.right_complement(ref_cp, div)
         assert div.degree == 2 and t_r.n == 2
         assert sf.is_all_pass(t_r, tol=1e-8)
+
+
+# Model roundtrip_round(7, 1)[3] of the benchmark (n = 4): a blind Loewner
+# cut of T_l^{-1} T found its full divisor's complement at degree 2, not 0,
+# and raised DegreeAdditivityViolation from a valid model.
+LOEWNER_FALSE_ALARM = sf.Realization(
+    [[0.26897597361180786, -0.16132269732973756, 0.34090724726530824,
+      0.20868259194951636],
+     [0.05477377417118277, -0.2945927226363516, 0.38825836172824574,
+      -0.2517504153546495],
+     [-0.03239332731775133, 0.4807196465471232, -0.01686533614584112,
+      0.08664834627804617],
+     [0.47690889974752143, -0.08813357802695332, 0.03924999184710056,
+      -0.14489810942888579]],
+    [[-0.9614433589608178, -0.3919120570774511],
+     [-0.022213217716506792, 0.2707100448979031],
+     [-1.0154243929775069, -0.4033248183116977],
+     [-0.14310546399184115, 0.7006876704886569]],
+    [[-0.41141037248493484, -0.3108559790409879, -0.3425544988957851,
+      -0.6559203803801735],
+     [-0.035357953002239026, 0.7898941001962658, 0.5733865958289661,
+      0.0766325809763619]],
+    np.eye(2),
+)
+
+# The reference model, the filtered test ensemble, and the unfiltered random
+# recipe at n = 6 (seeds 0-11) and n = 8 (seeds 0-3); seeds whose conjugate
+# phase raises are skipped in the test.
+COMPLEMENT_MODELS = (
+    [("reference", reference_model), ("loewner_false_alarm",
+                                      lambda: LOEWNER_FALSE_ALARM)]
+    + [(f"ensemble{seed}", lambda seed=seed: random_outer(seed, n_max=5))
+       for seed in range(6)]
+    + [(f"recipe{n}_{seed}", lambda n=n, seed=seed: recipe_outer(n, seed))
+       for n, seeds in ((6, range(12)), (8, range(4))) for seed in seeds]
+)
+
+
+class TestClosedFormComplement:
+    @pytest.mark.parametrize("make", [m for _, m in COMPLEMENT_MODELS],
+                             ids=[name for name, _ in COMPLEMENT_MODELS])
+    def test_every_divisor_has_an_exact_complement(self, make):
+        w = make()
+        try:
+            cp = sf.conjugate_phase(w)
+        except sf.GramianIdentityViolation:
+            pytest.skip("conjugate phase not certified")
+        zs = np.exp(2j * np.pi * (np.arange(64) + 0.5) / 64)
+        t_vals = sf.evalfr_many(cp.t, zs)
+        scale = np.max(np.abs(t_vals))
+        out = sf.enumerate_divisors(cp)
+        assert len(out) >= 1
+        for div in out:
+            t_r = div.right_complement
+            assert div.t_ell.n + t_r.n == div.degree + t_r.n == 2 * w.n
+            prod = sf.evalfr_many(div.t_ell, zs) @ sf.evalfr_many(t_r, zs)
+            assert np.max(np.abs(prod - t_vals)) <= 1e-7 * scale
+            # T_r = T_l^{-1} T inherits the certified divisor's own
+            # deviation from all-pass, on top of the certificate level.
+            assert (sf.allpass_residual(t_r)
+                    <= ALLPASS_CERT_TOL + sf.allpass_residual(div.t_ell))
+
+    def test_loewner_false_alarm_model_enumerates(self):
+        out = sf.enumerate_divisors(sf.conjugate_phase(LOEWNER_FALSE_ALARM))
+        full = [div for div in out if div.degree == 8]
+        assert len(full) == 1 and full[0].right_complement.n == 0
+
+    def test_complement_meeting_the_range_raises(self, ref_cp, ref_values):
+        # A P0 that maps a direction of (range Pi)^perp into range Pi: the
+        # reflection swapping v in range Pi with u in its complement.
+        pi = ref_values["pi_2"]
+        div = sf.divisor_from_projector(ref_cp, pi)
+        v = basis_from_projector(pi)[:, 0]
+        u = basis_from_projector(np.eye(4) - pi)[:, 0]
+        x = (v - u) / np.linalg.norm(v - u)
+        doctored = dataclasses.replace(
+            ref_cp, p0_inv=np.eye(4) - 2.0 * np.outer(x, x))
+        with pytest.raises(sf.DegreeAdditivityViolation,
+                           match="direct sum: margin"):
+            sf.right_complement(doctored, div)
 
 
 class TestEnumerateDivisors:
