@@ -72,7 +72,6 @@ def reference_values() -> dict:
         "t_a": t_a, "t_b": t_b, "t_c": t_c, "t_d": t_d,
         "p0_inv": p0_inv,
         "pi_2": np.diag([0.0, 0.0, 1.0, 1.0]),
-        "p_2": np.diag([0.0, 0.0, 0.75, 0.75]),
         "divisor_2": Realization(2.0 * np.eye(2), 1.5 * np.eye(2),
                                  2.0 * np.eye(2), 2.0 * np.eye(2)),
         "w_bar_minus": w_bar_minus,
@@ -119,7 +118,8 @@ def run_demo(config: ToleranceConfig = DEFAULT_TOL) -> list[DemoCheck]:
                        "top-left Gramian block follows from the defining "
                        "Stein equation"),
         DemoCheck("Stein solution Y (pole direction)", _gap(ext.y, ref["y"]), tol),
-        DemoCheck("coupling Z = Y + X^-1", _gap(ext.z, ref["z"]), tol),
+        DemoCheck("Stein solution Z = A Z A^T + B B^T", _gap(ext.z, ref["z"]),
+                  tol),
         DemoCheck("square roots U1, U2",
                   max(_gap(ext.t1.d, ref["u1"]), _gap(ext.t2.d, ref["u2"])),
                   tol),
@@ -138,8 +138,6 @@ def run_demo(config: ToleranceConfig = DEFAULT_TOL) -> list[DemoCheck]:
     ]
 
     div2 = divisor_from_projector(cp, ref["pi_2"], config)
-    checks.append(DemoCheck("compressed Gramian for the outside-block projector",
-                            _gap(div2.p, ref["p_2"]), tol))
     d2 = ref["divisor_2"]
     checks.append(DemoCheck(
         "divisor of the outside-block projector (2I, 1.5I, 2I, 2I)",

@@ -6,24 +6,26 @@ blocks have disjoint spectra (inside vs outside the unit circle), every
 invariant subspace splits block-diagonally, so a subspace is specified per
 block: either by eigenvalue selection or by an explicit basis.
 
-Given a projector Pi the divisor realization is
+Given a projector Pi with V an orthonormal basis of its range, the pair
+(C V, V^T A V) is observable and Q_l = V^T Q V solves its Stein equation
+exactly, because the range is invariant.  The divisor is the all-pass
+completion of that compression, the same routine that builds T:
 
-    P   = (Pi P0^{-1} Pi)^+
-    Dp  = (I + C P C^T)^{1/2}
-    Bp  = A P C^T Dp^{-1}
-    Tl  = (V^T A V, V^T Bp, C V, Dp),   V orthonormal basis of range Pi,
+    Tl  = (V^T A V, Bl, C V, Dl),   [Bl; Dl] the completion from Q_l,
 
-normalized so the constant right factor is symmetric positive definite.
-The compression is minimal, so deg Tl = rank Pi: T is minimal, and
-Pi P0^{-1} Pi is nonsingular on the range.
+normalized so the feedthrough Dl is symmetric positive definite.  The
+compression is minimal, so deg Tl = rank Pi.  Every divisor is certified
+by the completion's algebraic identity check, which implies the all-pass
+property at every point of the circle.
 
 The right complement Tr with T = Tl Tr is closed form as well (Bart,
 Gohberg, Kaashoek & Van Dooren, SIAM J. Control Optim. 18, 1980).  The
 range M of Pi is invariant under A, and M^x = P0 M^perp under the zero
-matrix A - B D^{-1} C of the all-pass T.  With W an orthonormal basis of
-M^x, S = [V, W] and L2 the last 2n - k rows of S^{-1},
+matrix A - B D^{-1} C of the all-pass T; P0 M^perp is a solve with
+Q = P0^{-1}.  With W an orthonormal basis of M^x, S = [V, W] and L2 the
+last 2n - k rows of S^{-1},
 
-    Tr  = (L2 A W, L2 B, Dp^{-1} C W, Dp^{-1} D),
+    Tr  = (L2 A W, L2 B, Dl^{-1} C W, Dl^{-1} D),
 
 so deg Tl + deg Tr = 2n by construction.  M and M^x must form a direct
 sum; its margin sigma_min(S) / sigma_max(S) is certified against the
@@ -43,11 +45,9 @@ import numpy as np
 
 from .errors import (
     AmbiguousEigenspace,
-    CompressionNotPD,
     DegreeAdditivityViolation,
     InvalidSubspace,
     NotInvariant,
-    NotPositiveDefinite,
     SpectralFactorsError,
 )
 from .matnum import (
@@ -58,11 +58,9 @@ from .matnum import (
     is_invariant,
     orth_basis,
     orth_projector,
-    pseudo_inverse,
     selection_basis,
-    sym_sqrt,
 )
-from .spectral import ALLPASS_CERT_TOL, ConjugatePhase, allpass_residual
+from .spectral import ConjugatePhase, _allpass_completion, _j_identities
 from .statespace import Realization
 
 __all__ = [
@@ -123,16 +121,15 @@ class ContinuumFamily:
 class AllPassDivisor:
     """A left all-pass divisor with its generating data.
 
-    ``t_ell`` is the minimal compression onto the range of ``projector``,
-    ``p`` the compressed Gramian and ``degree`` the McMillan degree, which
-    is the rank of the projector.  ``subspace_dims`` records the (gamma, a)
+    ``t_ell`` is the all-pass completion of the compression onto the range
+    of ``projector`` and ``degree`` its McMillan degree, which is the rank
+    of the projector.  ``subspace_dims`` records the (gamma, a)
     split of the generating subspace dimension; ``right_complement`` is
     attached when degree additivity has been certified.
     """
 
     t_ell: Realization
     projector: np.ndarray
-    p: np.ndarray
     degree: int
     subspace_dims: tuple = (0, 0)
     right_complement: Realization | None = None
@@ -192,13 +189,15 @@ def divisor_from_projector(cp: ConjugatePhase, pi,
     ------
     NotInvariant
         If the range of ``pi`` is not invariant (or ``pi`` is not an
-        orthogonal projector), or if Bp leaves the range.
+        orthogonal projector).
     CompressionNotPD
-        If I + C P C^T fails the positive-definiteness check.
+        If the Gram matrix of the completion fails the definiteness test.
+    GramianIdentityViolation
+        If the completed divisor fails its all-pass identities.
     """
     pi = np.asarray(pi, dtype=float)
     a, c = cp.t.a, cp.t.c
-    n2, m = a.shape[0], c.shape[0]
+    n2 = a.shape[0]
     if pi.shape != (n2, n2):
         raise NotInvariant(f"projector must be {n2}x{n2}, got {pi.shape}")
     scale = max(1.0, float(np.linalg.norm(pi)))
@@ -211,26 +210,13 @@ def divisor_from_projector(cp: ConjugatePhase, pi,
         raise NotInvariant("projector range is not an invariant subspace of "
                            "the conjugate phase state matrix")
 
-    p = pseudo_inverse(pi @ cp.p0_inv @ pi, config)
-    s = np.eye(m) + c @ p @ c.T
-    try:
-        d_p = sym_sqrt(s, config)
-    except NotPositiveDefinite as exc:
-        raise CompressionNotPD(
-            "I + C P C^T is not positive definite for this projector"
-        ) from exc
-    b_p = np.linalg.solve(d_p, (a @ p @ c.T).T).T
-
-    # Bp lies in the invariant range of Pi, so the compression is exact.
-    leak = np.linalg.norm(b_p - pi @ b_p)
-    if leak > config.residual_tol * max(1.0, np.linalg.norm(b_p)):
-        raise NotInvariant(f"Bp leaves the projector range (residual "
-                           f"{leak:.3e})")
-    t_ell = Realization(basis.T @ a @ basis, basis.T @ b_p, c @ basis, d_p)
+    a_l, c_l, q_l = basis.T @ a @ basis, c @ basis, basis.T @ cp.p0_inv @ basis
+    b_l, d_l = _allpass_completion(a_l, c_l, q_l, config)
+    _j_identities(a_l, b_l, c_l, d_l, q_l, config).require("divisor")
     k = basis.shape[1]
     k_gamma = int(round(float(np.trace(pi[:cp.n_gamma, :cp.n_gamma]))))
-    return AllPassDivisor(t_ell=t_ell, projector=pi, p=p, degree=k,
-                          subspace_dims=(k_gamma, k - k_gamma))
+    return AllPassDivisor(t_ell=Realization(a_l, b_l, c_l, d_l), projector=pi,
+                          degree=k, subspace_dims=(k_gamma, k - k_gamma))
 
 
 def right_complement(cp: ConjugatePhase, div: AllPassDivisor,
@@ -239,8 +225,8 @@ def right_complement(cp: ConjugatePhase, div: AllPassDivisor,
 
     T_r is the compression of T onto M^x = P0 M^perp along M = range Pi:
     with V, W orthonormal bases of M and M^x, S = [V, W] and L2 the last
-    2n - k rows of S^{-1}, T_r = (L2 A W, L2 B, Dp^{-1} C W, Dp^{-1} D)
-    where Dp is the feedthrough of T_l.  Its degree is 2n - k.
+    2n - k rows of S^{-1}, T_r = (L2 A W, L2 B, Dl^{-1} C W, Dl^{-1} D)
+    where Dl is the feedthrough of T_l.  Its degree is 2n - k.
 
     Raises DegreeAdditivityViolation when M and M^x fail to form a direct
     sum, i.e. when the margin sigma_min(S) / sigma_max(S) is at or below
@@ -303,8 +289,9 @@ def enumerate_divisors(cp: ConjugatePhase,
     """Enumerate and certify all divisors reachable by block selection.
 
     One divisor per subset pair of eigenvalue blocks of the two sides
-    (2^k_gamma * 2^k_a total); every divisor is certified all-pass and gets
-    its right complement attached (degree additivity).  Eigenspaces of
+    (2^k_gamma * 2^k_a total); every divisor is certified all-pass by its
+    completion's identity check and gets its right complement attached
+    (degree additivity).  Eigenspaces of
     multiplicity >= 2 are reported as continuum families; the caller samples
     them through explicit bases.
     """
@@ -322,12 +309,6 @@ def enumerate_divisors(cp: ConjugatePhase,
                   if as_ else np.zeros((cp.n_a, 0)))
             pi = _block_projector(vg, va, config)
             div = divisor_from_projector(cp, pi, config)
-            resid = allpass_residual(div.t_ell, config)
-            if resid > ALLPASS_CERT_TOL:
-                raise DegreeAdditivityViolation(
-                    f"enumerated divisor failed the all-pass certificate "
-                    f"(residual {resid:.3e})"
-                )
             t_r = right_complement(cp, div, config)
             out.append(replace(div, right_complement=t_r))
     return DivisorEnumeration(out, g_cont + a_cont)

@@ -15,8 +15,8 @@ class SpectralFactorsError(Exception):
 # --- dense matrix kernels ---------------------------------------------------
 
 class SingularSteinOperator(SpectralFactorsError):
-    """The linearized Stein operator is rank deficient (eigenvalue pair with
-    product one)."""
+    """The Stein operator is singular: an eigenvalue pair of the state
+    matrix has product one (min |1 - lambda_i lambda_j| names the margin)."""
 
 
 class NotPositiveDefinite(SpectralFactorsError):
@@ -81,8 +81,10 @@ class NotPositiveDefiniteY(SpectralFactorsError):
 
 
 class GramianIdentityViolation(SpectralFactorsError):
-    """The structural Gramian of the conjugate phase function violates its
-    defining identities beyond tolerance."""
+    """An all-pass completion (the conjugate phase function or one of its
+    divisors) violates M^T diag(Q, -I) M = diag(Q, -I) beyond tolerance,
+    with M = [[A, B], [C, D]] and Q its Stein solution; the message names
+    the relative residuals."""
 
 
 # --- all-pass divisors --------------------------------------------------------
@@ -97,15 +99,17 @@ class NotInvariant(SpectralFactorsError):
 
 
 class CompressionNotPD(SpectralFactorsError):
-    """I + C P C^T failed the positive-definiteness check for the supplied
-    projector."""
+    """The m x m Gram matrix of an all-pass completion, [B; D]^T diag(Q, -I)
+    [B; D] over the diag(Q, -I)-orthogonal complement of [A; C], failed the
+    negative-definiteness check: the compressed Stein solution Q is
+    numerically singular."""
 
 
 class DegreeAdditivityViolation(SpectralFactorsError):
     """A divisor's degrees cannot be certified to add up to the degree of
     the conjugate phase function: the projector's range and P0 times its
     orthogonal complement fail to form a direct sum (the message names the
-    margin), or an enumerated divisor fails its all-pass certificate."""
+    margin)."""
 
 
 # --- factor generation and verification --------------------------------------

@@ -7,11 +7,16 @@ inside the unit circle.  :func:`extremal_set` is the one construction of
 * the stable/maximum-phase factor W+ and the all-pass quotient T1 =
   W-^{-1} W+  (zeros flipped outside the circle),
 * the conjugate outer factor Wbar+ and the all-pass quotient T2 =
-  W+^{-1} Wbar+  (poles flipped outside the circle);
+  W+^{-1} Wbar+  (poles flipped outside the circle).
 
-:func:`conjugate_phase` assembles T = T1 T2 with its structural Gramian P0
-and the explicit inverse used by the divisor parametrization.  A constant
-W- runs the same code on empty state blocks.
+:func:`conjugate_phase` builds T = W-^{-1} Wbar+ from its state and output
+matrices alone, A_T = diag(Gamma, A^{-T}) and C_T = [D^{-1} C | B^T A^{-T}],
+whose Stein solution Q = [[X, -I], [-I, Z]] needs no inverse: its input and
+feedthrough are the all-pass completion of (C_T, A_T) from Q (Glover, Int.
+J. Control 39, 1984).  An all-pass function is fixed by an observable
+(C, A) up to a constant orthogonal right factor, so every left divisor is
+the same completion of a compression (:mod:`.divisors`).  A constant W-
+runs the same code on empty state blocks.
 
 Outer-ness is validated rather than trusted: every sign and definiteness
 claim downstream depends on it.
@@ -22,8 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import null_space, polar
 
 from .errors import (
+    CompressionNotPD,
     EvaluationAtPole,
     GramianIdentityViolation,
     NotOuter,
@@ -124,9 +131,8 @@ def extremal_set(w_minus: Realization,
       definite; T2 = W+^{-1} Wbar+, and Wbar+ = W+ T2 is realized directly
       on n states with state matrix A^{-T}.
 
-    Z = Y + X^{-1} is then checked against  Z = B B^T + A Z A^T.  Raises
-    NotOuter, SingularFeedthrough, NotPositiveDefiniteY or
-    GramianIdentityViolation.
+    Z solves  Z = A Z A^T + B B^T,  the Stein equation of W- itself.
+    Raises NotOuter, SingularFeedthrough or NotPositiveDefiniteY.
     """
     w_inv = validate_outer(w_minus, config)
     a, b, c, d = w_minus.a, w_minus.b, w_minus.c, w_minus.d
@@ -167,51 +173,102 @@ def extremal_set(w_minus: Realization,
     w_bar_plus = Realization(a_inv_t, g2, c @ y + w_plus.d @ h2,
                              w_plus.d @ u2)
 
-    z = y + x_inv
-    resid = np.linalg.norm(z - b @ b.T - a @ z @ a.T)
-    if resid > config.residual_tol * (1.0 + np.linalg.norm(z)):
-        raise GramianIdentityViolation(
-            f"Z = B B^T + A Z A^T fails with residual {resid:.3e}"
-        )
+    z = solve_stein(a.T, -(b @ b.T), config)
     return ExtremalSet(w_minus=w_minus, w_plus=w_plus, w_bar_plus=w_bar_plus,
                        t1=t1, t2=t2, x=x, y=y, z=z)
 
 
 @dataclass(frozen=True)
 class GramianCheck:
-    """Residuals of the structural identities of the conjugate phase
-    realization and its Gramian."""
+    """Relative residuals of the identities that make (A, B, C, D) all-pass
+    with the Stein solution Q:  M^T J M = J  for M = [[A, B], [C, D]] and
+    J = diag(Q, -I), each block divided by the size of its terms."""
 
-    state_residual: float        # A P0 A^T - P0 - B B^T
-    cross_residual: float        # A P0 C^T - B D^T
-    output_residual: float       # I + C P0 C^T - D D^T
-    inverse_residual: float      # A^T P0^{-1} A - P0^{-1} - C^T C
+    cross_residual: float        # A^T Q B - C^T D
+    output_residual: float       # B^T Q B - D^T D + I
+    inverse_residual: float      # A^T Q A - Q - C^T C
     passed: bool
 
     def residuals(self):
         return {
-            "state": self.state_residual,
             "cross": self.cross_residual,
             "output": self.output_residual,
             "inverse": self.inverse_residual,
         }
 
+    def require(self, what: str) -> GramianCheck:
+        """Return the check, or raise GramianIdentityViolation naming
+        ``what`` and the residuals if it failed."""
+        if not self.passed:
+            raise GramianIdentityViolation(
+                f"{what} fails its all-pass identities: relative residuals "
+                f"{self.residuals()}"
+            )
+        return self
+
+
+def _j_identities(a, b, c, d, q, config) -> GramianCheck:
+    """Check M^T diag(Q, -I) M = diag(Q, -I) block by block, each residual
+    relative to the norms of the terms of its block, against
+    ``config.residual_tol``."""
+    nrm = np.linalg.norm
+    na, nb, nc, nd, nq = (nrm(x) for x in (a, b, c, d, q))
+    qa, qb = q @ a, q @ b
+    blocks = (
+        (a.T @ qb - c.T @ d, na * nq * nb + nc * nd),
+        (b.T @ qb - d.T @ d + np.eye(d.shape[1]),
+         nb * nq * nb + nd * nd + np.sqrt(d.shape[1])),
+        (a.T @ qa - q - c.T @ c, na * nq * na + nq + nc * nc),
+    )
+    res = [float(nrm(r) / s) if s else 0.0 for r, s in blocks]
+    return GramianCheck(*res, passed=max(res) <= config.residual_tol)
+
+
+def _allpass_completion(a, c, q, config):
+    """All-pass completion [B; D] of an observable (C, A) from its Stein
+    solution Q, with  A^T Q A - Q = C^T C.
+
+    [B; D] spans the diag(Q, -I)-orthogonal complement of [A; C]; the m x m
+    Gram matrix of that complement is negative definite whenever Q is
+    nonsingular (inertia), and scaling by it gives B^T Q B - D^T D = -I.
+    D is taken to its symmetric positive definite polar factor.  Returns
+    (B, D); :func:`_j_identities` certifies them.
+
+    Raises CompressionNotPD if the Gram matrix fails the definiteness test.
+    """
+    n, m = a.shape[0], c.shape[0]
+    basis = null_space(np.hstack([a.T @ q, -c.T])) if n else np.eye(m)
+    top, bottom = basis[:n], basis[n:]
+    gram = bottom.T @ bottom - top.T @ q @ top
+    w, u = np.linalg.eigh(0.5 * (gram + gram.T))
+    if basis.shape[1] != m or w[0] <= config.rank_rel_tol * w[-1]:
+        raise CompressionNotPD(
+            f"completion Gram matrix is not negative definite (eigenvalues "
+            f"of its negative span {w[0]:.3e} to {w[-1]:.3e})"
+        )
+    bd = basis @ (u / np.sqrt(w))
+    rot, _ = polar(bd[n:], side="left")
+    bd = bd @ rot.T
+    return bd[:n], bd[n:]
+
 
 @dataclass(frozen=True)
 class ConjugatePhase:
     """Minimal realization of the conjugate phase function T = W-^{-1} Wbar+
-    with its structural Gramian.
+    with its Stein solution.
 
     The state matrix of ``t`` is block diagonal: the leading ``n_gamma``
     states carry the zero matrix of W- (spectrum inside the circle), the
     trailing ``n_a`` states carry A^{-T} (spectrum outside).  ``p0_inv`` is
-    assembled from the closed form [[X, -I], [-I, Z]] rather than by
-    numerical inversion.  ``gramian`` holds the identity residuals that
-    :func:`conjugate_phase` certified.
+    the solution Q = [[X, -I], [-I, Z]] of A_T^T Q A_T - Q = C_T^T C_T, the
+    inverse of the structural Gramian P0, assembled without any inversion.
+    ``gramian`` holds the identity residuals that :func:`conjugate_phase`
+    certified.  T is minimal by construction: (C_T, A_T) is observable
+    blockwise, and an all-pass realization with observable (C, A) and
+    nonsingular Q is controllable.
     """
 
     t: Realization
-    p0: np.ndarray
     p0_inv: np.ndarray
     n_gamma: int
     n_a: int
@@ -223,82 +280,36 @@ class ConjugatePhase:
 
 def check_gramian_identities(cp: ConjugatePhase,
                              config: ToleranceConfig = DEFAULT_TOL) -> GramianCheck:
-    """Residuals of the four defining identities of the structural Gramian.
-
-    Residual fields are absolute; the pass decision is relative to the
-    magnitude of the terms entering each identity (the Gramian and its
-    inverse can span many orders of magnitude).
-    """
-    a, b, c, d = cp.t.a, cp.t.b, cp.t.c, cp.t.d
-    p0, p0_inv = cp.p0, cp.p0_inv
-    m = d.shape[0]
-    nrm = np.linalg.norm
-    r1 = nrm(a @ p0 @ a.T - p0 - b @ b.T)
-    r2 = nrm(a @ p0 @ c.T - b @ d.T)
-    r3 = nrm(np.eye(m) + c @ p0 @ c.T - d @ d.T)
-    r4 = nrm(a.T @ p0_inv @ a - p0_inv - c.T @ c)
-    tol = config.residual_tol
-    ok = (
-        r1 <= tol * (1.0 + nrm(p0) + nrm(b @ b.T))
-        and r2 <= tol * (1.0 + nrm(b @ d.T) + nrm(p0))
-        and r3 <= tol * (1.0 + nrm(d @ d.T) + nrm(p0))
-        and r4 <= tol * (1.0 + nrm(p0_inv) + nrm(c.T @ c))
-    )
-    return GramianCheck(
-        state_residual=float(r1), cross_residual=float(r2),
-        output_residual=float(r3), inverse_residual=float(r4),
-        passed=bool(ok),
-    )
+    """Relative residuals of the three all-pass identities of T with its
+    Stein solution Q (see :class:`GramianCheck`)."""
+    return _j_identities(cp.t.a, cp.t.b, cp.t.c, cp.t.d, cp.p0_inv, config)
 
 
 def conjugate_phase(w_minus: Realization,
                     config: ToleranceConfig = DEFAULT_TOL) -> ConjugatePhase:
     """Assemble the conjugate phase function of the spectral density of W-.
 
-    The 2n-state realization is built in the basis that decouples the two
-    blocks: state matrix diag(Gamma, A^{-T}), input matrix stacked from
-    [G1 U2 + X^{-1} G2; G2], output matrix [H1 | B^T A^{-T}], feedthrough
-    U1 U2.  The structural Gramian identities are verified before returning.
+    The 2n-state realization has state matrix diag(Gamma, A^{-T}) and output
+    matrix [H1 | B^T A^{-T}]; its input and feedthrough matrices are the
+    all-pass completion from Q = [[X, -I], [-I, Z]], with a symmetric
+    positive definite feedthrough.  The off-diagonal -I is exact: it is the
+    identity Gamma^T + H1^T B^T = A^T.
 
-    Raises GramianIdentityViolation if any identity residual exceeds
-    tolerance or if the realization is not minimal of dimension 2n.
+    Raises what :func:`extremal_set` raises, CompressionNotPD if the
+    completion Gram matrix is not definite, and GramianIdentityViolation if
+    the all-pass identities fail beyond tolerance.
     """
     ext = extremal_set(w_minus, config)
     n = w_minus.n
-    t1, t2 = ext.t1, ext.t2
-    x_inv = np.linalg.inv(ext.x)
-    y_inv = np.linalg.inv(ext.y)
-
-    a_t = np.zeros((2 * n, 2 * n))
-    a_t[:n, :n] = t1.a
-    a_t[n:, n:] = t2.a
-    b_t = np.vstack([t1.b @ t2.d + x_inv @ t2.b, t2.b])
-    c_t = np.hstack([t1.c, w_minus.b.T @ t2.a])
-    t = Realization(a_t, b_t, c_t, t1.d @ t2.d)
-
-    p0 = np.block([[x_inv + x_inv @ y_inv @ x_inv, x_inv @ y_inv],
-                   [y_inv @ x_inv, y_inv]])
-    p0 = 0.5 * (p0 + p0.T)
-    p0_inv = np.block([[ext.x, -np.eye(n)], [-np.eye(n), ext.z]])
-
-    inv_resid = np.linalg.norm(p0 @ p0_inv - np.eye(2 * n))
-    if inv_resid > config.residual_tol * (1.0 + np.linalg.norm(p0_inv)):
-        raise GramianIdentityViolation(
-            f"closed-form Gramian inverse fails with residual {inv_resid:.3e}"
-        )
-    # The check reads only t, p0 and p0_inv; its result is carried in the
-    # returned record.
-    cp = ConjugatePhase(t=t, p0=p0, p0_inv=p0_inv, n_gamma=n, n_a=n,
-                        gamma=t1.a, a_inv_t=t2.a, extremals=ext, gramian=None)
-    check = check_gramian_identities(cp, config)
-    if not check.passed:
-        raise GramianIdentityViolation(
-            f"structural Gramian identities fail: {check.residuals()}"
-        )
-    if mcmillan_degree(t, config) != 2 * n:
-        raise GramianIdentityViolation(
-            "conjugate phase realization is not minimal of dimension 2n"
-        )
+    gamma, a_inv_t = ext.t1.a, ext.t2.a
+    a_t = np.block([[gamma, np.zeros((n, n))], [np.zeros((n, n)), a_inv_t]])
+    c_t = np.hstack([ext.t1.c, w_minus.b.T @ a_inv_t])
+    q = np.block([[ext.x, -np.eye(n)], [-np.eye(n), ext.z]])
+    b_t, d_t = _allpass_completion(a_t, c_t, q, config)
+    cp = ConjugatePhase(t=Realization(a_t, b_t, c_t, d_t), p0_inv=q,
+                        n_gamma=n, n_a=n, gamma=gamma, a_inv_t=a_inv_t,
+                        extremals=ext, gramian=None)
+    check = check_gramian_identities(cp, config).require("conjugate phase")
     return replace(cp, gramian=check)
 
 

@@ -224,16 +224,17 @@ def test_divisor_from_projector_reduces_nothing(monkeypatch, make):
 @pytest.mark.parametrize("make", MODELS.values(), ids=MODELS.keys())
 def test_divisor_degree_is_the_projector_rank(make):
     assert [f.name for f in dataclasses.fields(sf.AllPassDivisor)] == [
-        "t_ell", "projector", "p", "degree", "subspace_dims",
+        "t_ell", "projector", "degree", "subspace_dims",
         "right_complement"]
     for div in sf.enumerate_divisors(sf.conjugate_phase(make())):
         assert div.t_ell.n == div.degree == sum(div.subspace_dims)
 
 
 def test_divisor_input_leaving_the_range_raises(monkeypatch, ref_cp):
-    # Only a projector that passes the invariance test can reach the check
-    # on Bp, so that test is switched off here.
+    # Only a projector that passes the invariance test can reach the
+    # completion's identity check, so that test is switched off here.
     monkeypatch.setattr(divisors, "is_invariant", lambda *args: True)
     v = np.array([[0.0], [0.1], [1.0], [0.0]])   # mixes the two blocks
-    with pytest.raises(sf.NotInvariant, match="Bp leaves the projector"):
+    with pytest.raises(sf.GramianIdentityViolation,
+                       match="divisor fails its all-pass identities"):
         sf.divisor_from_projector(ref_cp, sf.orth_projector(v))

@@ -84,6 +84,25 @@ class TestSolveStein:
         assert_allclose(x, x.T, atol=1e-12)
 
 
+class TestSolveSteinKernel:
+    def test_residual_at_n32(self):
+        rng = np.random.default_rng(32)
+        m = rng.normal(size=(32, 32))
+        m *= 0.95 / max(abs(np.linalg.eigvals(m)))
+        q = rng.normal(size=(32, 32))
+        q = q + q.T
+        x = sf.solve_stein(m, q)
+        resid = np.linalg.norm(m.T @ x @ m - x - q)
+        assert resid <= 1e-12 * (np.linalg.norm(q) + np.linalg.norm(x))
+        assert_allclose(x, x.T, atol=1e-12)
+
+    def test_near_reciprocal_pair_is_singular(self):
+        # eigenvalues 2 and 1/2 + 1e-12: the product misses one by 2e-12
+        m = np.array([[2.0, 1.0], [0.0, 0.5 + 1e-12]])
+        with pytest.raises(sf.SingularSteinOperator, match="product one"):
+            sf.solve_stein(m, np.eye(2))
+
+
 class TestSymSqrt:
     def test_reference_values(self):
         assert_allclose(sf.sym_sqrt(np.diag([1 / 16, 1 / 9])),
