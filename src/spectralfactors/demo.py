@@ -16,7 +16,7 @@ from .divisors import SubspaceSpec, divisor_from_projector, projector_from_spec
 from .factors import extract_left_divisor, minimal_factor, verify_factor
 from .matnum import DEFAULT_TOL, ToleranceConfig
 from .spectral import conjugate_phase, spectrum_sample
-from .statespace import Realization
+from .statespace import Realization, eval_gap, series
 
 __all__ = ["reference_model", "reference_values", "run_demo", "DemoCheck"]
 
@@ -63,10 +63,6 @@ def reference_values() -> dict:
         "x": np.diag([-1.0 / 15.0, -1.0 / 32.0]),
         "y": np.diag([49.0 / 3.0, 100.0 / 3.0]),
         "z": (4.0 / 3.0) * np.eye(2),
-        "u1": np.diag([0.25, 1.0 / 3.0]),
-        "u2": 2.0 * np.eye(2),
-        "g1": np.diag([-15.0 / 4.0, -16.0 / 3.0]),
-        "g2": np.diag([-3.0 / 7.0, -3.0 / 10.0]),
         "b_plus": np.diag([-3.5, -5.0]),
         "d_plus": np.diag([0.25, 1.0 / 3.0]),
         "t_a": t_a, "t_b": t_b, "t_c": t_c, "t_d": t_d,
@@ -111,6 +107,7 @@ def run_demo(config: ToleranceConfig = DEFAULT_TOL) -> list[DemoCheck]:
     ref = reference_values()
     cp = conjugate_phase(w_minus, config)
     ext = cp.extremals
+    t_gamma = divisor_from_projector(cp, np.eye(4) - ref["pi_2"], config)
 
     checks = [
         DemoCheck("Stein solution X (zero direction)", _gap(ext.x, ref["x"]), tol,
@@ -120,12 +117,12 @@ def run_demo(config: ToleranceConfig = DEFAULT_TOL) -> list[DemoCheck]:
         DemoCheck("Stein solution Y (pole direction)", _gap(ext.y, ref["y"]), tol),
         DemoCheck("Stein solution Z = A Z A^T + B B^T", _gap(ext.z, ref["z"]),
                   tol),
-        DemoCheck("square roots U1, U2",
-                  max(_gap(ext.t1.d, ref["u1"]), _gap(ext.t2.d, ref["u2"])),
-                  tol),
-        DemoCheck("stage inputs G1, G2",
-                  max(_gap(ext.t1.b, ref["g1"]), _gap(ext.t2.b, ref["g2"])),
-                  tol),
+        DemoCheck("W+ = W- T_Gamma (divisor of the full Gamma block)",
+                  eval_gap(ext.w_plus, series(w_minus, t_gamma.t_ell),
+                           config=config), tol),
+        DemoCheck("Wbar+ = W- T",
+                  eval_gap(ext.w_bar_plus, series(w_minus, cp.t),
+                           config=config), tol),
         DemoCheck("maximum-phase factor B+, D+",
                   max(_gap(ext.w_plus.b, ref["b_plus"]),
                       _gap(ext.w_plus.d, ref["d_plus"])), tol),

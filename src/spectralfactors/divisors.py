@@ -60,7 +60,7 @@ from .matnum import (
     orth_projector,
     selection_basis,
 )
-from .spectral import ConjugatePhase, _allpass_completion, _j_identities
+from .spectral import ConjugatePhase, _allpass_completion
 from .statespace import Realization
 
 __all__ = [
@@ -211,12 +211,11 @@ def divisor_from_projector(cp: ConjugatePhase, pi,
                            "the conjugate phase state matrix")
 
     a_l, c_l, q_l = basis.T @ a @ basis, c @ basis, basis.T @ cp.p0_inv @ basis
-    b_l, d_l = _allpass_completion(a_l, c_l, q_l, config)
-    _j_identities(a_l, b_l, c_l, d_l, q_l, config).require("divisor")
+    t_ell, _ = _allpass_completion(a_l, c_l, q_l, "divisor", config)
     k = basis.shape[1]
     k_gamma = int(round(float(np.trace(pi[:cp.n_gamma, :cp.n_gamma]))))
-    return AllPassDivisor(t_ell=Realization(a_l, b_l, c_l, d_l), projector=pi,
-                          degree=k, subspace_dims=(k_gamma, k - k_gamma))
+    return AllPassDivisor(t_ell=t_ell, projector=pi, degree=k,
+                          subspace_dims=(k_gamma, k - k_gamma))
 
 
 def right_complement(cp: ConjugatePhase, div: AllPassDivisor,

@@ -72,12 +72,9 @@ class NoParameterFound(SpectralFactorsError):
 class NotOuter(SpectralFactorsError):
     """The supplied realization is not a valid outer (minimum-phase) factor:
     poles or zeros are not strictly inside the unit circle, the state or zero
-    matrix is singular, or the zero-direction Stein solution fails to be
-    negative definite."""
-
-
-class NotPositiveDefiniteY(SpectralFactorsError):
-    """The pole-direction Stein solution fails to be positive definite."""
+    matrix is singular, or the zero-direction Stein solution X fails to be
+    negative definite.  That is the only sign test on a Stein solution:
+    with Z > 0 it makes Y = Z - X^{-1} positive definite."""
 
 
 class GramianIdentityViolation(SpectralFactorsError):

@@ -2,29 +2,31 @@
 
 Input contract: a minimal realization of the outer (minimum-phase) spectral
 factor W-, square with invertible feedthrough, poles and zeros strictly
-inside the unit circle.  :func:`extremal_set` is the one construction of
+inside the unit circle.  :func:`conjugate_phase` is the one construction.
 
-* the stable/maximum-phase factor W+ and the all-pass quotient T1 =
-  W-^{-1} W+  (zeros flipped outside the circle),
-* the conjugate outer factor Wbar+ and the all-pass quotient T2 =
-  W+^{-1} Wbar+  (poles flipped outside the circle).
+It builds T = W-^{-1} Wbar+ from its state and output matrices alone,
+A_T = diag(Gamma, A^{-T}) and C_T = [D^{-1} C | B^T A^{-T}], whose Stein
+solution Q = [[X, -I], [-I, Z]] needs no inverse: its input and feedthrough
+are the all-pass completion of (C_T, A_T) from Q (Glover, Int. J. Control
+39, 1984).  An all-pass function is fixed by an observable (C, A) up to a
+constant orthogonal right factor, so every left divisor T_l is the same
+completion of a compression (:mod:`.divisors`), and every minimal factor
+is W- T_l.  The extremal factors are two members of that family, realized
+in closed form on n states:
 
-:func:`conjugate_phase` builds T = W-^{-1} Wbar+ from its state and output
-matrices alone, A_T = diag(Gamma, A^{-T}) and C_T = [D^{-1} C | B^T A^{-T}],
-whose Stein solution Q = [[X, -I], [-I, Z]] needs no inverse: its input and
-feedthrough are the all-pass completion of (C_T, A_T) from Q (Glover, Int.
-J. Control 39, 1984).  An all-pass function is fixed by an observable
-(C, A) up to a constant orthogonal right factor, so every left divisor is
-the same completion of a compression (:mod:`.divisors`).  A constant W-
-runs the same code on empty state blocks.
+* the stable maximum-phase factor W+ = W- T_Gamma, with T_Gamma the divisor
+  of the full Gamma block (zeros flipped outside the circle),
+* the conjugate outer factor Wbar+ = W- T (poles flipped outside the
+  circle).
 
-Outer-ness is validated rather than trusted: every sign and definiteness
-claim downstream depends on it.
+A constant W- runs the same code on empty state blocks.  Outer-ness is
+validated rather than trusted: every sign and definiteness claim downstream
+depends on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import null_space, polar
@@ -34,9 +36,8 @@ from .errors import (
     EvaluationAtPole,
     GramianIdentityViolation,
     NotOuter,
-    NotPositiveDefiniteY,
 )
-from .matnum import DEFAULT_TOL, ToleranceConfig, solve_stein, sym_sqrt
+from .matnum import DEFAULT_TOL, ToleranceConfig, solve_stein
 from .statespace import (
     Realization,
     _circle,
@@ -102,80 +103,17 @@ def validate_outer(w: Realization, config: ToleranceConfig = DEFAULT_TOL):
 
 @dataclass(frozen=True)
 class ExtremalSet:
-    """The extremal factors of the spectral density of W- together with the
-    stage quotients and the Stein solutions of the construction chain.
-
-    The stage blocks are read from the realizations: Gamma, G1, H1, U1 are
-    ``t1.a/.b/.c/.d``, G2, H2, U2 are ``t2.b/.c/.d`` (``t2.a`` is A^{-T}),
-    and B+, D+ are ``w_plus.b/.d``.
-    """
+    """The extremal factors W+ = W- T_Gamma and Wbar+ = W- T of the
+    spectral density of W-, with the Stein solutions X and Z (the diagonal
+    blocks of Q) and Y = A Y A^T + B+ B+^T, B+ = ``w_plus.b``.  Y equals
+    Z - X^{-1}, positive definite because X < 0 < Z."""
 
     w_minus: Realization
     w_plus: Realization
     w_bar_plus: Realization
-    t1: Realization
-    t2: Realization
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
-
-
-def extremal_set(w_minus: Realization,
-                 config: ToleranceConfig = DEFAULT_TOL) -> ExtremalSet:
-    """Validate W- and build its extremal factors in two all-pass stages.
-
-    * Zero flip: X solves  Gamma^T X Gamma = X + H1^T H1  (H1 = D^{-1} C)
-      and must be negative definite; T1 = W-^{-1} W+, and W+ = W- T1 keeps
-      A and carries the zeros of W- reflected outside the circle.
-    * Pole flip: Y solves  Y = A Y A^T + B+ B+^T  and must be positive
-      definite; T2 = W+^{-1} Wbar+, and Wbar+ = W+ T2 is realized directly
-      on n states with state matrix A^{-T}.
-
-    Z solves  Z = A Z A^T + B B^T,  the Stein equation of W- itself.
-    Raises NotOuter, SingularFeedthrough or NotPositiveDefiniteY.
-    """
-    w_inv = validate_outer(w_minus, config)
-    a, b, c, d = w_minus.a, w_minus.b, w_minus.c, w_minus.d
-    eye = np.eye(w_minus.n_in)
-
-    gamma = w_inv.a
-    h1 = w_inv.d @ c
-    x = solve_stein(gamma, h1.T @ h1, config)
-    wx = np.linalg.eigvalsh(x)
-    if x.size and wx[-1] >= -config.rank_rel_tol * abs(wx[0]):
-        raise NotOuter(
-            "zero-direction Stein solution is not negative definite; the "
-            "realization is not a minimal outer factor"
-        )
-    x_inv = np.linalg.inv(x)
-    u1 = sym_sqrt(eye + h1 @ x_inv @ h1.T, config)
-    g1 = gamma @ x_inv @ h1.T @ np.linalg.inv(u1)
-    t1 = Realization(gamma, g1, h1, u1)
-    w_plus = Realization(a, b @ u1 + g1, c, d @ u1)
-
-    a_inv_t = np.linalg.inv(a).T
-    b_plus = w_plus.b
-    h2 = b_plus.T @ a_inv_t
-    # Reachability form Y = A Y A^T + B+ B+^T of the pole-direction Stein
-    # equation; its right-hand side is far better scaled than H2^T H2 when
-    # A has small eigenvalues.
-    y = solve_stein(a.T, -(b_plus @ b_plus.T), config)
-    wy = np.linalg.eigvalsh(y)
-    if y.size and wy[0] <= config.rank_rel_tol * abs(wy[-1]):
-        raise NotPositiveDefiniteY(
-            "pole-direction Stein solution is not positive definite"
-        )
-    y_inv = np.linalg.inv(y)
-    u2 = sym_sqrt(eye + h2 @ y_inv @ h2.T, config)
-    g2 = a_inv_t @ y_inv @ h2.T @ np.linalg.inv(u2)
-    t2 = Realization(a_inv_t, g2, h2, u2)
-    # Direct n-state realization of W+ T2: the stable part cancels exactly.
-    w_bar_plus = Realization(a_inv_t, g2, c @ y + w_plus.d @ h2,
-                             w_plus.d @ u2)
-
-    z = solve_stein(a.T, -(b @ b.T), config)
-    return ExtremalSet(w_minus=w_minus, w_plus=w_plus, w_bar_plus=w_bar_plus,
-                       t1=t1, t2=t2, x=x, y=y, z=z)
 
 
 @dataclass(frozen=True)
@@ -224,17 +162,18 @@ def _j_identities(a, b, c, d, q, config) -> GramianCheck:
     return GramianCheck(*res, passed=max(res) <= config.residual_tol)
 
 
-def _allpass_completion(a, c, q, config):
-    """All-pass completion [B; D] of an observable (C, A) from its Stein
-    solution Q, with  A^T Q A - Q = C^T C.
+def _allpass_completion(a, c, q, what, config):
+    """Certified all-pass completion (A, B, C, D) of an observable (C, A)
+    from its Stein solution Q, with  A^T Q A - Q = C^T C.
 
     [B; D] spans the diag(Q, -I)-orthogonal complement of [A; C]; the m x m
     Gram matrix of that complement is negative definite whenever Q is
     nonsingular (inertia), and scaling by it gives B^T Q B - D^T D = -I.
     D is taken to its symmetric positive definite polar factor.  Returns
-    (B, D); :func:`_j_identities` certifies them.
+    the realization and its :func:`_j_identities` check.
 
-    Raises CompressionNotPD if the Gram matrix fails the definiteness test.
+    Raises CompressionNotPD if the Gram matrix fails the definiteness test
+    and GramianIdentityViolation naming ``what`` if the identities fail.
     """
     n, m = a.shape[0], c.shape[0]
     basis = null_space(np.hstack([a.T @ q, -c.T])) if n else np.eye(m)
@@ -249,7 +188,9 @@ def _allpass_completion(a, c, q, config):
     bd = basis @ (u / np.sqrt(w))
     rot, _ = polar(bd[n:], side="left")
     bd = bd @ rot.T
-    return bd[:n], bd[n:]
+    b, d = bd[:n], bd[n:]
+    check = _j_identities(a, b, c, d, q, config).require(what)
+    return Realization(a, b, c, d), check
 
 
 @dataclass(frozen=True)
@@ -287,30 +228,64 @@ def check_gramian_identities(cp: ConjugatePhase,
 
 def conjugate_phase(w_minus: Realization,
                     config: ToleranceConfig = DEFAULT_TOL) -> ConjugatePhase:
-    """Assemble the conjugate phase function of the spectral density of W-.
+    """Validate W- and build its conjugate phase function and extremal set.
 
-    The 2n-state realization has state matrix diag(Gamma, A^{-T}) and output
-    matrix [H1 | B^T A^{-T}]; its input and feedthrough matrices are the
-    all-pass completion from Q = [[X, -I], [-I, Z]], with a symmetric
-    positive definite feedthrough.  The off-diagonal -I is exact: it is the
-    identity Gamma^T + H1^T B^T = A^T.
+    X solves  Gamma^T X Gamma = X + H1^T H1  (H1 = D^{-1} C) and must be
+    negative definite; Z solves  Z = A Z A^T + B B^T.  The 2n-state
+    realization of T has state matrix diag(Gamma, A^{-T}) and output matrix
+    [H1 | B^T A^{-T}]; its input and feedthrough matrices are the all-pass
+    completion from Q = [[X, -I], [-I, Z]], with a symmetric positive
+    definite feedthrough.  The off-diagonal -I is exact: it is the identity
+    Gamma^T + H1^T B^T = A^T.
 
-    Raises what :func:`extremal_set` raises, CompressionNotPD if the
-    completion Gram matrix is not definite, and GramianIdentityViolation if
-    the all-pass identities fail beyond tolerance.
+    The extremal factors follow in closed form on n states:
+
+    * W+ = W- T_Gamma = (A, B D_Gamma + B_Gamma, C, D D_Gamma), where
+      (B_Gamma, D_Gamma) completes (H1, Gamma) from X: the Gamma states of
+      the cascade reduce to A through  W- H1 (zI - Gamma)^{-1} =
+      C (zI - A)^{-1};
+    * Wbar+ = W- T = (A^{-T}, B_T[n:], C Z + D B^T A^{-T}, D D_T): the
+      Gamma states are unobservable, and the A states cancel because Z
+      solves the Sylvester equation of the cross term.
+
+    Raises NotOuter, SingularFeedthrough, CompressionNotPD if a completion
+    Gram matrix is not definite, and GramianIdentityViolation if T or
+    T_Gamma fails its all-pass identities beyond tolerance.
     """
-    ext = extremal_set(w_minus, config)
+    w_inv = validate_outer(w_minus, config)
+    a, b, c, d = w_minus.a, w_minus.b, w_minus.c, w_minus.d
     n = w_minus.n
-    gamma, a_inv_t = ext.t1.a, ext.t2.a
+    gamma = w_inv.a
+    h1 = w_inv.d @ c
+    x = solve_stein(gamma, h1.T @ h1, config)
+    wx = np.linalg.eigvalsh(x)
+    if x.size and wx[-1] >= -config.rank_rel_tol * abs(wx[0]):
+        raise NotOuter(
+            "zero-direction Stein solution is not negative definite; the "
+            "realization is not a minimal outer factor"
+        )
+    z = solve_stein(a.T, -(b @ b.T), config)
+    a_inv_t = np.linalg.inv(a).T
     a_t = np.block([[gamma, np.zeros((n, n))], [np.zeros((n, n)), a_inv_t]])
-    c_t = np.hstack([ext.t1.c, w_minus.b.T @ a_inv_t])
-    q = np.block([[ext.x, -np.eye(n)], [-np.eye(n), ext.z]])
-    b_t, d_t = _allpass_completion(a_t, c_t, q, config)
-    cp = ConjugatePhase(t=Realization(a_t, b_t, c_t, d_t), p0_inv=q,
-                        n_gamma=n, n_a=n, gamma=gamma, a_inv_t=a_inv_t,
-                        extremals=ext, gramian=None)
-    check = check_gramian_identities(cp, config).require("conjugate phase")
-    return replace(cp, gramian=check)
+    c_t = np.hstack([h1, b.T @ a_inv_t])
+    q = np.block([[x, -np.eye(n)], [-np.eye(n), z]])
+    t, check = _allpass_completion(a_t, c_t, q, "conjugate phase", config)
+    t_gamma, _ = _allpass_completion(gamma, h1, x, "full-Gamma divisor",
+                                     config)
+    w_plus = Realization(a, b @ t_gamma.d + t_gamma.b, c, d @ t_gamma.d)
+    w_bar_plus = Realization(a_inv_t, t.b[n:], c @ z + d @ b.T @ a_inv_t,
+                             d @ t.d)
+    y = solve_stein(a.T, -(w_plus.b @ w_plus.b.T), config)
+    ext = ExtremalSet(w_minus=w_minus, w_plus=w_plus, w_bar_plus=w_bar_plus,
+                      x=x, y=y, z=z)
+    return ConjugatePhase(t=t, p0_inv=q, n_gamma=n, n_a=n, gamma=gamma,
+                          a_inv_t=a_inv_t, extremals=ext, gramian=check)
+
+
+def extremal_set(w_minus: Realization,
+                 config: ToleranceConfig = DEFAULT_TOL) -> ExtremalSet:
+    """The extremal set that :func:`conjugate_phase` builds with T."""
+    return conjugate_phase(w_minus, config).extremals
 
 
 def spectrum_sample(w: Realization, z,

@@ -68,15 +68,28 @@ def random_outer(seed, n_max=5, m=2):
     raise RuntimeError(f"no admissible model for seed {seed}")
 
 
-def recipe_outer(n, seed):
-    """The benchmark's random outer recipe (``bench/workloads.py``) with no
-    filter on conditioning or on what the library does with the model:
-    model ``seed`` of state dimension ``n`` in the probe stream 99."""
+def bench_workloads():
+    """The benchmark's model generators, ``bench/workloads.py``."""
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     wl = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(wl)
+    return wl
+
+
+def recipe_outer(n, seed):
+    """The benchmark's random outer recipe with no filter on conditioning
+    or on what the library does with the model: model ``seed`` of state
+    dimension ``n`` in the probe stream 99."""
+    wl = bench_workloads()
     return sf.Realization(*wl.random_outer(wl._rng(99, n, seed), n))
+
+
+def full_gamma_divisor(cp):
+    """The left divisor of the whole Gamma block; W+ = W- times it."""
+    pi = np.zeros((cp.t.n, cp.t.n))
+    pi[:cp.n_gamma, :cp.n_gamma] = np.eye(cp.n_gamma)
+    return sf.divisor_from_projector(cp, pi)
 
 
 def circle_points(k):

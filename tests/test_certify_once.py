@@ -1,6 +1,6 @@
 """Certified facts are computed once and carried forward.
 
-The conjugate phase carries its Gramian check, ``verify_factor`` reduces a
+The conjugate phase carries the Gramian check of its completion, ``verify_factor`` reduces a
 candidate once, and ``spectrum_gap`` refuses densities of another width.
 ``minimal_factor`` and ``extract_left_divisor`` take the degree of W- from
 the certified conjugate phase and never reduce W- or a just-reduced factor;
@@ -63,10 +63,15 @@ def test_conjugate_phase_carries_its_gramian_check(make):
 def test_cli_analyze_checks_the_gramian_once(monkeypatch, tmp_path, ref_model):
     path = tmp_path / "model.json"
     write_model(path, ref_model, name="reference")
-    calls = _count_calls(monkeypatch, spectral, "check_gramian_identities")
+    rechecks = _count_calls(monkeypatch, spectral, "check_gramian_identities")
+    completions = _count_calls(monkeypatch, spectral, "_allpass_completion")
     result = CliRunner().invoke(main, ["analyze", str(path)])
     assert result.exit_code == 0
-    assert len(calls) == 1
+    # T and the full-Gamma divisor behind W+ are each completed and
+    # certified once; nothing checks T again.
+    assert [args[3] for args in completions] == ["conjugate phase",
+                                                "full-Gamma divisor"]
+    assert rechecks == []
     report = json.loads(result.output)
     assert report["gramian_pass"] is True
     assert (report["gramian_residuals"]

@@ -12,6 +12,8 @@ import spectralfactors as sf
 from spectralfactors.cli import main
 from spectralfactors.modelio import read_model, write_model
 
+from helpers import circle_points, recipe_outer
+
 
 @pytest.fixture
 def runner():
@@ -48,6 +50,27 @@ class TestAnalyze:
                         np.diag([0.5, 2.0 / 3.0]), atol=1e-10)
         assert report["gramian_pass"] is True
         assert len(report["eigenvalues"]["gamma_blocks"]) == 2
+
+    def test_report_keys_and_conjugate_outer_factor(self, runner, tmp_path):
+        w = recipe_outer(5, 3)
+        path = tmp_path / "recipe.json"
+        write_model(path, w, name="recipe")
+        result = runner.invoke(main, ["analyze", str(path)])
+        assert result.exit_code == 0
+        report = json.loads(result.output)
+        assert list(report) == [
+            "model", "moebius_a", "w_plus", "w_bar_plus", "conjugate_phase",
+            "x", "y", "z", "p0_inv", "gramian_residuals", "gramian_pass",
+            "eigenvalues"]
+        # Wbar+ = W- T on the circle, both read from the report
+        def realization(key):
+            return sf.Realization(*(np.array(report[key][k])
+                                    for k in "ABCD"))
+        zs = circle_points(256)
+        vals = sf.evalfr_many(realization("w_bar_plus"), zs)
+        prod = sf.evalfr_many(w, zs) @ sf.evalfr_many(
+            realization("conjugate_phase"), zs)
+        assert np.max(np.abs(vals - prod)) <= 1e-12 * np.max(np.abs(vals))
 
     def test_constant_model(self, runner, tmp_path):
         path = tmp_path / "const.json"

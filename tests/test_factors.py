@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 import spectralfactors as sf
 from spectralfactors.statespace import transfer_equal
 
-from helpers import random_outer
+from helpers import bench_workloads, random_outer
 
 
 def wrong_direction_allpass(p=0.7):
@@ -185,3 +185,31 @@ class TestRoundTrip:
             w, report = sf.minimal_factor(ref_model, div)
             for p in report.pole_zero.poles:
                 assert np.min(np.abs(allowed - p)) <= 1e-8
+
+
+@pytest.fixture(scope="module")
+def roundtrip_2_7():
+    """Model 7 of round 2 of the benchmark's roundtrip-small workload at
+    seed 7 (n = 4), its conjugate phase and its 32 divisors, at the
+    workload's tolerances."""
+    config = sf.ToleranceConfig(circle_samples=64, residual_tol=1e-7)
+    w = sf.Realization(*bench_workloads().roundtrip_round(7, 2)[7])
+    cp = sf.conjugate_phase(w, config)
+    return w, cp, sf.enumerate_divisors(cp, config), config
+
+
+# The cofactor T+ = W0^{-1} Wbar+ has degree 2n - k only if Wbar+ is W- T;
+# a Wbar+ off by more than rounding leaves extra states in the reduction of
+# these five factors, and their extraction raises NotMinimalFactor.
+@pytest.mark.parametrize("index", [18, 19, 26, 30, 31])
+def test_roundtrip_2_7_extraction_certifies_degrees(roundtrip_2_7, index):
+    w, cp, divs, config = roundtrip_2_7
+    div = divs[index]
+    w_fac, _ = sf.minimal_factor(w, div, config)
+    t_minus, report = sf.extract_left_divisor(
+        w, w_fac, config, w_bar_plus=cp.extremals.w_bar_plus)
+    t_plus = sf.minimal(sf.series(sf.inverse(w_fac), cp.extremals.w_bar_plus),
+                        config)
+    assert report.passed
+    assert t_minus.n == div.degree
+    assert t_minus.n + t_plus.n == 2 * w.n

@@ -11,7 +11,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import spectralfactors as sf
-from helpers import random_outer, recipe_outer, ref_density_entry
+from helpers import (circle_points, full_gamma_divisor, random_outer,
+                     recipe_outer, ref_density_entry)
 
 
 def _sqrt_fraction(q):
@@ -23,13 +24,16 @@ def _sqrt_fraction(q):
 
 
 def rational_reference_chain():
-    """The whole construction chain for the reference model over Fractions,
-    channel by channel (the model is two decoupled scalar channels)."""
+    """The two-stage construction chain for the reference model over
+    Fractions, channel by channel (the model is two decoupled scalar
+    channels): zero flip to W+ by (G1, H1, U1), then pole flip to Wbar+ by
+    (G2, H2, U2).  The library builds both factors in closed form; the
+    chain is the independent derivation they are checked against."""
     a = Fraction(1, 2)
     zeros = (Fraction(1, 4), Fraction(1, 3))
     out = {"x": [], "u1": [], "g1": [], "b_plus": [], "d_plus": [],
            "y": [], "h2": [], "u2": [], "g2": [], "z": [],
-           "b_t": [], "d_t": []}
+           "c_bar_plus": [], "d_bar_plus": [], "b_t": [], "d_t": []}
     for gz in zeros:
         h1 = a - gz                       # D^{-1} C entry; gz is the zero
         x = (h1 * h1) / (gz * gz - 1)     # gz^2 x - x = h1^2
@@ -51,6 +55,8 @@ def rational_reference_chain():
         out["u2"].append(u2)
         out["g2"].append(g2)
         out["z"].append(y + 1 / x)
+        out["c_bar_plus"].append(h1 * y + d_plus * h2)   # C Y + D+ H2
+        out["d_bar_plus"].append(d_plus * u2)
         out["b_t"].append(g1 * u2 + g2 / x)
         out["d_t"].append(u1 * u2)
     return out
@@ -116,14 +122,16 @@ class TestValidateOuter:
 
 class TestOuterToPlus:
     def test_reference_chain(self, ref_model):
-        ext = sf.extremal_set(ref_model)
+        cp = sf.conjugate_phase(ref_model)
+        ext = cp.extremals
+        t_gamma = full_gamma_divisor(cp).t_ell
         assert RATIONAL["x"] == [Fraction(-1, 15), Fraction(-1, 32)]
         assert_allclose(ext.x, as_diag("x"), atol=1e-14)
-        assert_allclose(ext.t1.d, as_diag("u1"), atol=1e-14)
-        assert_allclose(ext.t1.b, as_diag("g1"), atol=1e-13)
+        assert_allclose(t_gamma.d, as_diag("u1"), atol=1e-14)
+        assert_allclose(t_gamma.b, as_diag("g1"), atol=1e-13)
         assert_allclose(ext.w_plus.b, as_diag("b_plus"), atol=1e-13)
         assert_allclose(ext.w_plus.d, as_diag("d_plus"), atol=1e-14)
-        assert sf.is_all_pass(ext.t1, tol=1e-10)
+        assert sf.is_all_pass(t_gamma, tol=1e-10)
 
     def test_flipped_zeros(self, ref_model):
         pz = sf.poles_zeros(sf.extremal_set(ref_model).w_plus)
@@ -131,10 +139,11 @@ class TestOuterToPlus:
         assert_allclose(sorted(pz.poles.real), [0.5, 0.5], atol=1e-12)
 
     def test_constant_model(self):
-        ext = sf.extremal_set(sf.identity(2))
-        assert ext.t1.n == 0
-        assert_allclose(ext.t1.d, np.eye(2))
-        assert ext.w_plus.n == 0
+        cp = sf.conjugate_phase(sf.identity(2))
+        t_gamma = full_gamma_divisor(cp).t_ell
+        assert t_gamma.n == 0
+        assert_allclose(t_gamma.d, np.eye(2))
+        assert cp.extremals.w_plus.n == 0
 
 
 class TestPlusToBarPlus:
@@ -142,10 +151,12 @@ class TestPlusToBarPlus:
         ext = sf.extremal_set(ref_model)
         assert RATIONAL["y"] == [Fraction(49, 3), Fraction(100, 3)]
         assert_allclose(ext.y, as_diag("y"), rtol=1e-13)
-        assert_allclose(ext.t2.c, as_diag("h2"), atol=1e-13)
-        assert_allclose(ext.t2.d, as_diag("u2"), atol=1e-13)
-        assert_allclose(ext.t2.b, as_diag("g2"), atol=1e-13)
-        assert sf.is_all_pass(ext.t2, tol=1e-10)
+        assert_allclose(ext.w_bar_plus.a, 2.0 * np.eye(2), atol=1e-13)
+        assert_allclose(ext.w_bar_plus.b, as_diag("g2"), atol=1e-13)
+        assert_allclose(ext.w_bar_plus.c, as_diag("c_bar_plus"), atol=1e-13)
+        assert_allclose(ext.w_bar_plus.d, as_diag("d_bar_plus"), atol=1e-13)
+        t2 = sf.series(sf.inverse(ext.w_plus), ext.w_bar_plus)
+        assert sf.is_all_pass(t2, tol=1e-10)
 
     def test_conjugate_outer_value_at_zero(self, ref_model):
         # entry (1,1) of the conjugate outer factor is (1/2)(z-4)/(z-2)
@@ -156,15 +167,17 @@ class TestPlusToBarPlus:
         assert_allclose(sf.evalfr(ext.w_bar_plus, 0.0)[0, 0],
                         float(expected), atol=1e-12)
 
-    def test_direct_form_matches_cascade(self, ref_model, config):
-        ext = sf.extremal_set(ref_model)
-        cascade = sf.minimal(sf.series(ext.w_plus, ext.t2))
+    def test_direct_form_matches_cascade(self, ref_model, ref_cp):
+        ext = ref_cp.extremals
+        cascade = sf.minimal(sf.series(ref_model, ref_cp.t))
         assert cascade.n == ext.w_bar_plus.n == 2
         from spectralfactors.statespace import eval_gap
         assert eval_gap(cascade, ext.w_bar_plus) <= 1e-10
 
     def test_constant_model(self):
-        assert sf.extremal_set(sf.identity(2)).t2.n == 0
+        ext = sf.extremal_set(sf.identity(2))
+        assert ext.w_bar_plus.n == 0
+        assert_allclose(ext.w_bar_plus.d, np.eye(2))
 
 
 class TestConjugatePhase:
@@ -284,8 +297,10 @@ class TestRandomModelInvariants:
         assert resid <= config.residual_tol * (1 + np.linalg.norm(ext.z))
         # all-pass quotients and the conjugate phase itself
         at_128 = sf.ToleranceConfig(circle_samples=128)
-        assert sf.is_all_pass(ext.t1, tol=1e-7, config=at_128)
-        assert sf.is_all_pass(ext.t2, tol=1e-7, config=at_128)
+        t1 = sf.series(sf.inverse(w), ext.w_plus)
+        t2 = sf.series(sf.inverse(ext.w_plus), ext.w_bar_plus)
+        assert sf.is_all_pass(t1, tol=1e-7, config=at_128)
+        assert sf.is_all_pass(t2, tol=1e-7, config=at_128)
         assert sf.is_all_pass(cp.t, tol=1e-7, config=at_128)
         assert sf.mcmillan_degree(cp.t) == 2 * n
         # spectra of all extremal factors agree
@@ -314,3 +329,38 @@ def test_recipe_conjugate_phase_is_all_pass(n, seed):
     assert cp.t.n == 2 * n and cp.gramian.passed
     at_256 = sf.ToleranceConfig(circle_samples=256)
     assert sf.allpass_residual(cp.t, at_256) <= 1e-12
+
+
+def _terms(r, zs):
+    """Size of the terms a circle evaluation of ``r`` sums: the largest
+    ||D|| + ||C|| ||(zI - A)^{-1} B|| over ``zs``."""
+    eye = np.eye(r.n)
+    return max(np.linalg.norm(r.d, 2) + np.linalg.norm(r.c, 2)
+               * np.linalg.norm(np.linalg.solve(z * eye - r.a, r.b), 2)
+               for z in zs)
+
+
+# Both extremal factors are members of the family W- T_l: Wbar+ = W- T and
+# W+ = W- T_Gamma, each realized in closed form on n states.  The output
+# map of W- shrinks with n in this recipe, so ||B+|| reaches 3e5 at n = 16
+# while |W+| stays near 1: every double-precision evaluation of W+, and of
+# W- T_Gamma, then carries about 3e-12 of rounding, so that gap is measured
+# against the size of the terms evaluated.
+@pytest.mark.parametrize("n,seed", [(n, seed) for n in (2, 4, 6, 8, 12, 16)
+                                    for seed in range(12)])
+def test_recipe_extremal_factors_are_family_members(n, seed):
+    w = recipe_outer(n, seed)
+    cp = sf.conjugate_phase(w)
+    ext = cp.extremals
+    zs = circle_points(256)
+    vals = sf.evalfr_many(ext.w_bar_plus, zs)
+    gap = np.max(np.abs(vals - sf.evalfr_many(sf.series(w, cp.t), zs)))
+    assert gap <= 1e-12 * np.max(np.abs(vals))
+    cascade = sf.series(w, full_gamma_divisor(cp).t_ell)
+    gap = np.max(np.abs(sf.evalfr_many(ext.w_plus, zs)
+                        - sf.evalfr_many(cascade, zs)))
+    assert gap <= 1e-12 * _terms(ext.w_plus, zs)
+    phi = sf.spectrum_samples(w, zs)
+    for other in (ext.w_plus, ext.w_bar_plus):
+        gap = np.max(np.abs(sf.spectrum_samples(other, zs) - phi))
+        assert gap <= 1e-6 * np.max(np.abs(phi))

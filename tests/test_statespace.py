@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 import spectralfactors as sf
 from spectralfactors.statespace import eval_gap, transfer_equal
 
-from helpers import ref_w_minus_entry
+from helpers import full_gamma_divisor, ref_w_minus_entry
 
 
 class TestRealization:
@@ -84,7 +84,8 @@ class TestSeries:
 
     def test_cascaded_stage_quotients_give_conjugate_phase(self, ref_model, ref_cp):
         ext = ref_cp.extremals
-        cascade = sf.series(ext.t1, ext.t2)
+        # T1 T2 = (W-^{-1} W+)(W+^{-1} Wbar+) = W-^{-1} Wbar+
+        cascade = sf.series(sf.inverse(ref_model), ext.w_bar_plus)
         reduced = sf.minimal(cascade)
         assert reduced.n == 4
         assert transfer_equal(reduced, ref_cp.t)
@@ -153,7 +154,7 @@ class TestAdjoint:
         assert np.max(np.abs(lhs - rhs)) <= 1e-9
 
     def test_involution_and_product_reversal(self, ref_model, ref_cp):
-        r1, r2 = ref_model, ref_cp.extremals.t1
+        r1, r2 = ref_model, full_gamma_divisor(ref_cp).t_ell
         assert eval_gap(sf.adjoint(sf.adjoint(r1)), r1) <= 1e-10
         lhs = sf.adjoint(sf.series(r1, r2))
         rhs = sf.series(sf.adjoint(r2), sf.adjoint(r1))
@@ -245,9 +246,11 @@ class TestMinimal:
         assert reduced.n == 0
         assert_allclose(reduced.d, np.eye(2), atol=1e-12)
 
-    def test_stage_cascade_dimension(self, ref_cp):
+    def test_stage_cascade_dimension(self, ref_model, ref_cp):
         ext = ref_cp.extremals
-        assert sf.minimal(sf.series(ext.t1, ext.t2)).n == 4
+        t1 = sf.series(sf.inverse(ref_model), ext.w_plus)
+        t2 = sf.series(sf.inverse(ext.w_plus), ext.w_bar_plus)
+        assert sf.minimal(sf.series(t1, t2)).n == 4
 
     def test_preserves_transfer(self, rng):
         for _ in range(3):
