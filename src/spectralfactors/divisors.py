@@ -16,7 +16,8 @@ completion of that compression, the same routine that builds T:
 normalized so the feedthrough Dl is symmetric positive definite.  The
 compression is minimal, so deg Tl = rank Pi.  Every divisor is certified
 by the completion's algebraic identity check, which implies the all-pass
-property at every point of the circle.
+property at every point of the circle.  It carries its factor W- Tl in
+closed form on n states.
 
 The right complement Tr with T = Tl Tr is closed form as well (Bart,
 Gohberg, Kaashoek & Van Dooren, SIAM J. Control Optim. 18, 1980).  The
@@ -60,7 +61,7 @@ from .matnum import (
     orth_projector,
     selection_basis,
 )
-from .spectral import ConjugatePhase, _allpass_completion
+from .spectral import ConjugatePhase, _allpass_completion, _factor
 from .statespace import Realization
 
 __all__ = [
@@ -122,13 +123,14 @@ class AllPassDivisor:
     """A left all-pass divisor with its generating data.
 
     ``t_ell`` is the all-pass completion of the compression onto the range
-    of ``projector`` and ``degree`` its McMillan degree, which is the rank
-    of the projector.  ``subspace_dims`` records the (gamma, a)
-    split of the generating subspace dimension; ``right_complement`` is
-    attached when degree additivity has been certified.
+    of ``projector``, ``factor`` is W- T_l in closed form on n states, and
+    ``degree``, the McMillan degree of T_l, is the rank of the projector.
+    ``subspace_dims`` records the (gamma, a) split of the subspace dimension;
+    ``right_complement`` is attached when degree additivity is certified.
     """
 
     t_ell: Realization
+    factor: Realization
     projector: np.ndarray
     degree: int
     subspace_dims: tuple = (0, 0)
@@ -194,6 +196,8 @@ def divisor_from_projector(cp: ConjugatePhase, pi,
         If the Gram matrix of the completion fails the definiteness test.
     GramianIdentityViolation
         If the completed divisor fails its all-pass identities.
+    DegreeViolation
+        If the modes deflated from the factor W- T_l get input.
     """
     pi = np.asarray(pi, dtype=float)
     a, c = cp.t.a, cp.t.c
@@ -214,7 +218,9 @@ def divisor_from_projector(cp: ConjugatePhase, pi,
     t_ell, _ = _allpass_completion(a_l, c_l, q_l, "divisor", config)
     k = basis.shape[1]
     k_gamma = int(round(float(np.trace(pi[:cp.n_gamma, :cp.n_gamma]))))
-    return AllPassDivisor(t_ell=t_ell, projector=pi, degree=k,
+    factor = _factor(cp.extremals.w_minus, cp.extremals.z, cp.a_inv_t, basis,
+                     t_ell, k - k_gamma, config)
+    return AllPassDivisor(t_ell=t_ell, factor=factor, projector=pi, degree=k,
                           subspace_dims=(k_gamma, k - k_gamma))
 
 

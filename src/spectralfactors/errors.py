@@ -52,11 +52,6 @@ class SingularFeedthrough(SpectralFactorsError):
     invert."""
 
 
-class SingularStateMatrix(SpectralFactorsError):
-    """The state matrix A is singular; shift the realization first (Moebius
-    change of variable)."""
-
-
 class ParameterHitsSpectrum(SpectralFactorsError):
     """The Moebius parameter collides with the spectrum of the state
     matrix."""
@@ -112,8 +107,8 @@ class DegreeAdditivityViolation(SpectralFactorsError):
 # --- factor generation and verification --------------------------------------
 
 class DegreeViolation(SpectralFactorsError):
-    """A generated factor does not have the expected McMillan degree
-    (numerical failure signal)."""
+    """A generated factor's closed form fails its certificate: the modes it
+    deflates get input (numerical failure; the message names the residual)."""
 
 
 class SpectrumMismatch(SpectralFactorsError):

@@ -3,8 +3,8 @@
 Every minimal spectral factor of the density of W- is W- times a left
 all-pass divisor of the conjugate phase function, and conversely the
 quotient W-^{-1} W0 of any minimal factor W0 is such a divisor.  This module
-generates factors from divisors, verifies candidate factors, and extracts
-and certifies the divisor of a given candidate.
+reports on the factor each divisor carries, verifies candidate factors,
+and extracts and certifies the divisor of a given candidate.
 
 Verification never raises on a mathematically bad *candidate* (bad
 candidates are data); exceptions are reserved for numerical breakdowns in
@@ -24,7 +24,6 @@ from .divisors import (
     projector_from_spec,
 )
 from .errors import (
-    DegreeViolation,
     DimensionMismatch,
     EvaluationAtPole,
     NotAFactor,
@@ -156,17 +155,14 @@ def _report(w, w_minus, expected, pz, config):
     )
 
 
-def _require_generated(report, what):
-    """Raise the typed error of a generated factor that failed its check."""
-    if report.degree != report.expected_degree:
-        raise DegreeViolation(
-            f"{what} has degree {report.degree}, expected "
-            f"{report.expected_degree}"
-        )
+def _require_generated(w, w_minus, n, what, config):
+    """Report on a generated factor on n states; raise if it fails."""
+    report = _report(w, w_minus, n, _inventory(w, config), config)
     if not report.passed:
         raise SpectrumMismatch(
             f"{what} spectrum residual {report.spectrum_residual:.3e}"
         )
+    return report
 
 
 def verify_factor(w: Realization, w_minus: Realization,
@@ -187,15 +183,13 @@ def minimal_factor(w_minus: Realization, div: AllPassDivisor,
                    config: ToleranceConfig = DEFAULT_TOL):
     """Minimal spectral factor W = W- T_l generated by a divisor.
 
-    Returns the reduced factor and its report.  The expected degree is the
-    n = deg W- that the conjugate phase certified (the divisor's projector
-    is 2n x 2n); a wrong degree or spectrum is a numerical failure and raises.
+    Returns ``div.factor``, the closed form on n states, and its report
+    against ``w_minus`` with the degree n that the conjugate phase certified
+    (the projector is 2n x 2n); a wrong spectrum is a numerical failure.
     """
-    w = minimal(series(w_minus, div.t_ell), config)
-    report = _report(w, w_minus, div.projector.shape[0] // 2,
-                     _inventory(w, config), config)
-    _require_generated(report, "generated factor")
-    return w, report
+    return div.factor, _require_generated(
+        div.factor, w_minus, div.projector.shape[0] // 2, "generated factor",
+        config)
 
 
 def extract_left_divisor(w_minus: Realization, w0: Realization,
@@ -265,8 +259,8 @@ def family_member(cp: ConjugatePhase, spec, w_minus: Realization,
     :class:`SubspaceSpec` or an orthogonal projector, ``w_minus`` the outer
     factor in the original variable and ``a`` the Moebius parameter that
     maps it to the working variable (None when ungated).  A gated factor is
-    mapped back to the original variable and re-verified against
-    ``w_minus``; a failure there raises.
+    mapped back to the original variable, still on n states, and
+    re-verified against ``w_minus``; a failure there raises.
 
     Returns the divisor, the factor and its verification report.
     """
@@ -286,10 +280,8 @@ def family_member(cp: ConjugatePhase, spec, w_minus: Realization,
             "infinity); it is representable only in the transformed "
             "variable"
         ) from exc
-    report = _report(w, w_minus, report.expected_degree,
-                     poles_zeros(w, config), config)
-    _require_generated(report, "mapped-back factor")
-    return div, w, report
+    return div, w, _require_generated(w, w_minus, report.expected_degree,
+                                      "mapped-back factor", config)
 
 
 def factor_family(w_minus: Realization, specs,

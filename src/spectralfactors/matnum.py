@@ -425,7 +425,7 @@ def selection_basis(m, selection, config: ToleranceConfig = DEFAULT_TOL):
 def is_invariant(m, v, config: ToleranceConfig = DEFAULT_TOL):
     """True iff the column space of ``v`` is invariant under ``m``.
 
-    Checks ``||M V - V (V^+ M V)|| <= residual_tol * max(1, ||M||)``.
+    Checks ``||M V - U U^T M V|| <= residual_tol * max(1, ||M||)``, U = orth V.
     """
     m = _as_matrix(m, "M")
     v = _as_matrix(v, "V")
@@ -437,6 +437,6 @@ def is_invariant(m, v, config: ToleranceConfig = DEFAULT_TOL):
     if s[0] == 0.0 or s[-1] <= config.rank_rel_tol * s[0]:
         raise RankDeficientBasis("V does not have full column rank")
     mv = m @ v
-    resid = mv - v @ (pseudo_inverse(v, config) @ mv)
+    resid = mv - u @ (u.T @ mv)
     return bool(np.linalg.norm(resid)
                 <= config.residual_tol * max(1.0, np.linalg.norm(m)))

@@ -11,8 +11,8 @@ are the all-pass completion of (C_T, A_T) from Q (Glover, Int. J. Control
 39, 1984).  An all-pass function is fixed by an observable (C, A) up to a
 constant orthogonal right factor, so every left divisor T_l is the same
 completion of a compression (:mod:`.divisors`), and every minimal factor
-is W- T_l.  The extremal factors are two members of that family, realized
-in closed form on n states:
+is W- T_l, in closed form on n states with no reduction.  The extremal
+factors are two members of that family:
 
 * the stable maximum-phase factor W+ = W- T_Gamma, with T_Gamma the divisor
   of the full Gamma block (zeros flipped outside the circle),
@@ -29,10 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space, polar
+from scipy.linalg import block_diag, null_space, polar
 
 from .errors import (
     CompressionNotPD,
+    DegreeViolation,
     EvaluationAtPole,
     GramianIdentityViolation,
     NotOuter,
@@ -193,6 +194,37 @@ def _allpass_completion(a, c, q, what, config):
     return Realization(a, b, c, d), check
 
 
+def _factor(w, z, f, v, t_l, k_a, config):
+    """W- T_l in closed form on n states, for W- = ``w`` = (A, B, C, D),
+    Z = A Z A^T + B B^T, F = A^{-T} and T_l on the invariant range of
+    V = [V_top; V_bot].  As W- H1 (zI - Gamma)^{-1} = C (zI - A)^{-1} and
+    B B^T F = (zI - A) Z - Z (zI - F), W- T_l = D D_l + C (zI - A)^{-1} B0 +
+    (C Z + D B^T F) (zI - F)^{-1} V_bot B_l, B0 = B D_l + (V_top - Z V_bot) B_l.
+    The ``k_a`` modes of A along V_a, the basis of the A^T-invariant range
+    V_bot, get no input, so they deflate onto U, the basis of its
+    A-invariant complement (Bart, Gohberg, Kaashoek & Van Dooren 1980).
+    Raises DegreeViolation, naming the residual, when ||V_a^T B0|| exceeds
+    ``config.residual_tol`` times the size of its terms."""
+    a, b, c, d, n = w.a, w.b, w.c, w.d, w.n
+    # V_bot V_bot^T projects onto range V_bot: eigenvalues 0 (U), then 1 (V_a)
+    e = np.linalg.eigh(v[n:] @ v[n:].T)[1]
+    u, v_a = e[:, :n - k_a], e[:, n - k_a:]
+    b_d, b_top, b_bot = b @ t_l.d, v[:n] @ t_l.b, v[n:] @ t_l.b
+    b0 = b_d + b_top - z @ b_bot
+    nrm = np.linalg.norm
+    residual = float(nrm(v_a.T @ b0))
+    scale = nrm(b_d) + nrm(b_top) + nrm(z) * nrm(b_bot)
+    if residual > config.residual_tol * scale:
+        raise DegreeViolation(
+            f"cancelled modes of the generated factor get input: residual "
+            f"{residual:.3e} > {config.residual_tol:.1e} x {scale:.3e}"
+        )
+    return Realization(block_diag(u.T @ a @ u, v_a.T @ f @ v_a),
+                       np.vstack([u.T @ b0, v_a.T @ b_bot]),
+                       np.hstack([c @ u, (c @ z + d @ b.T @ f) @ v_a]),
+                       d @ t_l.d)
+
+
 @dataclass(frozen=True)
 class ConjugatePhase:
     """Minimal realization of the conjugate phase function T = W-^{-1} Wbar+
@@ -238,19 +270,14 @@ def conjugate_phase(w_minus: Realization,
     definite feedthrough.  The off-diagonal -I is exact: it is the identity
     Gamma^T + H1^T B^T = A^T.
 
-    The extremal factors follow in closed form on n states:
-
-    * W+ = W- T_Gamma = (A, B D_Gamma + B_Gamma, C, D D_Gamma), where
-      (B_Gamma, D_Gamma) completes (H1, Gamma) from X: the Gamma states of
-      the cascade reduce to A through  W- H1 (zI - Gamma)^{-1} =
-      C (zI - A)^{-1};
-    * Wbar+ = W- T = (A^{-T}, B_T[n:], C Z + D B^T A^{-T}, D D_T): the
-      Gamma states are unobservable, and the A states cancel because Z
-      solves the Sylvester equation of the cross term.
+    The extremal factors are the closed form (:func:`_factor`) of W- T_Gamma,
+    W+ = (A, B D_Gamma + B_Gamma, C, D D_Gamma) with (B_Gamma, D_Gamma) the
+    completion of (H1, Gamma) from X, and Wbar+ = W- T = (A^{-T}, B_T[n:],
+    C Z + D B^T A^{-T}, D D_T).
 
     Raises NotOuter, SingularFeedthrough, CompressionNotPD if a completion
-    Gram matrix is not definite, and GramianIdentityViolation if T or
-    T_Gamma fails its all-pass identities beyond tolerance.
+    Gram matrix is not definite, GramianIdentityViolation if T or T_Gamma
+    fails its all-pass identities, and DegreeViolation from the closed form.
     """
     w_inv = validate_outer(w_minus, config)
     a, b, c, d = w_minus.a, w_minus.b, w_minus.c, w_minus.d
@@ -272,9 +299,8 @@ def conjugate_phase(w_minus: Realization,
     t, check = _allpass_completion(a_t, c_t, q, "conjugate phase", config)
     t_gamma, _ = _allpass_completion(gamma, h1, x, "full-Gamma divisor",
                                      config)
-    w_plus = Realization(a, b @ t_gamma.d + t_gamma.b, c, d @ t_gamma.d)
-    w_bar_plus = Realization(a_inv_t, t.b[n:], c @ z + d @ b.T @ a_inv_t,
-                             d @ t.d)
+    w_plus = _factor(w_minus, z, a_inv_t, np.eye(2 * n, n), t_gamma, 0, config)
+    w_bar_plus = _factor(w_minus, z, a_inv_t, np.eye(2 * n), t, n, config)
     y = solve_stein(a.T, -(w_plus.b @ w_plus.b.T), config)
     ext = ExtremalSet(w_minus=w_minus, w_plus=w_plus, w_bar_plus=w_bar_plus,
                       x=x, y=y, z=z)

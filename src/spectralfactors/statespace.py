@@ -19,7 +19,6 @@ from .errors import (
     NoParameterFound,
     ParameterHitsSpectrum,
     SingularFeedthrough,
-    SingularStateMatrix,
 )
 from .matnum import DEFAULT_TOL, ToleranceConfig
 
@@ -32,7 +31,6 @@ __all__ = [
     "evalfr_many",
     "series",
     "inverse",
-    "adjoint",
     "moebius",
     "moebius_image",
     "moebius_preimage",
@@ -234,19 +232,6 @@ def inverse(r: Realization, config: ToleranceConfig = DEFAULT_TOL) -> Realizatio
     d_inv = _inv(r.d, SingularFeedthrough, "feedthrough D", config)
     a = r.a - r.b @ d_inv @ r.c
     return Realization(a, r.b @ d_inv, -d_inv @ r.c, d_inv)
-
-
-def adjoint(r: Realization, config: ToleranceConfig = DEFAULT_TOL) -> Realization:
-    """Realization of G^*(z) = G(1/z)^T.
-
-    Requires A invertible; shift with a Moebius change of variable first if
-    it is not.
-    """
-    if r.n == 0:
-        return constant(r.d.T)
-    a_it = _inv(r.a, SingularStateMatrix, "state matrix A", config).T
-    return Realization(a_it, a_it @ r.c.T, -r.b.T @ a_it,
-                       r.d.T - r.b.T @ a_it @ r.c.T)
 
 
 def moebius_image(z, a: float):

@@ -1,5 +1,7 @@
 """Factor generation, verification and the converse extraction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,7 +9,8 @@ from numpy.testing import assert_allclose
 import spectralfactors as sf
 from spectralfactors.statespace import transfer_equal
 
-from helpers import bench_workloads, random_outer
+from helpers import (bench_workloads, circle_points, random_outer,
+                     recipe_outer)
 
 
 def wrong_direction_allpass(p=0.7):
@@ -213,3 +216,88 @@ def test_roundtrip_2_7_extraction_certifies_degrees(roundtrip_2_7, index):
     assert report.passed
     assert t_minus.n == div.degree
     assert t_minus.n + t_plus.n == 2 * w.n
+
+
+def _session_specs(cp):
+    """The benchmark session's specs: empty, all gamma, all a, and the first
+    block on each side."""
+    g_blocks = sf.eigen_blocks(cp.gamma)
+    a_blocks = sf.eigen_blocks(cp.a_inv_t)
+    return [sf.SubspaceSpec(), sf.SubspaceSpec(gamma_select=range(cp.n_gamma)),
+            sf.SubspaceSpec(a_select=range(cp.n_a)),
+            sf.SubspaceSpec(gamma_select=g_blocks[0].indices,
+                            a_select=a_blocks[0].indices)]
+
+
+def _reduced_cascade_gap(w, div):
+    """Largest gap between the factor a divisor carries and the Loewner
+    reduction of the cascade W- T_l, relative to the reduction's largest
+    value on the circle."""
+    zs = circle_points(256)
+    ref = sf.evalfr_many(sf.minimal(sf.series(w, div.t_ell)), zs)
+    gap = np.max(np.abs(sf.evalfr_many(div.factor, zs) - ref))
+    return gap / np.max(np.abs(ref))
+
+
+# Every factor is W- T_l in closed form on n states; the blind reduction of
+# the (n + k)-state cascade is its reference.
+@pytest.mark.parametrize("n,seed", [(n, seed)
+                                    for n in (2, 3, 4, 5, 6, 8, 12, 16)
+                                    for seed in range(12)])
+def test_recipe_factors_equal_the_reduced_cascade(n, seed):
+    w = recipe_outer(n, seed)
+    cp = sf.conjugate_phase(w)
+    g_last = sf.eigen_blocks(cp.gamma)[-1].indices
+    a_last = sf.eigen_blocks(cp.a_inv_t)[-1].indices
+    specs = _session_specs(cp) + [
+        sf.SubspaceSpec(gamma_select=range(n), a_select=range(n)),
+        sf.SubspaceSpec(gamma_select=g_last, a_select=a_last)]
+    for spec in specs:
+        div = sf.divisor_from_projector(cp, sf.projector_from_spec(cp, spec))
+        assert div.factor.n == n
+        assert _reduced_cascade_gap(w, div) <= 1e-10
+
+
+@pytest.mark.parametrize("theta", [0.0, np.pi / 6, np.pi / 4, np.pi / 2, 2.0])
+@pytest.mark.parametrize("gamma_select", [(), (0,), (0, 1)])
+def test_angle_family_factors_equal_the_reduced_cascade(ref_model, ref_cp,
+                                                        theta, gamma_select):
+    spec = sf.SubspaceSpec(gamma_select=gamma_select, a_basis=np.array(
+        [[np.cos(theta)], [np.sin(theta)]]))
+    div = sf.divisor_from_projector(ref_cp,
+                                    sf.projector_from_spec(ref_cp, spec))
+    assert div.factor.n == ref_model.n
+    assert _reduced_cascade_gap(ref_model, div) <= 1e-10
+
+
+# A Stein solution Z that does not belong to W- leaves the deflated modes
+# of A with input: the closed form refuses it and names the residual.
+@pytest.mark.parametrize("a_part", [(1, 0), (0, 1), (1, 1)])
+def test_inconsistent_closed_form_input_raises(ref_cp, a_part):
+    bad = dataclasses.replace(ref_cp, extremals=dataclasses.replace(
+        ref_cp.extremals, z=1.5 * ref_cp.extremals.z))
+    pi = np.diag((1.0, 0.0) + a_part)
+    with pytest.raises(sf.DegreeViolation,
+                       match=r"residual \d\.\d{3}e[-+]\d+ > 1\.0e-08"):
+        sf.divisor_from_projector(bad, pi)
+
+
+# The n = 32 sessions of the seasonal-large workload at seeds 7 and 1: the
+# Loewner cut of the 64-state W+ cascade kept 4 and 1 extra states, and
+# their extraction raised NotMinimalFactor.
+@pytest.mark.parametrize("seed,index", [(7, 1), (1, 2)])
+def test_seasonal_n32_session_extracts_every_spec(seed, index):
+    w = sf.Realization(*bench_workloads().seasonal_round(seed, index)[9])
+    assert w.n == 32
+    cp = sf.conjugate_phase(w)
+    for spec in _session_specs(cp):
+        div = sf.divisor_from_projector(cp,
+                                        sf.projector_from_spec(cp, spec))
+        w_fac, _ = sf.minimal_factor(w, div)
+        t_minus, report = sf.extract_left_divisor(
+            w, w_fac, w_bar_plus=cp.extremals.w_bar_plus)
+        t_plus = sf.minimal(sf.series(sf.inverse(w_fac),
+                                      cp.extremals.w_bar_plus))
+        assert report.passed
+        assert t_minus.n == div.degree
+        assert t_minus.n + t_plus.n == 64

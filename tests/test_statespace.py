@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 import spectralfactors as sf
 from spectralfactors.statespace import eval_gap, transfer_equal
 
-from helpers import full_gamma_divisor, ref_w_minus_entry
+from helpers import ref_w_minus_entry
 
 
 class TestRealization:
@@ -125,44 +125,6 @@ class TestInverse:
     def test_singular_feedthrough(self):
         with pytest.raises(sf.SingularFeedthrough):
             sf.inverse(sf.Realization([[0.5]], [[1.0]], [[1.0]], [[0.0]]))
-
-
-class TestAdjoint:
-    def test_constant(self):
-        d = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert_allclose(sf.adjoint(sf.constant(d)).d, d.T)
-
-    def test_reference_pole_set(self, ref_model):
-        adj = sf.adjoint(ref_model)
-        assert_allclose(sorted(np.linalg.eigvals(adj.a).real), [2.0, 2.0],
-                        atol=1e-12)
-
-    def test_reference_value(self, ref_model):
-        # adjoint at 3 equals W(1/3)^T = diag(-1/2, 0) in exact arithmetic
-        expected = [float(ref_w_minus_entry(Fraction(1, 3), i)) for i in range(2)]
-        assert expected == [-0.5, 0.0]
-        assert_allclose(sf.evalfr(sf.adjoint(ref_model), 3.0),
-                        np.diag(expected), atol=1e-13)
-
-    def test_defining_property(self, rng):
-        a = rng.normal(size=(3, 3)) + 1.5 * np.eye(3)
-        r = sf.Realization(a, rng.normal(size=(3, 2)),
-                           rng.normal(size=(2, 3)), rng.normal(size=(2, 2)))
-        zs = 0.4 * np.exp(2j * np.pi * rng.uniform(size=16))
-        lhs = sf.evalfr_many(sf.adjoint(r), zs)
-        rhs = np.swapaxes(sf.evalfr_many(r, 1.0 / zs), -1, -2)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-9
-
-    def test_involution_and_product_reversal(self, ref_model, ref_cp):
-        r1, r2 = ref_model, full_gamma_divisor(ref_cp).t_ell
-        assert eval_gap(sf.adjoint(sf.adjoint(r1)), r1) <= 1e-10
-        lhs = sf.adjoint(sf.series(r1, r2))
-        rhs = sf.series(sf.adjoint(r2), sf.adjoint(r1))
-        assert eval_gap(lhs, rhs) <= 1e-10
-
-    def test_singular_state_matrix(self):
-        with pytest.raises(sf.SingularStateMatrix):
-            sf.adjoint(sf.Realization([[0.0]], [[1.0]], [[1.0]], [[1.0]]))
 
 
 class TestMoebius:
