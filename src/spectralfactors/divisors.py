@@ -123,8 +123,8 @@ class AllPassDivisor:
     """A left all-pass divisor with its generating data.
 
     ``t_ell`` is the all-pass completion of the compression onto the range
-    of ``projector``, ``factor`` is W- T_l in closed form on n states, and
-    ``degree``, the McMillan degree of T_l, is the rank of the projector.
+    of ``projector`` (orthonormal basis ``basis``), ``factor`` is W- T_l in
+    closed form on n states, and ``degree`` = deg T_l = rank ``projector``.
     ``subspace_dims`` records the (gamma, a) split of the subspace dimension;
     ``right_complement`` is attached when degree additivity is certified.
     """
@@ -132,6 +132,7 @@ class AllPassDivisor:
     t_ell: Realization
     factor: Realization
     projector: np.ndarray
+    basis: np.ndarray
     degree: int
     subspace_dims: tuple = (0, 0)
     right_complement: Realization | None = None
@@ -220,7 +221,8 @@ def divisor_from_projector(cp: ConjugatePhase, pi,
     k_gamma = int(round(float(np.trace(pi[:cp.n_gamma, :cp.n_gamma]))))
     factor = _factor(cp.extremals.w_minus, cp.extremals.z, cp.a_inv_t, basis,
                      t_ell, k - k_gamma, config)
-    return AllPassDivisor(t_ell=t_ell, factor=factor, projector=pi, degree=k,
+    return AllPassDivisor(t_ell=t_ell, factor=factor, projector=pi,
+                          basis=basis, degree=k,
                           subspace_dims=(k_gamma, k - k_gamma))
 
 
@@ -238,8 +240,7 @@ def right_complement(cp: ConjugatePhase, div: AllPassDivisor,
     ``config.rank_rel_tol``; the message names the margin.
     """
     a, b, c, d = cp.t.a, cp.t.b, cp.t.c, cp.t.d
-    v = basis_from_projector(div.projector, config)
-    k = v.shape[1]
+    v, k = div.basis, div.degree
     v_perp = np.linalg.qr(v, mode="complete")[0][:, k:]
     w = np.linalg.qr(np.linalg.solve(cp.p0_inv, v_perp))[0]
     u, s, vt = np.linalg.svd(np.hstack([v, w]))

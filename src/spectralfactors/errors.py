@@ -122,5 +122,5 @@ class NotAFactor(SpectralFactorsError):
 
 
 class NotMinimalFactor(SpectralFactorsError):
-    """The candidate is a spectral factor but not minimal (divisor degree
-    additivity fails)."""
+    """The candidate is a spectral factor but not minimal: its degree, or
+    its divisor's, differs from what its pole/zero inventory certifies."""

@@ -38,8 +38,8 @@ from .spectral import (
     ConjugatePhase,
     allpass_residual,
     conjugate_phase,
-    extremal_set,
     spectrum_samples,
+    validate_outer,
 )
 from .statespace import (
     PoleZeroReport,
@@ -197,16 +197,16 @@ def extract_left_divisor(w_minus: Realization, w0: Realization,
                          w_bar_plus: Realization | None = None):
     """Extract and certify the divisor of a candidate minimal factor.
 
-    Computes T = W-^{-1} W0 reduced, requires it to be all-pass (otherwise
-    the candidate does not share the spectrum: NotAFactor), then certifies
-    degree additivity against the conjugate phase function through the
-    cofactor W0^{-1} Wbar+ (failure: NotMinimalFactor).  The degree n of
-    W- is the state count of Wbar+, which the conjugate phase certified.
-    A certified candidate realized on n states is minimal and is not reduced
-    again; a longer realization is reduced for its report.
+    T- = W-^{-1} W0, reduced, must be all-pass (else NotAFactor).  A minimal
+    factor has degree n, and its divisor flips exactly its poles and zeros
+    outside the unit circle, so deg T- is their number: both degrees are
+    certified from the candidate's inventory (else NotMinimalFactor).  Only
+    the state count n of ``w_bar_plus`` is read; without it, n is that of
+    the validated W-.  A candidate on more than n states is reduced.
 
     Returns the extracted divisor and a report on the candidate.
     """
+    n = (w_bar_plus or validate_outer(w_minus, config)).n
     t_minus = minimal(series(inverse(w_minus, config), w0), config)
     ap_res = allpass_residual(t_minus, config)
     if ap_res > ALLPASS_CERT_TOL:
@@ -214,18 +214,17 @@ def extract_left_divisor(w_minus: Realization, w0: Realization,
             f"quotient is not all-pass (residual {ap_res:.3e}); the candidate "
             "is not a spectral factor of the same density"
         )
-    if w_bar_plus is None:
-        w_bar_plus = extremal_set(w_minus, config).w_bar_plus
-    t_plus = minimal(series(inverse(w0, config), w_bar_plus), config)
-    n = w_bar_plus.n
-    if t_minus.n + t_plus.n != 2 * n:
-        raise NotMinimalFactor(
-            f"divisor degrees {t_minus.n} + {t_plus.n} != {2 * n}; the "
-            "candidate factor is not minimal"
-        )
     # W0 = W- T- with T- all-pass is a spectral factor, and no spectral
     # factor of this density has degree below n: on n states it is minimal.
     pz = _inventory(w0, config) if w0.n == n else poles_zeros(w0, config)
+    if pz.degree != n:
+        raise NotMinimalFactor(f"candidate degree {pz.degree} != {n}")
+    if pz.zeros is None:
+        raise NotMinimalFactor("candidate feedthrough is singular")
+    k = sum(int(np.sum(np.abs(v) > 1.0)) for v in (pz.poles, pz.zeros))
+    if t_minus.n != k:
+        raise NotMinimalFactor(f"divisor degree {t_minus.n} != {k}, the "
+                               "candidate's poles and zeros outside the disc")
     report = _report(w0, w_minus, n, pz, config)
     return t_minus, replace(report, allpass_residual=ap_res)
 

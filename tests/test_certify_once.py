@@ -4,12 +4,13 @@ The conjugate phase carries the Gramian check of its completion, ``verify_factor
 candidate once, and ``spectrum_gap`` refuses densities of another width.
 ``minimal_factor`` and ``extract_left_divisor`` take the degree of W- from
 the certified conjugate phase and never reduce W-; the extraction reduces
-only T- and T+, and a candidate on more than n states.  ``cli verify``
-validates W- once and hands its extremal set to the extraction.  A divisor
-is the compression of T onto the range of its projector, whose rank is its
-certified degree: it is never reduced, and neither is its closed-form right
-complement nor its factor W- T_l, which is closed form on n states, so
-``minimal_factor`` reduces nothing.
+only T- and a candidate on more than n states, and certifies both degrees
+from the candidate's pole/zero inventory.  ``cli verify`` validates W- once
+and hands its extremal set to the extraction.  A divisor is the compression
+of T onto the range of its projector, whose rank is its certified degree: it
+is never reduced, and neither is its closed-form right complement, built
+from the divisor's carried range basis, nor its factor W- T_l, which is
+closed form on n states, so ``minimal_factor`` reduces nothing.
 """
 
 import dataclasses
@@ -21,7 +22,7 @@ import pytest
 from click.testing import CliRunner
 
 import spectralfactors as sf
-from spectralfactors import divisors, spectral, statespace
+from spectralfactors import divisors, matnum, spectral, statespace
 from spectralfactors.cli import main
 from spectralfactors.demo import reference_model
 from spectralfactors.factors import spectrum_gap
@@ -117,18 +118,18 @@ def test_minimal_factor_reduces_only_the_cascade(monkeypatch, ref_model,
 
 
 @pytest.mark.parametrize("candidate", ["outer", "w_bar_minus"])
-def test_extract_left_divisor_reduces_two_systems(monkeypatch, ref_model,
-                                                  ref_values, ref_cp,
-                                                  candidate):
+def test_extract_left_divisor_reduces_one_system(monkeypatch, ref_model,
+                                                 ref_values, ref_cp,
+                                                 candidate):
     w0 = {"outer": ref_model, "w_bar_minus": ref_values["w_bar_minus"]}[
         candidate]
     calls = _count_calls(monkeypatch, statespace, "minimal")
     degrees = _count_calls(monkeypatch, statespace, "mcmillan_degree")
     _, report = sf.extract_left_divisor(
         ref_model, w0, w_bar_plus=ref_cp.extremals.w_bar_plus)
-    # T- = W-^{-1} W0 and T+ = W0^{-1} Wbar+; the certified candidate on n
-    # states is minimal and is not reduced.
-    assert len(calls) == 2 and not degrees
+    # T- = W-^{-1} W0 only; the certified candidate on n states is minimal
+    # and is not reduced.
+    assert len(calls) == 1 and not degrees
     assert all(args[0] is not ref_model and args[0] is not w0
                for args in calls)
     assert report.passed and report.expected_degree == ref_model.n
@@ -154,7 +155,7 @@ def test_extract_left_divisor_reduces_a_padded_candidate(monkeypatch,
         t_back, report = sf.extract_left_divisor(
             ref_model, w0, w_bar_plus=ref_cp.extremals.w_bar_plus)
         monkeypatch.undo()
-        assert len(calls) == 3 and calls[2][0] is w0
+        assert len(calls) == 2 and calls[1][0] is w0
         assert w0.n == n + 1
         assert report.passed
         assert report.degree == report.pole_zero.degree == n
@@ -171,6 +172,20 @@ def test_enumeration_and_complements_reduce_nothing(monkeypatch, make):
     assert calls == []
     sf.enumerate_divisors(cp)
     assert calls == []
+
+
+@pytest.mark.parametrize("make", MODELS.values(), ids=MODELS.keys())
+def test_enumeration_builds_each_basis_once(monkeypatch, make):
+    cp = sf.conjugate_phase(make())
+    bases = _count_calls(monkeypatch, matnum, "basis_from_projector")
+    divs = sf.enumerate_divisors(cp)
+    # One Gram-Schmidt per divisor; the right complement reads the carried
+    # basis.
+    assert len(bases) == len(divs)
+    for div in divs:
+        assert div.basis.shape == (cp.t.n, div.degree)
+        sf.right_complement(cp, div)
+    assert len(bases) == len(divs)
 
 
 @pytest.mark.parametrize("make", [MODELS["reference"], MODELS["random"]],
@@ -211,9 +226,9 @@ def test_cli_verify_carries_one_extremal_set(monkeypatch, tmp_path, ref_model,
     assert result.exit_code == 0, result.output
     # W- twice (validation, expected degree); the candidate once (its
     # report; the extraction does not reduce a certified n-state candidate);
-    # T- and T+ once each.
+    # T- once.
     assert len(checks) == 1
-    assert len(calls) == 5
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("make", MODELS.values(), ids=MODELS.keys())
@@ -229,7 +244,7 @@ def test_divisor_from_projector_reduces_nothing(monkeypatch, make):
 @pytest.mark.parametrize("make", MODELS.values(), ids=MODELS.keys())
 def test_divisor_degree_is_the_projector_rank(make):
     assert [f.name for f in dataclasses.fields(sf.AllPassDivisor)] == [
-        "t_ell", "factor", "projector", "degree", "subspace_dims",
+        "t_ell", "factor", "projector", "basis", "degree", "subspace_dims",
         "right_complement"]
     for div in sf.enumerate_divisors(sf.conjugate_phase(make())):
         assert div.t_ell.n == div.degree == sum(div.subspace_dims)

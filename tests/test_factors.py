@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import spectralfactors as sf
+from spectralfactors import factors
 from spectralfactors.statespace import transfer_equal
 
 from helpers import (bench_workloads, circle_points, random_outer,
@@ -118,6 +119,35 @@ class TestExtractLeftDivisor:
         with pytest.raises(sf.NotMinimalFactor):
             sf.extract_left_divisor(ref_model, w,
                                     w_bar_plus=ref_cp.extremals.w_bar_plus)
+
+    @pytest.mark.parametrize("carried", [True, False])
+    def test_delayed_candidate_is_not_minimal(self, ref_model, ref_cp,
+                                              carried):
+        # W- z^{-1} I shares the density and its quotient z^{-1} I is
+        # all-pass, but it has degree 4 and a singular feedthrough: the
+        # degree certificate fails before the zeros are read.
+        delay = sf.Realization(np.zeros((2, 2)), np.eye(2), np.eye(2),
+                               np.zeros((2, 2)))
+        w = sf.series(ref_model, delay)
+        extra = {"w_bar_plus": ref_cp.extremals.w_bar_plus} if carried else {}
+        with pytest.raises(sf.NotMinimalFactor, match="degree 4 != 2"):
+            sf.extract_left_divisor(ref_model, w, **extra)
+
+    def test_padded_divisor_cut_raises(self, monkeypatch, ref_model, ref_cp):
+        # A T- cut that keeps one state too many is never returned: its
+        # degree must equal the candidate's poles and zeros outside the disc.
+        idle = sf.Realization([[0.5]], np.zeros((1, 2)), np.zeros((2, 1)),
+                              np.eye(2))
+        monkeypatch.setattr(factors, "minimal",
+                            lambda r, config: sf.series(sf.minimal(r, config),
+                                                        idle))
+        for div in sf.enumerate_divisors(ref_cp):
+            w, _ = sf.minimal_factor(ref_model, div)
+            k = div.degree
+            with pytest.raises(sf.NotMinimalFactor,
+                               match=f"divisor degree {k + 1} != {k},"):
+                sf.extract_left_divisor(
+                    ref_model, w, w_bar_plus=ref_cp.extremals.w_bar_plus)
 
 
 class TestFactorFamily:

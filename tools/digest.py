@@ -24,7 +24,7 @@ repeated in clear at the end.  Covered:
 * the session specs of ``session_op`` over ``seasonal_round(7, 0)`` and
   ``varma_round(7, 0)``;
 * a Moebius-gated ``factor_family`` of the reference model and a few
-  deliberately bad inputs;
+  deliberately bad inputs, among them the non-minimal candidate W- z^{-1} I;
 * exit code, stdout, stderr and written files of every command of
   ``cli_mix`` for ``cli_inputs(1234, 0..1)``, each in a fresh interpreter.
 
@@ -192,6 +192,10 @@ def bad_inputs(ref, config):
             cp, sf.SubspaceSpec(gamma_basis=[[1.0], [1.0]]), config),
         "not_a_factor": lambda: sf.extract_left_divisor(
             ref, sf.Realization(ref.a, ref.b, 1.5 * ref.c, 1.5 * ref.d),
+            config),
+        "delayed_candidate": lambda: sf.extract_left_divisor(
+            ref, sf.series(ref, sf.Realization(np.zeros((2, 2)), np.eye(2),
+                                               np.eye(2), np.zeros((2, 2)))),
             config),
         "not_outer": lambda: sf.conjugate_phase(
             sf.Realization([[1.5]], [[1.0]], [[1.0]], [[1.0]]), config),
