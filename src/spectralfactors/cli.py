@@ -27,7 +27,7 @@ from .factors import (
     moebius_gate,
     verify_factor,
 )
-from .matnum import _MAX_CIRCLE_SAMPLES, DEFAULT_TOL, eigen_blocks
+from .matnum import _MAX_CIRCLE_SAMPLES, DEFAULT_TOL
 from .modelio import (
     ModelFileError,
     SpecFileError,
@@ -111,15 +111,10 @@ def _realization_dict(r: Realization):
     return {"A": _mat(r.a), "B": _mat(r.b), "C": _mat(r.c), "D": _mat(r.d)}
 
 
-def _block_table(m, config):
-    rows = []
-    for blk in eigen_blocks(m, config):
-        rows.append({
-            "kind": blk.kind,
-            "indices": list(blk.indices),
-            "eigenvalues": [[v.real, v.imag] for v in blk.eigenvalues],
-        })
-    return rows
+def _block_table(blocks):
+    return [{"kind": blk.kind, "indices": list(blk.indices),
+             "eigenvalues": [[v.real, v.imag] for v in blk.eigenvalues]}
+            for blk in blocks]
 
 
 _tol_option = click.option("--tol", type=float, default=None,
@@ -169,8 +164,8 @@ def analyze(model_path, out_path, tol, samples, moebius_value):
         "gramian_residuals": cp.gramian.residuals(),
         "gramian_pass": cp.gramian.passed,
         "eigenvalues": {
-            "gamma_blocks": _block_table(cp.gamma, config),
-            "a_blocks": _block_table(cp.a_inv_t, config),
+            "gamma_blocks": _block_table(cp.gamma_blocks),
+            "a_blocks": _block_table(cp.a_blocks),
         },
     }
     if a is not None:
@@ -216,7 +211,7 @@ def factors(model_path, specs_path, outdir, tol, samples, moebius_value):
     try:
         w_work, a = moebius_gate(doc.realization, moebius_param, config)
         cp = conjugate_phase(w_work, config)
-        specs = expand_spec_entries(entries, cp, config)
+        specs = expand_spec_entries(entries, cp)
     except SpecFileError as exc:
         _fail(EXIT_PARSE, str(exc))
     except SpectralFactorsError as exc:

@@ -39,6 +39,7 @@ sample through explicit bases.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import combinations
 
@@ -55,7 +56,6 @@ from .matnum import (
     DEFAULT_TOL,
     ToleranceConfig,
     basis_from_projector,
-    eigen_blocks,
     is_invariant,
     orth_basis,
     orth_projector,
@@ -82,8 +82,9 @@ class SubspaceSpec:
     """Description of an invariant subspace of diag(Gamma, A^{-T}).
 
     Each block is given either by ``*_select`` (indices into the canonically
-    ordered spectrum of that block) or by ``*_basis`` (explicit basis in
-    block coordinates), never both.  Empty selections are the default, so
+    ordered spectrum of that block, as ``ConjugatePhase.gamma_blocks`` and
+    ``a_blocks`` cover it) or by ``*_basis`` (explicit basis in block
+    coordinates), never both.  Empty selections are the default, so
     ``SubspaceSpec()`` describes the zero subspace.
     """
 
@@ -138,7 +139,16 @@ class AllPassDivisor:
     right_complement: Realization | None = None
 
 
-def _part_basis(block_matrix, select, basis, part, config):
+@contextmanager
+def _selection_of(part):
+    """Raise a broken selection rule on one side as InvalidSubspace."""
+    try:
+        yield
+    except SpectralFactorsError as exc:
+        raise InvalidSubspace(f"invalid {part} selection: {exc}") from exc
+
+
+def _part_basis(block_matrix, blocks, select, basis, part, config):
     """Orthonormal basis for one block of the subspace specification."""
     if basis is not None:
         if basis.shape[0] != block_matrix.shape[0]:
@@ -146,17 +156,16 @@ def _part_basis(block_matrix, select, basis, part, config):
                 f"{part} basis has {basis.shape[0]} rows, expected "
                 f"{block_matrix.shape[0]}"
             )
+        if not np.all(np.isfinite(basis)):
+            raise InvalidSubspace(f"{part} basis contains non-finite entries")
         q = orth_basis(basis, config)
         if not is_invariant(block_matrix, q, config):
             raise InvalidSubspace(
                 f"{part} basis does not span an invariant subspace"
             )
         return q
-    try:
-        return selection_basis(block_matrix, select, config)
-    except (SpectralFactorsError, ValueError) as exc:
-        # ValueError: an index outside the block's spectrum
-        raise InvalidSubspace(f"invalid {part} selection: {exc}") from exc
+    with _selection_of(part):
+        return selection_basis(blocks, select, config)
 
 
 def _block_projector(vg, va, config):
@@ -174,9 +183,10 @@ def projector_from_spec(cp: ConjugatePhase, spec: SubspaceSpec,
                         config: ToleranceConfig = DEFAULT_TOL):
     """Orthogonal projector onto the invariant subspace described by
     ``spec``.  Raises InvalidSubspace if the description is inconsistent."""
-    vg = _part_basis(cp.gamma, spec.gamma_select, spec.gamma_basis,
-                     "gamma", config)
-    va = _part_basis(cp.a_inv_t, spec.a_select, spec.a_basis, "a", config)
+    vg = _part_basis(cp.gamma, cp.gamma_blocks, spec.gamma_select,
+                     spec.gamma_basis, "gamma", config)
+    va = _part_basis(cp.a_inv_t, cp.a_blocks, spec.a_select, spec.a_basis,
+                     "a", config)
     return _block_projector(vg, va, config)
 
 
@@ -205,6 +215,8 @@ def divisor_from_projector(cp: ConjugatePhase, pi,
     n2 = a.shape[0]
     if pi.shape != (n2, n2):
         raise NotInvariant(f"projector must be {n2}x{n2}, got {pi.shape}")
+    if not np.all(np.isfinite(pi)):
+        raise NotInvariant("projector contains non-finite entries")
     scale = max(1.0, float(np.linalg.norm(pi)))
     if (np.linalg.norm(pi - pi.T) > config.residual_tol * scale
             or np.linalg.norm(pi @ pi - pi) > config.residual_tol * scale):
@@ -301,8 +313,7 @@ def enumerate_divisors(cp: ConjugatePhase,
     multiplicity >= 2 are reported as continuum families; the caller samples
     them through explicit bases.
     """
-    g_blocks = eigen_blocks(cp.gamma, config)
-    a_blocks = eigen_blocks(cp.a_inv_t, config)
+    g_blocks, a_blocks = cp.gamma_blocks, cp.a_blocks
     g_subsets, g_cont = _block_choices(g_blocks, "gamma")
     a_subsets, a_cont = _block_choices(a_blocks, "a")
 

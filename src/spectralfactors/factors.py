@@ -197,15 +197,19 @@ def extract_left_divisor(w_minus: Realization, w0: Realization,
                          w_bar_plus: Realization | None = None):
     """Extract and certify the divisor of a candidate minimal factor.
 
-    T- = W-^{-1} W0, reduced, must be all-pass (else NotAFactor).  A minimal
-    factor has degree n, and its divisor flips exactly its poles and zeros
-    outside the unit circle, so deg T- is their number: both degrees are
-    certified from the candidate's inventory (else NotMinimalFactor).  Only
-    the state count n of ``w_bar_plus`` is read; without it, n is that of
-    the validated W-.  A candidate on more than n states is reduced.
+    W0 must have the shape of W-, and T- = W-^{-1} W0, reduced, must be
+    all-pass (else NotAFactor).  A minimal factor has degree n, and its
+    divisor flips exactly its poles and zeros outside the unit circle, so
+    deg T- is their number: both degrees are certified from the candidate's
+    inventory (else NotMinimalFactor).  Only the state count n of
+    ``w_bar_plus`` is read; without it, n is that of the validated W-.  A
+    candidate on more than n states is reduced.
 
     Returns the extracted divisor and a report on the candidate.
     """
+    if (w0.n_out, w0.n_in) != (w_minus.n_out, w_minus.n_in):
+        raise NotAFactor(f"candidate is {w0.n_out}x{w0.n_in}, the outer "
+                         f"factor is {w_minus.n_out}x{w_minus.n_in}")
     n = (w_bar_plus or validate_outer(w_minus, config)).n
     t_minus = minimal(series(inverse(w_minus, config), w0), config)
     ap_res = allpass_residual(t_minus, config)

@@ -17,6 +17,7 @@ from scipy.linalg import schur, solve_discrete_lyapunov
 from .errors import (
     AmbiguousEigenspace,
     ComplexPairSplit,
+    InvalidSubspace,
     NotPositiveDefinite,
     RankDeficientBasis,
     SingularSteinOperator,
@@ -203,7 +204,8 @@ def orth_basis(v, config: ToleranceConfig = DEFAULT_TOL):
     if v.shape[1] == 0:
         return np.zeros((v.shape[0], 0))
     u, s, _ = np.linalg.svd(v, full_matrices=False)
-    if s[0] == 0.0 or s[-1] <= config.rank_rel_tol * s[0]:
+    if (v.shape[1] > v.shape[0] or s[0] == 0.0
+            or s[-1] <= config.rank_rel_tol * s[0]):
         raise RankDeficientBasis(
             f"basis matrix has rank below its column count {v.shape[1]}"
         )
@@ -382,26 +384,20 @@ def eigen_blocks(m, config: ToleranceConfig = DEFAULT_TOL):
     return blocks
 
 
-def selection_basis(m, selection, config: ToleranceConfig = DEFAULT_TOL):
-    """Basis of the invariant subspace picked by eigenvalue indices.
-
-    ``selection`` indexes the canonically ordered spectrum of ``m``.  A
-    complex pair must be selected whole (else ComplexPairSplit), and so must
-    a repeated eigenvalue: its full eigenspace is the one unambiguous choice,
-    proper subspaces need an explicit basis (else AmbiguousEigenspace).
-    """
-    m = _as_matrix(m, "M")
-    _require_square(m, "M")
-    n = m.shape[0]
-    sel = sorted(set(int(i) for i in selection))
+def _selected_blocks(blocks, selection):
+    """The blocks that eigenvalue indices pick.  Indices must lie in the
+    spectrum the blocks cover (else InvalidSubspace).  A complex pair must be
+    selected whole (else ComplexPairSplit), and so must a repeated
+    eigenvalue: its full eigenspace is the one unambiguous choice; a proper
+    subspace or a defective cluster needs an explicit basis (else
+    AmbiguousEigenspace)."""
+    n = sum(blk.dim for blk in blocks)
+    sel = set(int(i) for i in selection)
     if any(i < 0 or i >= n for i in sel):
-        raise ValueError(f"selection indices must lie in [0, {n})")
-    if not sel:
-        return np.zeros((n, 0))
-    blocks = eigen_blocks(m, config)
+        raise InvalidSubspace(f"selection indices must lie in [0, {n})")
     chosen = []
     for blk in blocks:
-        hit = [i for i in blk.indices if i in sel]
+        hit = sel.intersection(blk.indices)
         if not hit:
             continue
         if len(hit) < blk.dim:
@@ -417,9 +413,17 @@ def selection_basis(m, selection, config: ToleranceConfig = DEFAULT_TOL):
             raise AmbiguousEigenspace(
                 f"eigenvalue cluster at {blk.eigenvalues[0]} is defective"
             )
-        chosen.append(blk.basis)
-    v = np.hstack(chosen) if chosen else np.zeros((n, 0))
-    return orth_basis(v, config) if v.shape[1] else v
+        chosen.append(blk)
+    return chosen
+
+
+def selection_basis(blocks, selection, config: ToleranceConfig = DEFAULT_TOL):
+    """Orthonormal basis of the invariant subspace that eigenvalue indices
+    pick from ``blocks`` (:func:`eigen_blocks`, :func:`_selected_blocks`)."""
+    chosen = _selected_blocks(blocks, selection)
+    if not chosen:
+        return np.zeros((sum(blk.dim for blk in blocks), 0))
+    return orth_basis(np.hstack([blk.basis for blk in chosen]), config)
 
 
 def is_invariant(m, v, config: ToleranceConfig = DEFAULT_TOL):
@@ -433,9 +437,7 @@ def is_invariant(m, v, config: ToleranceConfig = DEFAULT_TOL):
         return True
     if v.shape[0] != m.shape[0]:
         raise ValueError("V rows must match M")
-    u, s, _ = np.linalg.svd(v, full_matrices=False)
-    if s[0] == 0.0 or s[-1] <= config.rank_rel_tol * s[0]:
-        raise RankDeficientBasis("V does not have full column rank")
+    u = orth_basis(v, config)
     mv = m @ v
     resid = mv - u @ (u.T @ mv)
     return bool(np.linalg.norm(resid)

@@ -14,8 +14,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .divisors import SubspaceSpec, continuum_angle_basis
-from .matnum import ToleranceConfig, _as_matrix, eigen_blocks
+from .divisors import SubspaceSpec, _selection_of, continuum_angle_basis
+from .matnum import ToleranceConfig, _as_matrix, _selected_blocks
 from .statespace import Realization
 
 __all__ = [
@@ -181,56 +181,34 @@ def _entry_to_spec(entry) -> SubspaceSpec:
     return SubspaceSpec(**kwargs)
 
 
-def _expand_theta(entry, cp, config) -> list[SubspaceSpec]:
+def _expand_theta(entry, cp) -> list[SubspaceSpec]:
     """Expand a theta_grid entry into one spec per sampled angle.
 
-    The sampled eigenspace is the unique two-dimensional repeated eigenvalue
-    cluster covered by the entry's selections; its selected indices are
-    replaced by explicit one-dimensional angle bases while other selected
-    blocks keep their invariant bases.
+    The entry's selections obey the rules of a plain entry (InvalidSubspace
+    otherwise) and must pick exactly one repeated eigenvalue cluster, of
+    dimension two.  Its selected indices are replaced by explicit
+    one-dimensional angle bases, while other selected blocks keep their
+    invariant bases.
     """
+    chosen = {}
+    for part, blocks in (("gamma", cp.gamma_blocks), ("a", cp.a_blocks)):
+        with _selection_of(part):
+            chosen[part] = _selected_blocks(
+                blocks, entry.get(f"{part}_select", ()))
+    targets = [(part, blk) for part, blks in chosen.items() for blk in blks
+               if blk.kind == "repeated"]
+    if len(targets) != 1 or targets[0][1].dim != 2:
+        raise SpecFileError("theta_grid entry must select exactly one "
+                            "repeated eigenspace, of dimension two")
+    part, target = targets[0]
     count = entry["theta_grid"]
-    sides = {"gamma": cp.gamma, "a": cp.a_inv_t}
-    target = None
-    fixed = {"gamma": [], "a": []}
-    for part, matrix in sides.items():
-        select = set(int(i) for i in entry.get(f"{part}_select", ()))
-        if not select:
-            continue
-        for blk in eigen_blocks(matrix, config):
-            hit = select & set(blk.indices)
-            if not hit:
-                continue
-            if hit != set(blk.indices):
-                raise SpecFileError(
-                    f"selection splits the eigenvalue cluster at "
-                    f"{blk.eigenvalues[0]}"
-                )
-            if blk.dim >= 2 and blk.kind == "repeated":
-                if blk.dim != 2:
-                    raise SpecFileError(
-                        "theta_grid sampling needs a two-dimensional eigenspace"
-                    )
-                if target is not None:
-                    raise SpecFileError(
-                        "theta_grid entry selects more than one repeated "
-                        "eigenspace"
-                    )
-                target = (part, blk)
-            else:
-                fixed[part].append(blk.basis)
-    if target is None:
-        raise SpecFileError(
-            "theta_grid entry does not select a repeated eigenspace"
-        )
-    part, blk = target
     out = []
     for j in range(count):
         theta = np.pi * j / count
-        angle = continuum_angle_basis(blk.basis, theta)
+        angle = continuum_angle_basis(target.basis, theta)
         kwargs = {}
-        for p in ("gamma", "a"):
-            cols = list(fixed[p])
+        for p, blks in chosen.items():
+            cols = [blk.basis for blk in blks if blk is not target]
             if p == part:
                 cols.append(angle)
             if cols:
@@ -242,13 +220,13 @@ def _expand_theta(entry, cp, config) -> list[SubspaceSpec]:
     return out
 
 
-def expand_spec_entries(entries, cp, config) -> list[SubspaceSpec]:
+def expand_spec_entries(entries, cp) -> list[SubspaceSpec]:
     """Resolve raw spec entries into subspace specifications, expanding
     theta grids against the given conjugate phase structure."""
     specs = []
     for entry in entries:
         if "theta_grid" in entry:
-            specs.extend(_expand_theta(entry, cp, config))
+            specs.extend(_expand_theta(entry, cp))
         else:
             specs.append(_entry_to_spec(entry))
     return specs

@@ -38,7 +38,7 @@ from .errors import (
     GramianIdentityViolation,
     NotOuter,
 )
-from .matnum import DEFAULT_TOL, ToleranceConfig, solve_stein
+from .matnum import DEFAULT_TOL, ToleranceConfig, eigen_blocks, solve_stein
 from .statespace import (
     Realization,
     _circle,
@@ -238,7 +238,9 @@ class ConjugatePhase:
     ``gramian`` holds the identity residuals that :func:`conjugate_phase`
     certified.  T is minimal by construction: (C_T, A_T) is observable
     blockwise, and an all-pass realization with observable (C, A) and
-    nonsingular Q is controllable.
+    nonsingular Q is controllable.  ``gamma_blocks`` and ``a_blocks``, the
+    :func:`.matnum.eigen_blocks` of ``gamma`` and ``a_inv_t``, are the blocks
+    that the enumeration toggles and that ``SubspaceSpec`` indices refer to.
     """
 
     t: Realization
@@ -249,6 +251,8 @@ class ConjugatePhase:
     a_inv_t: np.ndarray
     extremals: ExtremalSet
     gramian: GramianCheck
+    gamma_blocks: tuple
+    a_blocks: tuple
 
 
 def check_gramian_identities(cp: ConjugatePhase,
@@ -273,7 +277,7 @@ def conjugate_phase(w_minus: Realization,
     The extremal factors are the closed form (:func:`_factor`) of W- T_Gamma,
     W+ = (A, B D_Gamma + B_Gamma, C, D D_Gamma) with (B_Gamma, D_Gamma) the
     completion of (H1, Gamma) from X, and Wbar+ = W- T = (A^{-T}, B_T[n:],
-    C Z + D B^T A^{-T}, D D_T).
+    C Z + D B^T A^{-T}, D D_T).  Gamma and A^{-T} are clustered once, here.
 
     Raises NotOuter, SingularFeedthrough, CompressionNotPD if a completion
     Gram matrix is not definite, GramianIdentityViolation if T or T_Gamma
@@ -305,7 +309,9 @@ def conjugate_phase(w_minus: Realization,
     ext = ExtremalSet(w_minus=w_minus, w_plus=w_plus, w_bar_plus=w_bar_plus,
                       x=x, y=y, z=z)
     return ConjugatePhase(t=t, p0_inv=q, n_gamma=n, n_a=n, gamma=gamma,
-                          a_inv_t=a_inv_t, extremals=ext, gramian=check)
+                          a_inv_t=a_inv_t, extremals=ext, gramian=check,
+                          gamma_blocks=tuple(eigen_blocks(gamma, config)),
+                          a_blocks=tuple(eigen_blocks(a_inv_t, config)))
 
 
 def extremal_set(w_minus: Realization,

@@ -10,7 +10,11 @@ and hands its extremal set to the extraction.  A divisor is the compression
 of T onto the range of its projector, whose rank is its certified degree: it
 is never reduced, and neither is its closed-form right complement, built
 from the divisor's carried range basis, nor its factor W- T_l, which is
-closed form on n states, so ``minimal_factor`` reduces nothing.
+closed form on n states, so ``minimal_factor`` reduces nothing.  The
+eigenvalue blocks of Gamma and A^{-T} are clustered once, by
+``conjugate_phase``: the enumeration, the spec projectors and the theta-grid
+expansion read the carried blocks, so together they make two
+``eigen_blocks`` calls.
 """
 
 import dataclasses
@@ -26,7 +30,7 @@ from spectralfactors import divisors, matnum, spectral, statespace
 from spectralfactors.cli import main
 from spectralfactors.demo import reference_model
 from spectralfactors.factors import spectrum_gap
-from spectralfactors.modelio import write_model
+from spectralfactors.modelio import expand_spec_entries, write_model
 
 from helpers import random_outer
 
@@ -248,6 +252,22 @@ def test_divisor_degree_is_the_projector_rank(make):
         "right_complement"]
     for div in sf.enumerate_divisors(sf.conjugate_phase(make())):
         assert div.t_ell.n == div.degree == sum(div.subspace_dims)
+
+
+def test_spectral_structure_is_clustered_once(monkeypatch, ref_model):
+    blocks = _count_calls(monkeypatch, matnum, "eigen_blocks")
+    cp = sf.conjugate_phase(ref_model)
+    assert len(blocks) == 2
+    sf.enumerate_divisors(cp)
+    for spec in (sf.SubspaceSpec(),
+                 sf.SubspaceSpec(gamma_select=range(cp.n_gamma)),
+                 sf.SubspaceSpec(a_select=range(cp.n_a)),
+                 sf.SubspaceSpec(gamma_select=cp.gamma_blocks[0].indices,
+                                 a_select=cp.a_blocks[0].indices)):
+        sf.projector_from_spec(cp, spec)
+    specs = expand_spec_entries([{"a_select": [0, 1], "theta_grid": 2}], cp)
+    assert len(specs) == 2
+    assert [args[0] for args in blocks] == [cp.gamma, cp.a_inv_t]
 
 
 def test_divisor_input_leaving_the_range_raises(monkeypatch, ref_cp):

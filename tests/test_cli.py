@@ -274,6 +274,40 @@ class TestFactors:
         assert "error:" in result.output
 
 
+    # A theta entry obeys the index rules and exit codes of a plain one.
+    @pytest.mark.parametrize("select", [[0, 1, 7], [0]],
+                             ids=["out-of-range", "split-cluster"])
+    def test_theta_entry_exits_as_the_plain_entry(self, runner, model_path,
+                                                  tmp_path, select):
+        outputs = []
+        for entry in ({"a_select": select},
+                      {"a_select": select, "theta_grid": 2}):
+            specs = tmp_path / "specs.json"
+            specs.write_text(json.dumps({"specs": [entry]}))
+            result = runner.invoke(main, ["factors", model_path, str(specs),
+                                          "-d", str(tmp_path / "x")])
+            assert result.exit_code == 2
+            outputs.append(result.output)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].startswith("error: invalid a selection:")
+
+    def test_theta_entry_on_a_defective_cluster_exits_2(self, runner,
+                                                        tmp_path):
+        model = tmp_path / "defective.json"
+        write_model(model, sf.Realization([[0.5, 1.0], [0.0, 0.5]],
+                                          np.eye(2), 0.1 * np.eye(2),
+                                          np.eye(2)), name="defective")
+        specs = tmp_path / "specs.json"
+        specs.write_text(json.dumps({"specs": [
+            {"a_select": [0, 1], "theta_grid": 2}]}))
+        result = runner.invoke(main, ["factors", str(model), str(specs),
+                                      "-d", str(tmp_path / "x")])
+        assert result.exit_code == 2
+        assert result.exception is None or isinstance(result.exception,
+                                                      SystemExit)
+        assert "is defective" in result.output
+
+
 class TestVerify:
     def test_candidate_passes(self, runner, model_path, candidate_path):
         result = runner.invoke(main, ["verify", model_path, candidate_path])

@@ -61,6 +61,25 @@ class TestProjectorFromSpec:
         with pytest.raises(sf.InvalidSubspace):
             sf.projector_from_spec(ref_cp, spec)
 
+    def test_non_finite_basis_rejected(self, ref_cp):
+        spec = sf.SubspaceSpec(a_basis=[[np.nan], [1.0]])
+        with pytest.raises(sf.InvalidSubspace, match="non-finite"):
+            sf.projector_from_spec(ref_cp, spec)
+
+    def test_wide_basis_rejected(self, ref_cp):
+        spec = sf.SubspaceSpec(a_basis=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        with pytest.raises(sf.RankDeficientBasis):
+            sf.projector_from_spec(ref_cp, spec)
+
+    def test_selection_reads_the_carried_blocks(self, ref_cp):
+        assert [(b.kind, b.indices) for b in ref_cp.a_blocks] == [
+            ("repeated", (0, 1))]
+        assert [b.dim for b in ref_cp.gamma_blocks] == [1, 1]
+        pi = sf.projector_from_spec(ref_cp, sf.SubspaceSpec(
+            gamma_select=ref_cp.gamma_blocks[1].indices))
+        assert_allclose(pi[:2, :2], ref_cp.gamma_blocks[1].basis
+                        @ ref_cp.gamma_blocks[1].basis.T, atol=1e-12)
+
     def test_gamma_and_a_combined(self, ref_cp):
         spec = sf.SubspaceSpec(gamma_select=(0,), a_select=(0, 1))
         pi = sf.projector_from_spec(ref_cp, spec)
@@ -116,6 +135,11 @@ class TestDivisorFromProjector:
     def test_not_a_projector_rejected(self, ref_cp):
         with pytest.raises(sf.NotInvariant):
             sf.divisor_from_projector(ref_cp, 0.5 * np.eye(4))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_projector_rejected(self, ref_cp, value):
+        with pytest.raises(sf.NotInvariant, match="non-finite"):
+            sf.divisor_from_projector(ref_cp, np.full((4, 4), value))
 
     def test_non_invariant_range_rejected(self, ref_cp):
         v = np.array([[1.0], [1.0], [0.0], [0.0]]) / np.sqrt(2.0)

@@ -112,6 +112,16 @@ class TestExtractLeftDivisor:
         with pytest.raises(sf.NotAFactor):
             sf.extract_left_divisor(ref_model, doubled)
 
+    @pytest.mark.parametrize("shape", [(2, 1), (1, 2)], ids=["2x1", "1x2"])
+    def test_other_width_is_not_a_factor(self, ref_model, shape):
+        p, m = shape
+        w0 = sf.Realization(ref_model.a, ref_model.b[:, :m],
+                            ref_model.c[:p], ref_model.d[:p, :m])
+        with pytest.raises(sf.NotAFactor,
+                           match=f"candidate is {p}x{m}, the outer factor "
+                                 "is 2x2"):
+            sf.extract_left_divisor(ref_model, w0)
+
     def test_non_minimal_candidate(self, ref_model, ref_cp):
         # W- times a wrong-direction all-pass shares no cancellation, so the
         # quotient stays all-pass but the degree certificate fails
@@ -231,9 +241,11 @@ def roundtrip_2_7():
     return w, cp, sf.enumerate_divisors(cp, config), config
 
 
-# The cofactor T+ = W0^{-1} Wbar+ has degree 2n - k only if Wbar+ is W- T;
-# a Wbar+ off by more than rounding leaves extra states in the reduction of
-# these five factors, and their extraction raises NotMinimalFactor.
+# The extraction makes one reduction, of T- = W-^{-1} W0, and certifies
+# deg T- = k, the number of W0's poles and zeros outside the circle.  These
+# five factors once raised NotMinimalFactor there.  The test reduces
+# T+ = W0^{-1} Wbar+ itself: the degrees add up to 2n only if the carried
+# Wbar+ is W- T.
 @pytest.mark.parametrize("index", [18, 19, 26, 30, 31])
 def test_roundtrip_2_7_extraction_certifies_degrees(roundtrip_2_7, index):
     w, cp, divs, config = roundtrip_2_7

@@ -197,6 +197,12 @@ class TestOrthProjector:
         with pytest.raises(sf.RankDeficientBasis):
             sf.orth_projector(v)
 
+    def test_more_columns_than_rows_is_rank_deficient(self):
+        # Every singular value of [I | 0] is one, but three columns in the
+        # plane cannot be independent.
+        with pytest.raises(sf.RankDeficientBasis):
+            sf.orth_projector(np.eye(2, 3))
+
     def test_properties(self, rng):
         v = rng.normal(size=(6, 3))
         pi = sf.orth_projector(v)
@@ -225,28 +231,28 @@ class TestEigenStructure:
 
     def test_invariant_basis_simple_selection(self):
         m = np.diag([0.25, 1 / 3, 2.0, 2.0])
-        v = selection_basis(m, [0])
+        v = selection_basis(eigen_blocks(m), [0])
         assert_allclose(np.abs(v), np.array([[1.0], [0.0], [0.0], [0.0]]),
                         atol=1e-12)
 
     def test_invariant_basis_rejects_repeated(self):
         m = np.diag([0.25, 1 / 3, 2.0, 2.0])
         with pytest.raises(sf.AmbiguousEigenspace):
-            selection_basis(m, [2])
+            selection_basis(eigen_blocks(m), [2])
 
     def test_invariant_basis_both_simple(self):
         m = np.diag([0.25, 1 / 3])
-        v = selection_basis(m, [0, 1])
+        v = selection_basis(eigen_blocks(m), [0, 1])
         assert_allclose(sf.orth_projector(v), np.eye(2), atol=1e-12)
 
     def test_complex_pair_split_rejected(self):
         rot = np.array([[0.5, -0.4], [0.4, 0.5]])
         with pytest.raises(sf.ComplexPairSplit):
-            selection_basis(rot, [0])
+            selection_basis(eigen_blocks(rot), [0])
 
     def test_selection_allows_full_repeated_cluster(self):
         m = np.diag([0.25, 1 / 3, 2.0, 2.0])
-        v = selection_basis(m, [2, 3])
+        v = selection_basis(eigen_blocks(m), [2, 3])
         pi = sf.orth_projector(v)
         assert_allclose(pi, np.diag([0.0, 0.0, 1.0, 1.0]), atol=1e-10)
 
@@ -258,7 +264,7 @@ class TestEigenStructure:
         for blk in eigen_blocks(m):
             if blk.kind in ("real", "pair") and len(selection) + blk.dim <= 3:
                 selection.extend(blk.indices)
-        v = selection_basis(m, selection)
+        v = selection_basis(eigen_blocks(m), selection)
         assert sf.is_invariant(m, v)
 
 
@@ -281,6 +287,10 @@ class TestIsInvariant:
     def test_rank_deficient_raises(self):
         with pytest.raises(sf.RankDeficientBasis):
             sf.is_invariant(np.eye(3), np.ones((3, 2)))
+
+    def test_more_columns_than_rows_raises(self):
+        with pytest.raises(sf.RankDeficientBasis):
+            sf.is_invariant(np.eye(2), np.eye(2, 3))
 
 
 class TestBasisFromProjector:

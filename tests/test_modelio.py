@@ -101,11 +101,11 @@ class TestSpecFile:
         with pytest.raises(SpecFileError):
             read_spec_entries(path)
 
-    def test_theta_expansion(self, tmp_path, ref_cp, config):
+    def test_theta_expansion(self, tmp_path, ref_cp):
         path = self.write(tmp_path, {"specs": [
             {"a_select": [0, 1], "theta_grid": 4},
         ]})
-        specs = expand_spec_entries(read_spec_entries(path), ref_cp, config)
+        specs = expand_spec_entries(read_spec_entries(path), ref_cp)
         assert len(specs) == 4
         for j, spec in enumerate(specs):
             assert spec.a_basis.shape == (2, 1)
@@ -115,15 +115,34 @@ class TestSpecFile:
             assert min(np.linalg.norm(v - target),
                        np.linalg.norm(v + target)) <= 1e-12
 
-    def test_theta_needs_repeated_eigenspace(self, tmp_path, ref_cp, config):
+    def test_theta_needs_repeated_eigenspace(self, tmp_path, ref_cp):
         path = self.write(tmp_path, {"specs": [
             {"gamma_select": [0], "theta_grid": 4},
         ]})
         with pytest.raises(SpecFileError):
-            expand_spec_entries(read_spec_entries(path), ref_cp, config)
+            expand_spec_entries(read_spec_entries(path), ref_cp)
 
-    def test_plain_entries_pass_through(self, ref_cp, config):
-        specs = expand_spec_entries([{"a_select": [0, 1]}, {}], ref_cp, config)
+    @pytest.mark.parametrize("select", [[0, 1, 7], [0]],
+                             ids=["out-of-range", "split-cluster"])
+    def test_theta_entry_follows_the_plain_entry_rules(self, ref_cp, select):
+        with pytest.raises(sf.InvalidSubspace) as plain:
+            sf.projector_from_spec(ref_cp, sf.SubspaceSpec(a_select=select))
+        with pytest.raises(sf.InvalidSubspace) as theta:
+            expand_spec_entries([{"a_select": select, "theta_grid": 2}],
+                                 ref_cp)
+        assert str(theta.value) == str(plain.value)
+
+    def test_theta_entry_on_a_defective_cluster(self):
+        # A^{-T} has the double eigenvalue 2 with one eigenvector.
+        w = sf.Realization([[0.5, 1.0], [0.0, 0.5]], np.eye(2),
+                           0.1 * np.eye(2), np.eye(2))
+        cp = sf.conjugate_phase(w)
+        assert [b.basis for b in cp.a_blocks] == [None]
+        with pytest.raises(sf.InvalidSubspace, match="defective"):
+            expand_spec_entries([{"a_select": [0, 1], "theta_grid": 2}], cp)
+
+    def test_plain_entries_pass_through(self, ref_cp):
+        specs = expand_spec_entries([{"a_select": [0, 1]}, {}], ref_cp)
         assert len(specs) == 2
         assert specs[0].a_select == (0, 1)
         assert specs[1].a_select == ()
