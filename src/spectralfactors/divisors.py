@@ -1,27 +1,30 @@
 """Left all-pass divisors of the conjugate phase function.
 
-Divisors are parametrized by orthogonal projectors onto invariant subspaces
-of the block-diagonal state matrix diag(Gamma, A^{-T}).  Because the two
-blocks have disjoint spectra (inside vs outside the unit circle), every
-invariant subspace splits block-diagonally, so a subspace is specified per
-block: either by eigenvalue selection or by an explicit basis.
+Divisors are parametrized by invariant subspaces of the block-diagonal state
+matrix diag(Gamma, A^{-T}), given as eigenvalue selections, explicit bases
+or orthogonal projectors.  Because the two blocks have disjoint spectra
+(inside vs outside the unit circle), every invariant subspace splits
+block-diagonally, so a subspace is specified per block.  The enumeration
+builds each subspace's orthonormal basis from the Schur bases of its
+eigenvalue blocks; a caller's projector is checked first and its range
+basis recovered from it.
 
-Given a projector Pi with V an orthonormal basis of its range, the pair
-(C V, V^T A V) is observable and Q_l = V^T Q V solves its Stein equation
-exactly, because the range is invariant.  The divisor is the all-pass
-completion of that compression, the same routine that builds T:
+Given V an orthonormal basis of the subspace, the pair (C V, V^T A V) is
+observable and Q_l = V^T Q V solves its Stein equation exactly, because the
+range is invariant.  The divisor is the all-pass completion of that
+compression, the same routine that builds T:
 
     Tl  = (V^T A V, Bl, C V, Dl),   [Bl; Dl] the completion from Q_l,
 
 normalized so the feedthrough Dl is symmetric positive definite.  The
-compression is minimal, so deg Tl = rank Pi.  Every divisor is certified
+compression is minimal, so deg Tl = rank V.  Every divisor is certified
 by the completion's algebraic identity check, which implies the all-pass
 property at every point of the circle.  It carries its factor W- Tl in
 closed form on n states.
 
 The right complement Tr with T = Tl Tr is closed form as well (Bart,
 Gohberg, Kaashoek & Van Dooren, SIAM J. Control Optim. 18, 1980).  The
-range M of Pi is invariant under A, and M^x = P0 M^perp under the zero
+range M of V is invariant under A, and M^x = P0 M^perp under the zero
 matrix A - B D^{-1} C of the all-pass T; P0 M^perp is a solve with
 Q = P0^{-1}.  With W an orthonormal basis of M^x, S = [V, W] and L2 the
 last 2n - k rows of S^{-1},
@@ -44,6 +47,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .errors import (
     AmbiguousEigenspace,
@@ -168,17 +172,6 @@ def _part_basis(block_matrix, blocks, select, basis, part, config):
         return selection_basis(blocks, select, config)
 
 
-def _block_projector(vg, va, config):
-    """Orthogonal projector onto the span of a gamma-side basis ``vg`` (top
-    left block) and an a-side basis ``va`` (bottom right block) in the
-    coordinates of diag(Gamma, A^{-T})."""
-    (ng, kg), (na, ka) = vg.shape, va.shape
-    v = np.zeros((ng + na, kg + ka))
-    v[:ng, :kg] = vg
-    v[ng:, kg:] = va
-    return orth_projector(v, config)
-
-
 def projector_from_spec(cp: ConjugatePhase, spec: SubspaceSpec,
                         config: ToleranceConfig = DEFAULT_TOL):
     """Orthogonal projector onto the invariant subspace described by
@@ -187,7 +180,7 @@ def projector_from_spec(cp: ConjugatePhase, spec: SubspaceSpec,
                      spec.gamma_basis, "gamma", config)
     va = _part_basis(cp.a_inv_t, cp.a_blocks, spec.a_select, spec.a_basis,
                      "a", config)
-    return _block_projector(vg, va, config)
+    return orth_projector(block_diag(vg, va), config)
 
 
 def divisor_from_projector(cp: ConjugatePhase, pi,
@@ -211,8 +204,7 @@ def divisor_from_projector(cp: ConjugatePhase, pi,
         If the modes deflated from the factor W- T_l get input.
     """
     pi = np.asarray(pi, dtype=float)
-    a, c = cp.t.a, cp.t.c
-    n2 = a.shape[0]
+    n2 = cp.t.n
     if pi.shape != (n2, n2):
         raise NotInvariant(f"projector must be {n2}x{n2}, got {pi.shape}")
     if not np.all(np.isfinite(pi)):
@@ -223,18 +215,24 @@ def divisor_from_projector(cp: ConjugatePhase, pi,
         raise NotInvariant("matrix is not an orthogonal projector")
 
     basis = basis_from_projector(pi, config)
-    if not is_invariant(a, basis, config):
+    if not is_invariant(cp.t.a, basis, config):
         raise NotInvariant("projector range is not an invariant subspace of "
                            "the conjugate phase state matrix")
 
-    a_l, c_l, q_l = basis.T @ a @ basis, c @ basis, basis.T @ cp.p0_inv @ basis
-    t_ell, _ = _allpass_completion(a_l, c_l, q_l, "divisor", config)
-    k = basis.shape[1]
     k_gamma = int(round(float(np.trace(pi[:cp.n_gamma, :cp.n_gamma]))))
-    factor = _factor(cp.extremals.w_minus, cp.extremals.z, cp.a_inv_t, basis,
+    return _divisor(cp, basis, k_gamma, pi, config)
+
+
+def _divisor(cp, v, k_gamma, pi, config):
+    """The divisor on the invariant range of the orthonormal basis ``v``, of
+    which ``k_gamma`` dimensions lie on the gamma side, with its factor."""
+    a_l, c_l, q_l = v.T @ cp.t.a @ v, cp.t.c @ v, v.T @ cp.p0_inv @ v
+    t_ell, _ = _allpass_completion(a_l, c_l, q_l, "divisor", config)
+    k = v.shape[1]
+    factor = _factor(cp.extremals.w_minus, cp.extremals.z, cp.a_inv_t, v,
                      t_ell, k - k_gamma, config)
     return AllPassDivisor(t_ell=t_ell, factor=factor, projector=pi,
-                          basis=basis, degree=k,
+                          basis=v, degree=k,
                           subspace_dims=(k_gamma, k - k_gamma))
 
 
@@ -277,7 +275,7 @@ class DivisorEnumeration(list):
 
 
 def _block_choices(blocks, part):
-    """Enumerable block subsets for one side plus continuum markers.
+    """Enumerable block subsets (tuples of blocks) plus continuum markers.
 
     Simple real eigenvalues and complex pairs toggle in or out; a repeated
     (semisimple) eigenvalue contributes only the empty or full eigenspace
@@ -295,11 +293,21 @@ def _block_choices(blocks, part):
                 part=part, eigenvalue=blk.eigenvalues[0], dim=blk.dim,
                 basis=blk.basis,
             ))
-    subsets = []
-    idx = range(len(blocks))
-    for k in range(len(blocks) + 1):
-        subsets.extend(combinations(idx, k))
-    return subsets, continua
+    return ([s for k in range(len(blocks) + 1)
+             for s in combinations(blocks, k)], continua)
+
+
+def _chain_basis(subset, n, config):
+    """Orthonormal basis of a block subset: the QR factor of its blocks'
+    concatenated Schur bases.  QR keeps the Schur chain, so each leading
+    group of columns spans an invariant subspace and the compression is
+    quasi-upper-triangular.  R has the singular values of the concatenated
+    bases, so ``orth_basis(R)`` makes their rank decision."""
+    if not subset:
+        return np.zeros((n, 0))
+    q, r = np.linalg.qr(np.hstack([blk.basis for blk in subset]))
+    orth_basis(r, config)
+    return q
 
 
 def enumerate_divisors(cp: ConjugatePhase,
@@ -307,25 +315,23 @@ def enumerate_divisors(cp: ConjugatePhase,
     """Enumerate and certify all divisors reachable by block selection.
 
     One divisor per subset pair of eigenvalue blocks of the two sides
-    (2^k_gamma * 2^k_a total); every divisor is certified all-pass by its
-    completion's identity check and gets its right complement attached
-    (degree additivity).  Eigenspaces of
-    multiplicity >= 2 are reported as continuum families; the caller samples
-    them through explicit bases.
+    (2^k_gamma * 2^k_a total), built from the Schur bases of the carried
+    blocks, one basis per side subset; every divisor is certified all-pass
+    by its completion's identity check and gets its right complement
+    attached (degree additivity).  Eigenspaces of multiplicity >= 2 are
+    reported as continuum families; the caller samples them through
+    explicit bases.
     """
-    g_blocks, a_blocks = cp.gamma_blocks, cp.a_blocks
-    g_subsets, g_cont = _block_choices(g_blocks, "gamma")
-    a_subsets, a_cont = _block_choices(a_blocks, "a")
+    g_subsets, g_cont = _block_choices(cp.gamma_blocks, "gamma")
+    a_subsets, a_cont = _block_choices(cp.a_blocks, "a")
+    g_bases = [_chain_basis(s, cp.n_gamma, config) for s in g_subsets]
+    a_bases = [_chain_basis(s, cp.n_a, config) for s in a_subsets]
 
     out = []
-    for gs in g_subsets:
-        vg = (np.hstack([g_blocks[i].basis for i in gs])
-              if gs else np.zeros((cp.n_gamma, 0)))
-        for as_ in a_subsets:
-            va = (np.hstack([a_blocks[i].basis for i in as_])
-                  if as_ else np.zeros((cp.n_a, 0)))
-            pi = _block_projector(vg, va, config)
-            div = divisor_from_projector(cp, pi, config)
+    for vg in g_bases:
+        for va in a_bases:
+            v = block_diag(vg, va)
+            div = _divisor(cp, v, vg.shape[1], v @ v.T, config)
             t_r = right_complement(cp, div, config)
             out.append(replace(div, right_complement=t_r))
     return DivisorEnumeration(out, g_cont + a_cont)

@@ -281,14 +281,10 @@ def _schur_block_basis(m, cluster, cluster_tol):
     """Real orthonormal basis of the invariant subspace of an eigenvalue
     cluster, via the ordered real Schur form (backward stable; invariance
     residual at rounding level even for non-normal matrices)."""
-    targets = np.asarray(cluster, dtype=complex)
+    targets = [complex(t) for t in cluster]
 
     def sel(re, im):
-        lam = np.asarray(re) + 1j * np.asarray(im)
-        hit = np.zeros(np.shape(lam), dtype=bool)
-        for t in targets:
-            hit |= np.abs(lam - t) <= cluster_tol
-        return hit
+        return any(abs(complex(re, im) - t) <= cluster_tol for t in targets)
 
     try:
         _, z, sdim = schur(m, output="real", sort=sel)

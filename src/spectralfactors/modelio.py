@@ -29,6 +29,9 @@ __all__ = [
 ]
 
 
+_SPEC_KEYS = ("gamma_select", "gamma_basis", "a_select", "a_basis")
+
+
 class ModelFileError(ValueError):
     """The model file cannot be parsed into a realization."""
 
@@ -132,8 +135,7 @@ def read_spec_entries(path) -> list[dict]:
         entries = doc["specs"]
     else:
         raise SpecFileError("spec file must be a JSON list or {\"specs\": [...]}")
-    allowed = {"gamma_select", "gamma_basis", "a_select", "a_basis",
-               "theta_grid", "name"}
+    allowed = {*_SPEC_KEYS, "theta_grid", "name"}
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise SpecFileError(f"spec entry {i} must be an object")
@@ -169,16 +171,7 @@ def _is_int(x):
 
 
 def _entry_to_spec(entry) -> SubspaceSpec:
-    kwargs = {}
-    if "gamma_select" in entry:
-        kwargs["gamma_select"] = tuple(int(i) for i in entry["gamma_select"])
-    if "gamma_basis" in entry:
-        kwargs["gamma_basis"] = np.asarray(entry["gamma_basis"], dtype=float)
-    if "a_select" in entry:
-        kwargs["a_select"] = tuple(int(i) for i in entry["a_select"])
-    if "a_basis" in entry:
-        kwargs["a_basis"] = np.asarray(entry["a_basis"], dtype=float)
-    return SubspaceSpec(**kwargs)
+    return SubspaceSpec(**{k: entry[k] for k in _SPEC_KEYS if k in entry})
 
 
 def _expand_theta(entry, cp) -> list[SubspaceSpec]:

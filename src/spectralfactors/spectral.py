@@ -34,6 +34,7 @@ from scipy.linalg import block_diag, null_space, polar
 from .errors import (
     CompressionNotPD,
     DegreeViolation,
+    DimensionMismatch,
     EvaluationAtPole,
     GramianIdentityViolation,
     NotOuter,
@@ -350,10 +351,11 @@ def allpass_residual(r: Realization,
     """Max deviation of G(z) G(z)^H from the identity over circle samples.
 
     Returns ``inf`` when a sample hits a pole (a pole on the circle rules
-    out the all-pass property by definition).
+    out the all-pass property by definition).  Raises DimensionMismatch for
+    a non-square system.
     """
     if r.n_in != r.n_out:
-        raise ValueError("all-pass check requires a square system")
+        raise DimensionMismatch("all-pass check requires a square system")
     zs = _circle(config.circle_samples)
     try:
         vals = evalfr_many(r, zs, config)

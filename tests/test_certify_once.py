@@ -7,10 +7,12 @@ the certified conjugate phase and never reduce W-; the extraction reduces
 only T- and a candidate on more than n states, and certifies both degrees
 from the candidate's pole/zero inventory.  ``cli verify`` validates W- once
 and hands its extremal set to the extraction.  A divisor is the compression
-of T onto the range of its projector, whose rank is its certified degree: it
+of T onto an invariant subspace, whose dimension is its certified degree: it
 is never reduced, and neither is its closed-form right complement, built
 from the divisor's carried range basis, nor its factor W- T_l, which is
 closed form on n states, so ``minimal_factor`` reduces nothing.  The
+enumeration builds each side subset's basis once, from the carried Schur
+bases of its blocks, and makes no projector round trip.  The
 eigenvalue blocks of Gamma and A^{-T} are clustered once, by
 ``conjugate_phase``: the enumeration, the spec projectors and the theta-grid
 expansion read the carried blocks, so together they make two
@@ -181,15 +183,22 @@ def test_enumeration_and_complements_reduce_nothing(monkeypatch, make):
 @pytest.mark.parametrize("make", MODELS.values(), ids=MODELS.keys())
 def test_enumeration_builds_each_basis_once(monkeypatch, make):
     cp = sf.conjugate_phase(make())
-    bases = _count_calls(monkeypatch, matnum, "basis_from_projector")
+    round_trip = [_count_calls(monkeypatch, module, name)
+                  for module, name in ((matnum, "basis_from_projector"),
+                                       (matnum, "is_invariant"),
+                                       (divisors, "divisor_from_projector"))]
+    ranks = _count_calls(monkeypatch, matnum, "orth_basis")
     divs = sf.enumerate_divisors(cp)
-    # One Gram-Schmidt per divisor; the right complement reads the carried
-    # basis.
-    assert len(bases) == len(divs)
+    # One rank-checked basis per non-empty side subset, no projector round
+    # trip; the right complement reads the carried basis.
+    subsets = 2 ** len(cp.gamma_blocks) + 2 ** len(cp.a_blocks) - 2
+    assert round_trip == [[], [], []]
+    assert len(ranks) == subsets
     for div in divs:
         assert div.basis.shape == (cp.t.n, div.degree)
         sf.right_complement(cp, div)
-    assert len(bases) == len(divs)
+    assert round_trip == [[], [], []]
+    assert len(ranks) == subsets
 
 
 @pytest.mark.parametrize("make", [MODELS["reference"], MODELS["random"]],

@@ -259,7 +259,49 @@ def test_full_outside_divisor_of_recipe8_is_all_pass(seed):
     assert sf.allpass_residual(div.t_ell) <= 1e-10
 
 
+# Models whose enumeration is compared with the projector path.
+ENUMERATED_MODELS = {
+    "reference": reference_model,
+    "random": lambda: random_outer(3, n_max=5),
+    "recipe6_3": lambda: recipe_outer(6, 3),
+}
+
+
+def _relative_gap(r1, r2, zs):
+    ref = sf.evalfr_many(r1, zs)
+    return np.max(np.abs(sf.evalfr_many(r2, zs) - ref)) / np.max(np.abs(ref))
+
+
 class TestEnumerateDivisors:
+    @pytest.mark.parametrize("make", ENUMERATED_MODELS.values(),
+                             ids=ENUMERATED_MODELS.keys())
+    def test_enumeration_matches_the_projector_path(self, make):
+        # The enumeration builds each divisor from its Schur basis; rebuilt
+        # from its projector, with every check on outside input, it is the
+        # same divisor.
+        cp = sf.conjugate_phase(make())
+        zs = np.exp(2j * np.pi * (np.arange(64) + 0.5) / 64)
+        for div in sf.enumerate_divisors(cp):
+            again = sf.divisor_from_projector(cp, div.projector)
+            assert again.degree == div.degree
+            assert again.subspace_dims == div.subspace_dims
+            assert _relative_gap(again.t_ell, div.t_ell, zs) <= 1e-9
+            assert _relative_gap(again.factor, div.factor, zs) <= 1e-9
+            assert _relative_gap(sf.right_complement(cp, again),
+                                 div.right_complement, zs) <= 1e-9
+
+    @pytest.mark.parametrize("make", ENUMERATED_MODELS.values(),
+                             ids=ENUMERATED_MODELS.keys())
+    def test_enumerated_divisors_keep_the_schur_chain(self, make):
+        # Each leading group of basis columns spans an invariant subspace,
+        # so the divisor's state matrix is quasi-upper-triangular.
+        for div in sf.enumerate_divisors(sf.conjugate_phase(make())):
+            a = div.t_ell.a
+            tol = 1e-13 * max(1.0, np.linalg.norm(a))
+            assert np.all(np.abs(np.tril(a, -2)) <= tol)
+            bumps = np.abs(np.diag(a, -1)) > tol
+            assert not np.any(bumps[1:] & bumps[:-1])
+
     def test_reference_enumeration(self, ref_cp):
         out = sf.enumerate_divisors(ref_cp)
         # four zero-direction subsets x {empty, full} outside eigenspace

@@ -262,6 +262,13 @@ class TestIsAllPass:
         assert sf.is_all_pass(sf.constant(q))
         assert not sf.is_all_pass(sf.constant(2.0 * q))
 
+    def test_non_square_system_is_a_dimension_mismatch(self):
+        wide = sf.constant([[0.6, 0.8]])
+        with pytest.raises(sf.DimensionMismatch, match="square system"):
+            sf.allpass_residual(wide)
+        with pytest.raises(sf.DimensionMismatch, match="square system"):
+            sf.is_all_pass(wide)
+
 
 class TestGramianIdentities:
     def test_reference_residuals(self, ref_cp):

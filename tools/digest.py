@@ -29,6 +29,11 @@ repeated in clear at the end.  Covered:
   ``cli_mix`` for ``cli_inputs(1234, 0..1)``, each in a fresh interpreter.
 
 Takes about 40 s on a 2-core machine.
+
+Where a change moves the enumerated families' numbers on purpose,
+``tools/transfer_gap.py PARENT CHANGE`` shows by how much: the largest
+relative transfer gap of every divisor, factor and right complement, and
+any change of degree or subspace dimensions.
 """
 
 from __future__ import annotations
