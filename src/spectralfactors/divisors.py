@@ -4,10 +4,10 @@ Divisors are parametrized by invariant subspaces of the block-diagonal state
 matrix diag(Gamma, A^{-T}), given as eigenvalue selections, explicit bases
 or orthogonal projectors.  Because the two blocks have disjoint spectra
 (inside vs outside the unit circle), every invariant subspace splits
-block-diagonally, so a subspace is specified per block.  The enumeration
-builds each subspace's orthonormal basis from the Schur bases of its
-eigenvalue blocks; a caller's projector is checked first and its range
-basis recovered from it.
+block-diagonally, so a subspace is specified per block.  Selections,
+explicit bases and enumerated block subsets all get their orthonormal basis
+by one QR rule (``orth_basis``) and their divisor from it directly; only a
+caller's projector is checked and its range basis recovered from it.
 
 Given V an orthonormal basis of the subspace, the pair (C V, V^T A V) is
 observable and Q_l = V^T Q V solves its Stein equation exactly, because the
@@ -62,7 +62,6 @@ from .matnum import (
     basis_from_projector,
     is_invariant,
     orth_basis,
-    orth_projector,
     selection_basis,
 )
 from .spectral import ConjugatePhase, _allpass_completion, _factor
@@ -155,6 +154,9 @@ def _selection_of(part):
 def _part_basis(block_matrix, blocks, select, basis, part, config):
     """Orthonormal basis for one block of the subspace specification."""
     if basis is not None:
+        if basis.ndim != 2:
+            raise InvalidSubspace(f"{part} basis has shape {basis.shape}, "
+                                  "expected a matrix")
         if basis.shape[0] != block_matrix.shape[0]:
             raise InvalidSubspace(
                 f"{part} basis has {basis.shape[0]} rows, expected "
@@ -172,15 +174,25 @@ def _part_basis(block_matrix, blocks, select, basis, part, config):
         return selection_basis(blocks, select, config)
 
 
-def projector_from_spec(cp: ConjugatePhase, spec: SubspaceSpec,
-                        config: ToleranceConfig = DEFAULT_TOL):
-    """Orthogonal projector onto the invariant subspace described by
-    ``spec``.  Raises InvalidSubspace if the description is inconsistent."""
+def _spec_basis(cp, spec, config):
+    """Orthonormal basis block_diag(vg, va) of the invariant subspace that
+    ``spec`` describes, and its gamma-side dimension."""
+    if not isinstance(spec, SubspaceSpec):
+        raise InvalidSubspace(f"expected a SubspaceSpec, got "
+                              f"{type(spec).__name__}")
     vg = _part_basis(cp.gamma, cp.gamma_blocks, spec.gamma_select,
                      spec.gamma_basis, "gamma", config)
     va = _part_basis(cp.a_inv_t, cp.a_blocks, spec.a_select, spec.a_basis,
                      "a", config)
-    return orth_projector(block_diag(vg, va), config)
+    return block_diag(vg, va), vg.shape[1]
+
+
+def projector_from_spec(cp: ConjugatePhase, spec: SubspaceSpec,
+                        config: ToleranceConfig = DEFAULT_TOL):
+    """Orthogonal projector V V^T onto the invariant subspace that ``spec``
+    describes, V its basis.  Raises InvalidSubspace if ``spec`` is bad."""
+    v, _ = _spec_basis(cp, spec, config)
+    return v @ v.T
 
 
 def divisor_from_projector(cp: ConjugatePhase, pi,
@@ -274,8 +286,8 @@ class DivisorEnumeration(list):
         self.continua = list(continua)
 
 
-def _block_choices(blocks, part):
-    """Enumerable block subsets (tuples of blocks) plus continuum markers.
+def _block_choices(blocks, part, config):
+    """Bases of the enumerable block subsets plus continuum markers.
 
     Simple real eigenvalues and complex pairs toggle in or out; a repeated
     (semisimple) eigenvalue contributes only the empty or full eigenspace
@@ -293,21 +305,9 @@ def _block_choices(blocks, part):
                 part=part, eigenvalue=blk.eigenvalues[0], dim=blk.dim,
                 basis=blk.basis,
             ))
-    return ([s for k in range(len(blocks) + 1)
+    return ([selection_basis(blocks, sum((b.indices for b in s), ()), config)
+             for k in range(len(blocks) + 1)
              for s in combinations(blocks, k)], continua)
-
-
-def _chain_basis(subset, n, config):
-    """Orthonormal basis of a block subset: the QR factor of its blocks'
-    concatenated Schur bases.  QR keeps the Schur chain, so each leading
-    group of columns spans an invariant subspace and the compression is
-    quasi-upper-triangular.  R has the singular values of the concatenated
-    bases, so ``orth_basis(R)`` makes their rank decision."""
-    if not subset:
-        return np.zeros((n, 0))
-    q, r = np.linalg.qr(np.hstack([blk.basis for blk in subset]))
-    orth_basis(r, config)
-    return q
 
 
 def enumerate_divisors(cp: ConjugatePhase,
@@ -315,17 +315,15 @@ def enumerate_divisors(cp: ConjugatePhase,
     """Enumerate and certify all divisors reachable by block selection.
 
     One divisor per subset pair of eigenvalue blocks of the two sides
-    (2^k_gamma * 2^k_a total), built from the Schur bases of the carried
-    blocks, one basis per side subset; every divisor is certified all-pass
-    by its completion's identity check and gets its right complement
-    attached (degree additivity).  Eigenspaces of multiplicity >= 2 are
+    (2^k_gamma * 2^k_a total), one ``selection_basis`` per side subset of
+    the carried blocks; every divisor is certified all-pass by its
+    completion's identity check and gets its right complement attached
+    (degree additivity).  Eigenspaces of multiplicity >= 2 are
     reported as continuum families; the caller samples them through
     explicit bases.
     """
-    g_subsets, g_cont = _block_choices(cp.gamma_blocks, "gamma")
-    a_subsets, a_cont = _block_choices(cp.a_blocks, "a")
-    g_bases = [_chain_basis(s, cp.n_gamma, config) for s in g_subsets]
-    a_bases = [_chain_basis(s, cp.n_a, config) for s in a_subsets]
+    g_bases, g_cont = _block_choices(cp.gamma_blocks, "gamma", config)
+    a_bases, a_cont = _block_choices(cp.a_blocks, "a", config)
 
     out = []
     for vg in g_bases:

@@ -17,12 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .divisors import (
-    AllPassDivisor,
-    SubspaceSpec,
-    divisor_from_projector,
-    projector_from_spec,
-)
+from .divisors import AllPassDivisor, SubspaceSpec, _divisor, _spec_basis
 from .errors import (
     DimensionMismatch,
     EvaluationAtPole,
@@ -253,25 +248,23 @@ def moebius_gate(w: Realization, moebius_param: float | bool | None,
     return moebius(w, a, config), a
 
 
-def family_member(cp: ConjugatePhase, spec, w_minus: Realization,
-                  a: float | None = None,
+def family_member(cp: ConjugatePhase, spec: SubspaceSpec,
+                  w_minus: Realization, a: float | None = None,
                   config: ToleranceConfig = DEFAULT_TOL):
     """The factor of one subspace specification.
 
     ``cp`` is the conjugate phase of the working model, ``spec`` a
-    :class:`SubspaceSpec` or an orthogonal projector, ``w_minus`` the outer
+    :class:`SubspaceSpec` (else InvalidSubspace), ``w_minus`` the outer
     factor in the original variable and ``a`` the Moebius parameter that
-    maps it to the working variable (None when ungated).  A gated factor is
-    mapped back to the original variable, still on n states, and
-    re-verified against ``w_minus``; a failure there raises.
+    maps it to the working variable (None when ungated).  The divisor comes
+    from the spec's basis, as in the enumeration.  A gated factor is mapped
+    back to the original variable, still on n states, and re-verified
+    against ``w_minus``; a failure there raises.
 
     Returns the divisor, the factor and its verification report.
     """
-    if isinstance(spec, SubspaceSpec):
-        pi = projector_from_spec(cp, spec, config)
-    else:
-        pi = np.asarray(spec, dtype=float)
-    div = divisor_from_projector(cp, pi, config)
+    v, k_gamma = _spec_basis(cp, spec, config)
+    div = _divisor(cp, v, k_gamma, v @ v.T, config)
     w, report = minimal_factor(cp.extremals.w_minus, div, config)
     if a is None:
         return div, w, report

@@ -195,6 +195,9 @@ def pseudo_inverse(s, config: ToleranceConfig = DEFAULT_TOL):
 def orth_basis(v, config: ToleranceConfig = DEFAULT_TOL):
     """Orthonormal basis of the column space of a full-column-rank matrix.
 
+    The basis is the QR factor Q of ``v``, so its first j columns span the
+    first j of ``v``; the rank is decided on the singular values of R.
+
     Raises
     ------
     RankDeficientBasis
@@ -203,13 +206,14 @@ def orth_basis(v, config: ToleranceConfig = DEFAULT_TOL):
     v = _as_matrix(v, "V")
     if v.shape[1] == 0:
         return np.zeros((v.shape[0], 0))
-    u, s, _ = np.linalg.svd(v, full_matrices=False)
-    if (v.shape[1] > v.shape[0] or s[0] == 0.0
-            or s[-1] <= config.rank_rel_tol * s[0]):
-        raise RankDeficientBasis(
-            f"basis matrix has rank below its column count {v.shape[1]}"
-        )
-    return u
+    if v.shape[1] <= v.shape[0]:
+        q, r = np.linalg.qr(v)
+        s = np.linalg.svd(r, compute_uv=False)
+        if s[0] > 0.0 and s[-1] > config.rank_rel_tol * s[0]:
+            return q
+    raise RankDeficientBasis(
+        f"basis matrix has rank below its column count {v.shape[1]}"
+    )
 
 
 def orth_projector(v, config: ToleranceConfig = DEFAULT_TOL):
@@ -219,10 +223,7 @@ def orth_projector(v, config: ToleranceConfig = DEFAULT_TOL):
     space, not the particular basis.
     """
     q = orth_basis(v, config)
-    if q.shape[1] == 0:
-        return np.zeros((q.shape[0], q.shape[0]))
-    pi = q @ q.T
-    return 0.5 * (pi + pi.T)
+    return q @ q.T
 
 
 def basis_from_projector(pi, config: ToleranceConfig = DEFAULT_TOL):
@@ -381,13 +382,16 @@ def eigen_blocks(m, config: ToleranceConfig = DEFAULT_TOL):
 
 
 def _selected_blocks(blocks, selection):
-    """The blocks that eigenvalue indices pick.  Indices must lie in the
-    spectrum the blocks cover (else InvalidSubspace).  A complex pair must be
-    selected whole (else ComplexPairSplit), and so must a repeated
-    eigenvalue: its full eigenspace is the one unambiguous choice; a proper
-    subspace or a defective cluster needs an explicit basis (else
+    """The blocks that eigenvalue indices pick.  Indices must be integers
+    (not bool) in the spectrum the blocks cover (else InvalidSubspace).  A
+    complex pair must be selected whole (else ComplexPairSplit), and so must
+    a repeated eigenvalue: its full eigenspace is the one unambiguous choice;
+    a proper subspace or a defective cluster needs an explicit basis (else
     AmbiguousEigenspace)."""
     n = sum(blk.dim for blk in blocks)
+    for i in selection:
+        if isinstance(i, bool) or not isinstance(i, Integral):
+            raise InvalidSubspace(f"selection index {i!r} is not an integer")
     sel = set(int(i) for i in selection)
     if any(i < 0 or i >= n for i in sel):
         raise InvalidSubspace(f"selection indices must lie in [0, {n})")
@@ -415,7 +419,9 @@ def _selected_blocks(blocks, selection):
 
 def selection_basis(blocks, selection, config: ToleranceConfig = DEFAULT_TOL):
     """Orthonormal basis of the invariant subspace that eigenvalue indices
-    pick from ``blocks`` (:func:`eigen_blocks`, :func:`_selected_blocks`)."""
+    pick from ``blocks`` (:func:`eigen_blocks`, :func:`_selected_blocks`):
+    :func:`orth_basis` of the chosen Schur bases in block order, so each
+    leading group of columns spans an invariant subspace (the Schur chain)."""
     chosen = _selected_blocks(blocks, selection)
     if not chosen:
         return np.zeros((sum(blk.dim for blk in blocks), 0))

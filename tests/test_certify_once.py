@@ -12,11 +12,12 @@ is never reduced, and neither is its closed-form right complement, built
 from the divisor's carried range basis, nor its factor W- T_l, which is
 closed form on n states, so ``minimal_factor`` reduces nothing.  The
 enumeration builds each side subset's basis once, from the carried Schur
-bases of its blocks, and makes no projector round trip.  The
-eigenvalue blocks of Gamma and A^{-T} are clustered once, by
-``conjugate_phase``: the enumeration, the spec projectors and the theta-grid
-expansion read the carried blocks, so together they make two
-``eigen_blocks`` calls.
+bases of its blocks, and makes no projector round trip; neither does
+``family_member`` on a selection or basis spec, whose divisor is built from
+the spec's basis the same way.  The eigenvalue blocks of Gamma and A^{-T}
+are clustered once, by ``conjugate_phase``: the enumeration, the spec
+projectors and the theta-grid expansion read the carried blocks, so
+together they make two ``eigen_blocks`` calls.
 """
 
 import dataclasses
@@ -31,7 +32,7 @@ import spectralfactors as sf
 from spectralfactors import divisors, matnum, spectral, statespace
 from spectralfactors.cli import main
 from spectralfactors.demo import reference_model
-from spectralfactors.factors import spectrum_gap
+from spectralfactors.factors import family_member, spectrum_gap
 from spectralfactors.modelio import expand_spec_entries, write_model
 
 from helpers import random_outer
@@ -199,6 +200,24 @@ def test_enumeration_builds_each_basis_once(monkeypatch, make):
         sf.right_complement(cp, div)
     assert round_trip == [[], [], []]
     assert len(ranks) == subsets
+
+
+@pytest.mark.parametrize("make", MODELS.values(), ids=MODELS.keys())
+def test_family_member_makes_no_projector_round_trip(monkeypatch, make):
+    cp = sf.conjugate_phase(make())
+    specs = [sf.SubspaceSpec(gamma_select=range(cp.n_gamma),
+                             a_select=range(cp.n_a))]
+    specs += [sf.SubspaceSpec(gamma_basis=blk.basis)
+              for blk in cp.gamma_blocks[:1]]
+    specs += [sf.SubspaceSpec(a_basis=blk.basis) for blk in cp.a_blocks[:1]]
+    round_trip = [_count_calls(monkeypatch, module, name)
+                  for module, name in ((matnum, "basis_from_projector"),
+                                       (divisors, "divisor_from_projector"),
+                                       (matnum, "orth_projector"))]
+    for spec in specs:
+        _, _, report = family_member(cp, spec, cp.extremals.w_minus)
+        assert report.passed
+    assert round_trip == [[], [], []]
 
 
 @pytest.mark.parametrize("make", [MODELS["reference"], MODELS["random"]],

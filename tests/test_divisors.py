@@ -1,6 +1,7 @@
 """Invariant-subspace parametrization of left all-pass divisors."""
 
 import dataclasses
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from numpy.testing import assert_allclose
 
 import spectralfactors as sf
 from spectralfactors.demo import reference_model, theta_feedthrough
+from spectralfactors.factors import family_member
 from spectralfactors.matnum import basis_from_projector
 from spectralfactors.spectral import ALLPASS_CERT_TOL
 from spectralfactors.statespace import eval_gap, transfer_equal
@@ -70,6 +72,26 @@ class TestProjectorFromSpec:
         spec = sf.SubspaceSpec(a_basis=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         with pytest.raises(sf.RankDeficientBasis):
             sf.projector_from_spec(ref_cp, spec)
+
+    def test_three_dimensional_basis_rejected(self, ref_cp):
+        spec = sf.SubspaceSpec(a_basis=np.ones((2, 1, 1)))
+        with pytest.raises(sf.InvalidSubspace, match="a basis has shape"):
+            sf.projector_from_spec(ref_cp, spec)
+
+    @pytest.mark.parametrize("index", [1.9, 1.0, True, np.True_,
+                                       np.float64(1.0)],
+                             ids=["float", "whole_float", "bool",
+                                  "numpy_bool", "numpy_float"])
+    def test_non_integer_selection_rejected(self, ref_cp, index):
+        spec = sf.SubspaceSpec(gamma_select=[index])
+        with pytest.raises(sf.InvalidSubspace, match="not an integer"):
+            sf.projector_from_spec(ref_cp, spec)
+
+    def test_numpy_integer_selection_accepted(self, ref_cp):
+        spec = sf.SubspaceSpec(gamma_select=np.arange(1, 2))
+        assert np.array_equal(
+            sf.projector_from_spec(ref_cp, spec),
+            sf.projector_from_spec(ref_cp, sf.SubspaceSpec(gamma_select=[1])))
 
     def test_selection_reads_the_carried_blocks(self, ref_cp):
         assert [(b.kind, b.indices) for b in ref_cp.a_blocks] == [
@@ -267,6 +289,22 @@ ENUMERATED_MODELS = {
 }
 
 
+def _selection_specs(cp):
+    """The selection of every enumerated block subset pair, in the order of
+    ``enumerate_divisors``."""
+    def subsets(blocks):
+        return [sum((b.indices for b in s), ())
+                for k in range(len(blocks) + 1)
+                for s in combinations(blocks, k)]
+    return [sf.SubspaceSpec(gamma_select=g, a_select=a)
+            for g in subsets(cp.gamma_blocks) for a in subsets(cp.a_blocks)]
+
+
+def _spec_divisors(cp):
+    return [family_member(cp, spec, cp.extremals.w_minus)[0]
+            for spec in _selection_specs(cp)]
+
+
 def _relative_gap(r1, r2, zs):
     ref = sf.evalfr_many(r1, zs)
     return np.max(np.abs(sf.evalfr_many(r2, zs) - ref)) / np.max(np.abs(ref))
@@ -294,13 +332,33 @@ class TestEnumerateDivisors:
                              ids=ENUMERATED_MODELS.keys())
     def test_enumerated_divisors_keep_the_schur_chain(self, make):
         # Each leading group of basis columns spans an invariant subspace,
-        # so the divisor's state matrix is quasi-upper-triangular.
-        for div in sf.enumerate_divisors(sf.conjugate_phase(make())):
+        # so the divisor's state matrix is quasi-upper-triangular; a
+        # selection spec's divisor is built the same way.
+        cp = sf.conjugate_phase(make())
+        for div in [*sf.enumerate_divisors(cp), *_spec_divisors(cp)]:
             a = div.t_ell.a
             tol = 1e-13 * max(1.0, np.linalg.norm(a))
             assert np.all(np.abs(np.tril(a, -2)) <= tol)
             bumps = np.abs(np.diag(a, -1)) > tol
             assert not np.any(bumps[1:] & bumps[:-1])
+
+    @pytest.mark.parametrize("make", ENUMERATED_MODELS.values(),
+                             ids=ENUMERATED_MODELS.keys())
+    def test_selection_specs_give_the_enumerated_divisors(self, make):
+        # One basis rule and one constructor: the divisor of a selection is
+        # the enumerated divisor of the same blocks, bit for bit.
+        cp = sf.conjugate_phase(make())
+        divs = sf.enumerate_divisors(cp)
+        spec_divs = _spec_divisors(cp)
+        assert len(spec_divs) == len(divs)
+        for div, again in zip(divs, spec_divs):
+            assert again.subspace_dims == div.subspace_dims
+            for name in ("basis", "projector"):
+                assert np.array_equal(getattr(again, name), getattr(div, name))
+            for name in ("t_ell", "factor"):
+                r0, r1 = getattr(div, name), getattr(again, name)
+                assert all(np.array_equal(getattr(r0, m), getattr(r1, m))
+                           for m in "abcd")
 
     def test_reference_enumeration(self, ref_cp):
         out = sf.enumerate_divisors(ref_cp)

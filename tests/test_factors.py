@@ -174,6 +174,11 @@ class TestFactorFamily:
     def test_empty_specs(self, ref_model):
         assert sf.factor_family(ref_model, []) == []
 
+    def test_projector_is_not_a_spec(self, ref_model):
+        # A projector goes through divisor_from_projector, not the family.
+        with pytest.raises(sf.InvalidSubspace, match="SubspaceSpec"):
+            sf.factor_family(ref_model, [np.zeros((4, 4))])
+
     def test_moebius_routing_matches_direct(self, ref_model, config):
         specs = [sf.SubspaceSpec(), sf.SubspaceSpec(a_select=(0, 1))]
         direct = sf.factor_family(ref_model, specs)

@@ -10,6 +10,7 @@ import spectralfactors as sf
 from spectralfactors.matnum import (
     basis_from_projector,
     eigen_blocks,
+    orth_basis,
     selection_basis,
 )
 
@@ -202,6 +203,16 @@ class TestOrthProjector:
         # plane cannot be independent.
         with pytest.raises(sf.RankDeficientBasis):
             sf.orth_projector(np.eye(2, 3))
+
+    def test_orth_basis_keeps_nested_spans(self, rng):
+        # The first j basis columns span the first j input columns.
+        v = rng.standard_normal((7, 4)) @ np.diag([1.0, 1e-3, 10.0, 1e-6])
+        q = orth_basis(v)
+        assert_allclose(q.T @ q, np.eye(4), atol=1e-14)
+        for j in range(1, 5):
+            head = v[:, :j]
+            resid = head - q[:, :j] @ (q[:, :j].T @ head)
+            assert np.linalg.norm(resid) <= 1e-13 * np.linalg.norm(head)
 
     def test_properties(self, rng):
         v = rng.normal(size=(6, 3))

@@ -1,28 +1,41 @@
 #!/usr/bin/env python3
-"""Compare the enumerated divisor families of two checkouts by transfer.
+"""Compare the divisors and factors of two checkouts by transfer.
 
 Usage: python tools/transfer_gap.py PARENT CHANGE
 
 PARENT and CHANGE are checkouts of this repository.  Each one's library is
 imported from ROOT/src in turn, and the models come from PARENT's
-bench/workloads.py (read only).  Over the families that ``tools/digest.py``
-enumerates (``roundtrip_round(7, 0..3)``, the reference model and
-``identity(2)``), it prints for every family the largest relative transfer
-gap of t_ell, the factor W- T_l and the right complement between the two
-checkouts, one line per divisor whose degree or ``subspace_dims`` changed,
-and any change of a family's divisor count.  A gap is
+bench/workloads.py (read only).  It covers what ``tools/digest.py`` covers
+of divisors and factors:
+
+* every enumerated family (``roundtrip_round(7, 0..3)``, the reference
+  model and ``identity(2)``): t_ell, the factor W- T_l and the right
+  complement of each divisor;
+* the session specs of ``seasonal_round(7, 0)`` and ``varma_round(7, 0)``,
+  built once through ``projector_from_spec`` and ``divisor_from_projector``
+  (keys ``.../projector``) and once through ``family_member`` (keys
+  ``.../member``), with the same three parts;
+* the Moebius-gated ``factor_family`` of the reference model for each
+  parameter, and the spec file of ``cli factors`` (with and without
+  ``--moebius``) for ``cli_inputs(1234, 0..1)``: each factor in the
+  original variable, with its degree.
+
+It prints for every family the largest relative transfer gap of each part
+between the two checkouts, one line per member whose degree or
+``subspace_dims`` changed, and any change of a family's size.  A gap is
 max |G_change(z) - G_parent(z)| / max |G_parent(z)| over 64 points of the
 unit circle, evaluated with numpy (``workloads.transfer``), not with either
 library.  A typed failure that differs between the two is printed with both
 messages.  The last line holds the largest gaps over all families.
 
-Takes about 5 s on a 2-core machine.
+Takes about 10 s on a 2-core machine.
 """
 
 from __future__ import annotations
 
 import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -43,9 +56,101 @@ def _load(root):
     return sf, reference_model
 
 
+def _abcd(r):
+    return tuple(np.array(m, dtype=float) for m in (r.a, r.b, r.c, r.d))
+
+
+def _member(div, t_r):
+    """(degree, dims, {part: (a, b, c, d)}) of one divisor."""
+    return (div.degree, tuple(div.subspace_dims),
+            {"t_ell": _abcd(div.t_ell), "factor": _abcd(div.factor),
+             "right_complement": _abcd(t_r)})
+
+
+def _attempt(sf, fn, *args, **kwargs):
+    """``fn``'s result, or the text of its typed failure."""
+    try:
+        return fn(*args, **kwargs)
+    except sf.SpectralFactorsError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _session(sf, w, config):
+    """The digest's session specs of ``w``, through the projector path and
+    through ``family_member``: two keys' lists of members or failures."""
+    cp = sf.conjugate_phase(w, config)
+    g_blocks = sf.eigen_blocks(cp.gamma, config)
+    a_blocks = sf.eigen_blocks(cp.a_inv_t, config)
+    specs = [
+        sf.SubspaceSpec(),
+        sf.SubspaceSpec(gamma_select=range(cp.n_gamma)),
+        sf.SubspaceSpec(a_select=range(cp.n_a)),
+        sf.SubspaceSpec(gamma_select=g_blocks[0].indices,
+                        a_select=a_blocks[0].indices),
+    ]
+
+    def projector_path(spec):
+        pi = sf.projector_from_spec(cp, spec, config)
+        return sf.divisor_from_projector(cp, pi, config)
+
+    def member_path(spec):
+        return sf.factors.family_member(cp, spec, w, None, config)[0]
+
+    def built(make, spec):
+        div = _attempt(sf, make, spec)
+        if isinstance(div, str):
+            return div
+        t_r = _attempt(sf, sf.right_complement, cp, div, config)
+        return t_r if isinstance(t_r, str) else _member(div, t_r)
+
+    return ([built(projector_path, spec) for spec in specs],
+            [built(member_path, spec) for spec in specs])
+
+
+def _moebius(sf, ref, config):
+    """The digest's Moebius-gated ``factor_family`` of the reference model,
+    one key per parameter."""
+    specs = [sf.SubspaceSpec(), sf.SubspaceSpec(gamma_select=(0,)),
+             sf.SubspaceSpec(a_select=(0, 1)),
+             sf.SubspaceSpec(gamma_select=(1,), a_basis=np.eye(2)[:, :1]),
+             sf.SubspaceSpec(gamma_select=(0, 1), a_basis=[[0.6], [0.8]])]
+    out = {}
+    for param in (True, 0.3, -0.45):
+        pairs = _attempt(sf, sf.factor_family, ref, specs, config,
+                         moebius_param=param)
+        out[f"moebius/{param}"] = pairs if isinstance(pairs, str) else [
+            (report.degree, (), {"factor": _abcd(w)}) for w, report in pairs]
+    return out
+
+
+def _cli(sf, wl):
+    """The factors that ``cli factors`` writes for the benchmark's CLI
+    inputs, ungated (``cli/INDEX/fam``) and gated (``cli/INDEX/fam_m``)."""
+    family_member, modelio = sf.factors.family_member, sf.modelio
+    out = {}
+    with tempfile.TemporaryDirectory() as work:
+        for index in range(2):
+            _, files = wl.cli_inputs(1234, index, work)
+            doc = modelio.read_model(files["model"])
+            config = doc.tolerances or sf.DEFAULT_TOL
+            entries = modelio.read_spec_entries(files["specs"])
+            for tag, param in (("fam", None), ("fam_m", True)):
+                w, a = sf.factors.moebius_gate(doc.realization, param, config)
+                cp = sf.conjugate_phase(w, config)
+                specs = modelio.expand_spec_entries(entries, cp)
+                members = [family_member(cp, spec, doc.realization, a, config)
+                           for spec in specs]
+                out[f"cli/{index}/{tag}"] = [
+                    (report.degree, tuple(div.subspace_dims),
+                     {"factor": _abcd(factor)})
+                    for div, factor, report in members]
+    return out
+
+
 def _families(root, wl):
-    """Key -> list of (degree, dims, {part: (a, b, c, d)}), or the text of a
-    typed failure, for every enumerated family of one checkout."""
+    """Key -> list of members (degree, dims, {part: (a, b, c, d)}) or typed
+    failures, or the text of a typed failure of the whole family, for every
+    family of one checkout."""
     sf, reference_model = _load(root)
     roundtrip_cfg = sf.ToleranceConfig(circle_samples=64, residual_tol=1e-7)
     models = [(f"roundtrip/{index}/{slot}", sf.Realization(*abcd),
@@ -62,14 +167,20 @@ def _families(root, wl):
         except sf.SpectralFactorsError as exc:
             out[key] = f"{type(exc).__name__}: {exc}"
             continue
-        out[key] = [(div.degree, tuple(div.subspace_dims),
-                     {p: _abcd(getattr(div, p)) for p in PARTS})
-                    for div in divs]
+        out[key] = [_member(div, div.right_complement) for div in divs]
+    for name, models in (("seasonal", wl.seasonal_round(7, 0)),
+                         ("varma", wl.varma_round(7, 0))):
+        for slot, abcd in enumerate(models):
+            key = f"{name}/{slot}"
+            paths = _attempt(sf, _session, sf, sf.Realization(*abcd),
+                             sf.DEFAULT_TOL)
+            if isinstance(paths, str):
+                out[key] = paths
+                continue
+            out[key + "/projector"], out[key + "/member"] = paths
+    out.update(_moebius(sf, reference_model(), sf.DEFAULT_TOL))
+    out.update(_cli(sf, wl))
     return out
-
-
-def _abcd(r):
-    return tuple(np.array(m, dtype=float) for m in (r.a, r.b, r.c, r.d))
 
 
 def _gap(parent, change, zs, transfer):
@@ -89,22 +200,28 @@ def main():
     parent = _families(parent_root, wl)
     change = _families(change_root, wl)
     overall = dict.fromkeys(PARTS, 0.0)
-    for key in parent:
-        old, new = parent[key], change[key]
+    for key in dict.fromkeys([*parent, *change]):
+        old, new = parent.get(key, "absent"), change.get(key, "absent")
         if isinstance(old, str) or isinstance(new, str):
             if old != new:
                 print(f"{key} failure: parent {old!r}, change {new!r}")
             continue
         if len(old) != len(new):
-            print(f"{key} divisor count {len(old)} -> {len(new)}")
+            print(f"{key} size {len(old)} -> {len(new)}")
         worst = dict.fromkeys(PARTS, 0.0)
-        for i, ((d0, s0, m0), (d1, s1, m1)) in enumerate(zip(old, new)):
-            if (d0, s0) != (d1, s1):
-                print(f"{key}/{i:02d} degree {d0} -> {d1}, "
-                      f"subspace_dims {s0} -> {s1}")
+        for i, (m0, m1) in enumerate(zip(old, new)):
+            if isinstance(m0, str) or isinstance(m1, str):
+                if m0 != m1:
+                    print(f"{key}/{i:02d} failure: parent {m0!r}, "
+                          f"change {m1!r}")
                 continue
-            for p in PARTS:
-                worst[p] = max(worst[p], _gap(m0[p], m1[p], zs, wl.transfer))
+            if m0[:2] != m1[:2]:
+                print(f"{key}/{i:02d} degree {m0[0]} -> {m1[0]}, "
+                      f"subspace_dims {m0[1]} -> {m1[1]}")
+                continue
+            for p in m0[2]:
+                worst[p] = max(worst[p],
+                               _gap(m0[2][p], m1[2][p], zs, wl.transfer))
         print(key, " ".join(f"{p} {worst[p]:.2e}" for p in PARTS))
         for p in PARTS:
             overall[p] = max(overall[p], worst[p])
