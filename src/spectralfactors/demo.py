@@ -12,10 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divisors import SubspaceSpec, divisor_from_projector, projector_from_spec
-from .factors import extract_left_divisor, minimal_factor, verify_factor
+from .divisors import SubspaceSpec, divisor_from_projector
+from .factors import (
+    extract_left_divisor,
+    family_member,
+    minimal_factor,
+    verify_factor,
+)
 from .matnum import DEFAULT_TOL, ToleranceConfig
-from .spectral import conjugate_phase, spectrum_sample
+from .spectral import conjugate_phase, spectrum_samples
 from .statespace import Realization, eval_gap, series
 
 __all__ = ["reference_model", "reference_values", "run_demo", "DemoCheck"]
@@ -158,18 +163,16 @@ def run_demo(config: ToleranceConfig = DEFAULT_TOL) -> list[DemoCheck]:
 
     for theta in (0.0, np.pi / 4):
         spec = SubspaceSpec(a_basis=np.array([[np.cos(theta)], [np.sin(theta)]]))
-        pi = projector_from_spec(cp, spec, config)
-        div = divisor_from_projector(cp, pi, config)
+        div, _, rep_theta = family_member(cp, spec, w_minus, None, config)
         checks.append(DemoCheck(
             f"angle-family divisor feedthrough (theta={theta:.3f})",
             _gap(div.t_ell.d, theta_feedthrough(theta)), tol))
-        w_theta, rep_theta = minimal_factor(w_minus, div, config)
         checks.append(DemoCheck(
             f"angle-family factor degree 2, spectrum match (theta={theta:.3f})",
             max(float(abs(rep_theta.degree - 2)), rep_theta.spectrum_residual),
             1e-8))
 
     checks.append(DemoCheck("density at z = 1 is diag(9/4, 16/9)",
-                            _gap(spectrum_sample(w_minus, 1.0, config),
+                            _gap(spectrum_samples(w_minus, [1.0], config)[0],
                                  ref["phi_at_one"]), 1e-12))
     return checks

@@ -42,7 +42,6 @@ from .statespace import (
     _circle,
     _inventory,
     choose_moebius_parameter,
-    evalfr_many,
     inverse,
     mcmillan_degree,
     minimal,
@@ -60,7 +59,6 @@ __all__ = [
     "moebius_gate",
     "family_member",
     "spectrum_gap",
-    "orthogonal_equivalence_gap",
 ]
 
 @dataclass(frozen=True)
@@ -295,21 +293,3 @@ def factor_family(w_minus: Realization, specs,
     w_work, a = moebius_gate(w_minus, moebius_param, config)
     cp = conjugate_phase(w_work, config)
     return [family_member(cp, spec, w_minus, a, config)[1:] for spec in specs]
-
-
-def orthogonal_equivalence_gap(r1: Realization, r2: Realization,
-                               config: ToleranceConfig = DEFAULT_TOL) -> float:
-    """Distance from "equal up to a constant orthogonal right factor".
-
-    Evaluates O(z) = G1(z)^{-1} G2(z) on 16 circle samples and measures the
-    deviation of O from a single real orthogonal constant.  Factors of the
-    same spectrum that are essentially equal give a gap at rounding level.
-    """
-    zs = np.exp(1j * (0.2831853 + 2.0 * np.pi * np.arange(16) / 16))
-    v1 = evalfr_many(r1, zs, config)
-    v2 = evalfr_many(r2, zs, config)
-    o = np.linalg.solve(v1, v2)
-    o_ref = np.real(o[0])
-    gap = float(np.max(np.abs(o - o_ref)))
-    gap = max(gap, float(np.linalg.norm(o_ref.T @ o_ref - np.eye(o_ref.shape[0]))))
-    return gap

@@ -29,7 +29,6 @@ __all__ = [
     "solve_stein",
     "sym_sqrt",
     "pseudo_inverse",
-    "orth_projector",
     "orth_basis",
     "basis_from_projector",
     "EigenBlock",
@@ -214,16 +213,6 @@ def orth_basis(v, config: ToleranceConfig = DEFAULT_TOL):
     raise RankDeficientBasis(
         f"basis matrix has rank below its column count {v.shape[1]}"
     )
-
-
-def orth_projector(v, config: ToleranceConfig = DEFAULT_TOL):
-    """Orthogonal projector onto the column space of ``v``.
-
-    The result is symmetric and idempotent and depends only on the column
-    space, not the particular basis.
-    """
-    q = orth_basis(v, config)
-    return q @ q.T
 
 
 def basis_from_projector(pi, config: ToleranceConfig = DEFAULT_TOL):

@@ -55,9 +55,7 @@ __all__ = [
     "validate_outer",
     "extremal_set",
     "conjugate_phase",
-    "spectrum_sample",
     "spectrum_samples",
-    "is_all_pass",
     "allpass_residual",
     "check_gramian_identities",
 ]
@@ -321,23 +319,6 @@ def extremal_set(w_minus: Realization,
     return conjugate_phase(w_minus, config).extremals
 
 
-def spectrum_sample(w: Realization, z,
-                    config: ToleranceConfig = DEFAULT_TOL):
-    """Spectral density sample Phi(z) = W(z) W^T(1/z).
-
-    On the unit circle this equals W(z) W(z)^H and is Hermitian positive
-    semi-definite by construction.
-    """
-    z = complex(z)
-    if abs(abs(z) - 1.0) <= 1e-9:
-        return spectrum_samples(w, [z], config)[0]
-    if z == 0:
-        raise EvaluationAtPole("spectral density sample undefined at z = 0")
-    v = evalfr_many(w, [z], config)[0]
-    v_rec = evalfr_many(w, [1.0 / z], config)[0]
-    return v @ v_rec.T
-
-
 def spectrum_samples(w: Realization, zs,
                      config: ToleranceConfig = DEFAULT_TOL):
     """Batched spectral density samples on the unit circle."""
@@ -363,11 +344,3 @@ def allpass_residual(r: Realization,
         return float("inf")
     gap = vals @ np.conj(np.swapaxes(vals, -1, -2)) - np.eye(r.n_out)
     return float(np.max(np.abs(gap)))
-
-
-def is_all_pass(r: Realization, tol: float | None = None,
-                config: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True iff ||G(z) G(z)^H - I|| <= tol at every circle sample."""
-    if tol is None:
-        tol = config.residual_tol
-    return allpass_residual(r, config) <= tol

@@ -2,9 +2,11 @@
 
 A rational matrix G(z) = C (zI - A)^{-1} B + D is represented by the
 quadruple (A, B, C, D); n = 0 encodes a constant.  All operations return new
-realizations and never mutate their inputs.  Transfer-function equality is
-decided by evaluation on a fixed deterministic sample set plus McMillan
-degree equality, never by canonical-form comparison.
+realizations and never mutate their inputs.  Realizations are compared by
+sampling, never by canonical forms: :func:`eval_gap` bounds the gap between
+two transfer functions, ``factors.spectrum_gap`` between two spectral
+densities, and ``spectral.allpass_residual`` measures the distance from the
+all-pass property.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ __all__ = [
     "PoleZeroReport",
     "constant",
     "identity",
-    "evalfr",
     "evalfr_many",
     "series",
     "inverse",
@@ -38,7 +39,6 @@ __all__ = [
     "minimal",
     "mcmillan_degree",
     "poles_zeros",
-    "transfer_equal",
     "eval_gap",
 ]
 
@@ -145,11 +145,6 @@ def _pole_distance(r: Realization, zs, eigs):
     return dist, max(np.linalg.norm(r.a), 1.0)
 
 
-def evalfr(r: Realization, z, config: ToleranceConfig = DEFAULT_TOL):
-    """Evaluate the transfer matrix at a single complex point."""
-    return evalfr_many(r, [z], config)[0]
-
-
 def evalfr_many(r: Realization, zs, config: ToleranceConfig = DEFAULT_TOL):
     """Evaluate the transfer matrix at a batch of complex points.
 
@@ -186,7 +181,8 @@ def _evalfr(r: Realization, zs, eigs, config):
 def series(r1: Realization, r2: Realization) -> Realization:
     """Cascade realization of the product G1(z) G2(z).
 
-    ``evalfr(series(r1, r2), z) == evalfr(r1, z) @ evalfr(r2, z)``.  The
+    ``evalfr_many(series(r1, r2), zs) == evalfr_many(r1, zs) @
+    evalfr_many(r2, zs)``.  The
     result has state dimension n1 + n2 and is not reduced.
     """
     if r1.n_in != r2.n_out:
@@ -497,15 +493,3 @@ def eval_gap(r1: Realization, r2: Realization, zs=None,
         raise EvaluationAtPole("no admissible sample points away from poles")
     diff = evalfr_many(r1, zs, config) - evalfr_many(r2, zs, config)
     return float(np.max(np.abs(diff)))
-
-
-def transfer_equal(r1: Realization, r2: Realization,
-                   config: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Decide transfer-function equality by sampling plus degree equality."""
-    if (r1.n_out, r1.n_in) != (r2.n_out, r2.n_in):
-        return False
-    if mcmillan_degree(r1, config) != mcmillan_degree(r2, config):
-        return False
-    scale = 1.0 + max(np.max(np.abs(r1.d)) if r1.d.size else 0.0,
-                      np.max(np.abs(r2.d)) if r2.d.size else 0.0)
-    return eval_gap(r1, r2, config=config) <= config.residual_tol * scale

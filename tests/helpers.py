@@ -1,7 +1,8 @@
 """Shared test utilities: the closed-form reference channels, a
-well-conditioned random outer-model generator and the benchmark's
-unfiltered random recipe."""
+well-conditioned random outer-model generator, the benchmark's
+unfiltered random recipe and two sampled transfer comparisons."""
 
+import functools
 import importlib.util
 from fractions import Fraction
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 import spectralfactors as sf
+from spectralfactors.statespace import eval_gap
 
 
 def channel_transfer(z, zero, pole):
@@ -68,8 +70,10 @@ def random_outer(seed, n_max=5, m=2):
     raise RuntimeError(f"no admissible model for seed {seed}")
 
 
+@functools.cache
 def bench_workloads():
-    """The benchmark's model generators, ``bench/workloads.py``."""
+    """The benchmark's model generators and numpy checks,
+    ``bench/workloads.py``."""
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     wl = importlib.util.module_from_spec(spec)
@@ -83,6 +87,24 @@ def recipe_outer(n, seed):
     dimension ``n`` in the probe stream 99."""
     wl = bench_workloads()
     return sf.Realization(*wl.random_outer(wl._rng(99, n, seed), n))
+
+
+def transfer_equal(r1, r2, config=sf.DEFAULT_TOL):
+    """Same widths, same McMillan degree and sampled transfer gap within
+    ``residual_tol`` relative to the larger feedthrough."""
+    if (r1.n_out, r1.n_in) != (r2.n_out, r2.n_in):
+        return False
+    if sf.mcmillan_degree(r1, config) != sf.mcmillan_degree(r2, config):
+        return False
+    scale = 1.0 + max(np.max(np.abs(r.d), initial=0.0) for r in (r1, r2))
+    return eval_gap(r1, r2, config=config) <= config.residual_tol * scale
+
+
+def equivalence_gap(r1, r2):
+    """The benchmark's numpy distance of G1^{-1} G2 from one constant real
+    orthogonal matrix, on its 64 offset circle points."""
+    wl = bench_workloads()
+    return wl.equivalence_gap(r1, r2, wl._circle())
 
 
 def full_gamma_divisor(cp):

@@ -15,7 +15,7 @@ from numpy.testing import assert_allclose
 import spectralfactors as sf
 from spectralfactors.demo import theta_feedthrough
 
-from helpers import random_outer
+from helpers import equivalence_gap, random_outer
 
 CFG = sf.ToleranceConfig()
 # The randomized suites certify sampled identities at 1e-7 over 64 circle
@@ -47,8 +47,7 @@ def random_suite():
             w_fac, report = sf.minimal_factor(w, div, SUITE_CFG)
             t_back, _ = sf.extract_left_divisor(w, w_fac, SUITE_CFG,
                                                 w_bar_plus=ext.w_bar_plus)
-            gap = (sf.orthogonal_equivalence_gap(div.t_ell, t_back, SUITE_CFG)
-                   if div.degree else 0.0)
+            gap = equivalence_gap(div.t_ell, t_back) if div.degree else 0.0
             per_divisor.append({
                 "degree": div.degree,
                 "complement_degree": div.right_complement.n,
@@ -203,7 +202,7 @@ def test_criterion_8_moebius_commutation():
 
 def test_criterion_9_density_display_correction(ref):
     w_minus, _ = ref
-    phi_one = sf.spectrum_sample(w_minus, 1.0, CFG)
+    phi_one = sf.spectrum_samples(w_minus, [1.0], CFG)[0]
     assert_allclose(phi_one, np.diag([2.25, 16.0 / 9.0]), atol=1e-12)
 
     def channel_two(z):

@@ -404,7 +404,7 @@ class TestSpectrum:
         rows = list(csv.reader(result.output.strip().splitlines()))[1:]
         for row in rows:
             theta = float(row[0])
-            phi = sf.spectrum_sample(ref_model, np.exp(1j * theta))
+            phi = sf.spectrum_samples(ref_model, [np.exp(1j * theta)])[0]
             assert_allclose(float(row[1]), phi[0, 0].real, atol=1e-12)
 
 

