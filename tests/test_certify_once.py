@@ -10,7 +10,8 @@ and hands its extremal set to the extraction.  A divisor is the compression
 of T onto an invariant subspace, whose dimension is its certified degree: it
 is never reduced, and neither is its closed-form right complement, built
 from the divisor's carried range basis, nor its factor W- T_l, which is
-closed form on n states, so ``minimal_factor`` reduces nothing.  The
+closed form on n states, so ``minimal_factor`` reduces nothing.  Each circle
+check decomposes the state matrix of each system it samples once.  The
 enumeration builds each side subset's basis once, from the carried Schur
 bases of its blocks, and makes no projector round trip; neither does
 ``family_member`` on a selection or basis spec, whose divisor is built from
@@ -34,6 +35,7 @@ from spectralfactors.cli import main
 from spectralfactors.demo import reference_model
 from spectralfactors.factors import family_member, spectrum_gap
 from spectralfactors.modelio import expand_spec_entries, write_model
+from spectralfactors.statespace import eval_gap
 
 from helpers import random_outer, transfer_equal
 
@@ -103,6 +105,31 @@ def test_verify_factor_reduces_each_system_once(monkeypatch, ref_model,
 def test_spectrum_gap_rejects_another_width(ref_model, width):
     with pytest.raises(sf.DimensionMismatch, match="not comparable"):
         spectrum_gap(sf.identity(width), ref_model)
+
+
+@pytest.mark.parametrize("points", [None, 16], ids=["default", "few"])
+def test_circle_checks_decompose_each_system_once(monkeypatch, ref_model,
+                                                  ref_values, points):
+    # One decomposition of each A serves the pole guard (and eval_gap's
+    # keep-mask) and the solve: a Schur form beyond the kernel switch,
+    # an eigenvalue computation below it.
+    w = ref_values["w_bar_minus"]
+    forms = _count_calls(monkeypatch, statespace, "_decompose")
+    schur = _count_calls(monkeypatch, statespace, "_ZGEES")
+    eigvals = np.linalg.eigvals
+    eigs = []
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda a: eigs.append(a) or eigvals(a))
+    if points is None:
+        spectrum_gap(w, ref_model)
+        eval_gap(w, ref_model)
+    else:
+        zs = 1.3 * np.exp(2j * np.pi * np.arange(points) / points)
+        spectrum_gap(w, ref_model, sf.ToleranceConfig(circle_samples=points))
+        eval_gap(w, ref_model, zs)
+    assert [id(args[0]) for args in forms] == [id(w.a), id(ref_model.a)] * 2
+    assert len(schur) + len(eigs) == 4
+    assert len(schur) == (4 if points is None else 0)
 
 
 def test_spectrum_gap_is_inf_at_a_pole(ref_model):

@@ -11,7 +11,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import spectralfactors as sf
-from spectralfactors.statespace import eval_gap
+from spectralfactors import statespace
+from spectralfactors.factors import spectrum_gap
+from spectralfactors.statespace import _LU_MAX_POINTS, eval_gap
 
 from helpers import ref_w_minus_entry, transfer_equal
 
@@ -34,12 +36,57 @@ class TestRealization:
             sf.Realization(np.array([[np.nan]]), [[1.0]], [[1.0]], [[1.0]])
 
 
+# Point counts on both sides of the kernel switch: batched LU up to
+# _LU_MAX_POINTS points, the Schur form beyond.
+SWITCH = [1, _LU_MAX_POINTS, _LU_MAX_POINTS + 1, 512]
+LU_AND_SCHUR = [1, _LU_MAX_POINTS + 1]
+
+
+def _lu_reference(r, zs):
+    """G(z) at each point by numpy's batched LU solve."""
+    lhs = zs[:, None, None] * np.eye(r.n) - r.a
+    rhs = np.broadcast_to(r.b + 0j, (zs.size, r.n, r.n_in))
+    return r.c @ np.linalg.solve(lhs, rhs) + r.d
+
+
+def _non_normal(n, m, seed):
+    """Random rotation of a bidiagonal A with real spectrum in (-0.9, 0.9)
+    and couplings 0.5, so A Aᵀ - Aᵀ A is of order one."""
+    rng = np.random.default_rng(seed)
+    a = np.diag(0.9 * rng.uniform(-1, 1, n)) + np.diag(np.full(n - 1, 0.5), 1)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return sf.Realization(q @ a @ q.T, rng.normal(size=(n, m)),
+                          rng.normal(size=(m, n)), rng.normal(size=(m, m)))
+
+
+def _dense(n, m, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n))
+    a *= 0.9 / np.max(np.abs(np.linalg.eigvals(a)))
+    return sf.Realization(a, rng.normal(size=(n, m)), rng.normal(size=(m, n)),
+                          rng.normal(size=(m, m)))
+
+
+def _rotations(pairs):
+    """A = blockdiag(rho [[cos t, -sin t], [sin t, cos t]]) with B = C = I,
+    D = 0: eigenvalues rho e^{+-it}, and G(z) = (zI - A)^{-1} in closed form
+    blockwise, 1 / ((z - a)^2 + b^2) [[z - a, -b], [b, z - a]]."""
+    n = 2 * len(pairs)
+    a = np.zeros((n, n))
+    for j, (rho, t) in enumerate(pairs):
+        a[2 * j:2 * j + 2, 2 * j:2 * j + 2] = rho * np.array(
+            [[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+    return sf.Realization(a, np.eye(n), np.eye(n), np.zeros((n, n)))
+
+
 class TestEvalfr:
     def test_reference_at_one(self, ref_model):
         expected = [float(ref_w_minus_entry(Fraction(1), i)) for i in range(2)]
         assert expected == [1.5, 4.0 / 3.0]
-        assert_allclose(sf.evalfr_many(ref_model, [1.0])[0], np.diag(expected),
-                        atol=1e-14)
+        for k in LU_AND_SCHUR:
+            vals = sf.evalfr_many(ref_model, [1.0] * k)
+            assert_allclose(vals, np.broadcast_to(np.diag(expected),
+                                                  vals.shape), atol=1e-14)
 
     def test_constant_any_point(self):
         c = sf.identity(3)
@@ -51,12 +98,97 @@ class TestEvalfr:
         expected = (Fraction(1, 2) * (z - 4) * (z - Fraction(1, 2))
                     / ((z - Fraction(1, 4)) * (z - 2)))
         assert expected == 1
-        val = sf.evalfr_many(ref_cp.t, [-1.0])[0]
-        assert_allclose(val[0, 0], float(expected), atol=1e-12)
+        for k in LU_AND_SCHUR:
+            vals = sf.evalfr_many(ref_cp.t, [-1.0] * k)
+            assert_allclose(vals[:, 0, 0], float(expected), atol=1e-12)
+
+    @pytest.mark.parametrize("k", SWITCH)
+    def test_reference_on_the_circle(self, ref_model, k):
+        # Exact rational samples at z = e^{2 pi i j / k}, rounded once.
+        zs = np.exp(2j * np.pi * np.arange(k) / k)
+        vals = sf.evalfr_many(ref_model, zs)
+        for i, zero in enumerate((0.25, 1 / 3)):
+            assert_allclose(vals[:, i, i], (zs - zero) / (zs - 0.5),
+                            rtol=1e-14)
+        assert not np.any(vals[:, 0, 1]) and not np.any(vals[:, 1, 0])
+
+    @pytest.mark.parametrize("k", SWITCH)
+    def test_schur_and_lu_kernels_agree(self, rng, k):
+        r = _dense(8, 2, 3)
+        zs = 1.1 * np.exp(2j * np.pi * rng.uniform(size=k))
+        eigs = np.linalg.eigvals(r.a)
+        lu = statespace._evalfr(r, zs, (eigs, None), sf.DEFAULT_TOL)
+        schur = statespace._evalfr(r, zs, statespace._decompose(r.a, 10 ** 6),
+                                   sf.DEFAULT_TOL)
+        scale = np.max(np.abs(lu))
+        assert np.max(np.abs(schur - lu)) <= 1e-13 * scale
+        assert_allclose(sf.evalfr_many(r, zs), schur if k > _LU_MAX_POINTS
+                        else lu, rtol=0, atol=0)
+
+    @pytest.mark.parametrize("make", [lambda: _non_normal(32, 2, 0),
+                                      lambda: _dense(16, 16, 1)],
+                             ids=["non_normal_32x2", "dense_16x16"])
+    def test_large_models_match_batched_lu(self, make):
+        r = make()
+        zs = np.exp(2j * np.pi * np.arange(512) / 512)
+        ref = _lu_reference(r, zs)
+        gap = np.max(np.abs(sf.evalfr_many(r, zs) - ref))
+        assert gap <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("k", SWITCH)
+    def test_complex_conjugate_pairs(self, k):
+        pairs = [(0.9, 0.3), (0.5, 2.0), (0.99, np.pi / 2)]
+        r = _rotations(pairs)
+        zs = 1.05 * np.exp(2j * np.pi * (np.arange(k) + 0.5) / k)
+        vals = sf.evalfr_many(r, zs)
+        for j, (rho, t) in enumerate(pairs):
+            re, im = rho * np.cos(t), rho * np.sin(t)
+            det = (zs - re) ** 2 + im ** 2
+            blk = vals[:, 2 * j:2 * j + 2, 2 * j:2 * j + 2]
+            assert_allclose(blk[:, 0, 0], (zs - re) / det, rtol=1e-12)
+            assert_allclose(blk[:, 0, 1], -im / det, rtol=1e-12)
+            assert_allclose(blk[:, 1, 0], im / det, rtol=1e-12)
+            assert_allclose(blk[:, 1, 1], (zs - re) / det, rtol=1e-12)
 
     def test_pole_raises(self, ref_model):
-        with pytest.raises(sf.EvaluationAtPole):
-            sf.evalfr_many(ref_model, [0.5])
+        # One point at (or inside the guard of) the pole 1/2 among k - 1
+        # clear points on the circle.
+        for k in LU_AND_SCHUR:
+            for offset in (0.0, 1e-14):
+                zs = np.append(np.exp(2j * np.pi * np.arange(k - 1)
+                                      / max(k - 1, 1)), 0.5 + offset)
+                with pytest.raises(sf.EvaluationAtPole):
+                    sf.evalfr_many(ref_model, zs)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("k", LU_AND_SCHUR)
+    def test_overflow_next_to_a_pole_raises(self, k):
+        # A Jordan block at 0 squares the inverse distance: a point 1e-200
+        # away passes a guard of 1e-300 and overflows the solve.
+        r = sf.Realization([[0.0, 1.0], [0.0, 0.0]], np.eye(2), np.eye(2),
+                           np.zeros((2, 2)))
+        config = sf.ToleranceConfig(rank_rel_tol=1e-300)
+        with pytest.raises(sf.EvaluationAtPole, match="overflow"):
+            sf.evalfr_many(r, np.full(k, 1e-200), config)
+
+    @pytest.mark.parametrize("samples", [8, 64])
+    def test_circle_checks_are_inf_at_a_pole(self, samples):
+        config = sf.ToleranceConfig(circle_samples=samples)
+        on_circle = sf.Realization([[1.0]], [[1.0]], [[1.0]], [[1.0]])
+        assert sf.allpass_residual(on_circle, config) == float("inf")
+        assert spectrum_gap(on_circle, on_circle, config) == float("inf")
+
+    @pytest.mark.parametrize("point", [np.nan, np.inf, complex(0.3, np.nan)])
+    @pytest.mark.parametrize("k", LU_AND_SCHUR)
+    def test_rejects_non_finite_points(self, ref_model, point, k):
+        zs = np.append(np.full(k - 1, 1.3), point)
+        for r in (ref_model, sf.identity(2)):
+            with pytest.raises(ValueError, match="non-finite"):
+                sf.evalfr_many(r, zs)
+        with pytest.raises(ValueError, match="non-finite"):
+            sf.spectrum_samples(ref_model, zs)
+        with pytest.raises(ValueError, match="non-finite"):
+            eval_gap(ref_model, ref_model, zs)
 
     def test_batched_matches_single(self, ref_model):
         zs = [1.0, 2.0, 1.3j]
