@@ -4,6 +4,13 @@ Everything here operates on plain ``numpy`` arrays at desk scale (state
 dimensions of a few dozen at most).  Rank decisions are always relative to
 the largest singular value; magnitudes in typical models span several orders
 of magnitude, so absolute thresholds are avoided throughout.
+
+:func:`eigen_blocks` clusters a spectrum by single linkage on the folded
+points re + i|im| at 1e-7 max(1, rho), reduces the matrix once to real Schur
+form (LAPACK ``gees``) and reorders that form once per block (``trsen``;
+Bai & Demmel, Linear Algebra Appl. 186, 1993) to read off the block's
+invariant-subspace basis: O(n^3) plus the reorders, where a sorted Schur
+form per block cost k O(n^3) for k blocks.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from dataclasses import dataclass
 from numbers import Integral, Real
 
 import numpy as np
-from scipy.linalg import schur, solve_discrete_lyapunov
+from scipy.linalg import get_lapack_funcs, solve_discrete_lyapunov
 
 from .errors import (
     AmbiguousEigenspace,
@@ -40,6 +47,7 @@ __all__ = [
 
 # Ceiling on circle sample counts: 32 times the default of 512.
 _MAX_CIRCLE_SAMPLES = 16384
+_GEES, _TRSEN = get_lapack_funcs(("gees", "trsen"), (np.zeros(0),))
 
 
 @dataclass(frozen=True)
@@ -253,8 +261,10 @@ class EigenBlock:
     simple complex-conjugate pair, or ``"repeated"`` for an eigenvalue
     cluster of multiplicity >= 2.  ``indices`` are the positions occupied in
     the canonically ordered eigenvalue list.  ``basis`` is a real orthonormal
-    basis of the block's invariant subspace (``None`` for defective
-    clusters, which fall outside the supported class).
+    basis of the block's invariant subspace, the leading Schur vectors after
+    :func:`eigen_blocks` reorders the block to the top of the matrix's one
+    real Schur form (``None`` for defective clusters, which fall outside the
+    supported class, and where the reordering fails).
     """
 
     kind: str
@@ -267,27 +277,24 @@ class EigenBlock:
         return len(self.indices)
 
 
-def _schur_block_basis(m, cluster, cluster_tol):
+def _block_basis(t, z, w, cluster, cluster_tol):
     """Real orthonormal basis of the invariant subspace of an eigenvalue
-    cluster, via the ordered real Schur form (backward stable; invariance
-    residual at rounding level even for non-normal matrices)."""
-    targets = [complex(t) for t in cluster]
+    cluster: LAPACK ``trsen`` moves the blocks of the real Schur form
+    (T, Z) whose eigenvalues ``w`` lie within ``cluster_tol`` of the cluster
+    to the top.  None if it fails, counts another dimension, or its
+    reordered eigenvalues do not split into the cluster on top and the rest
+    below (what ``gees`` with ``sort`` reports as info n + 2)."""
+    def inside(w):
+        return np.min(np.abs(w[:, None] - cluster), axis=1) <= cluster_tol
 
-    def sel(re, im):
-        return any(abs(complex(re, im) - t) <= cluster_tol for t in targets)
-
-    try:
-        _, z, sdim = schur(m, output="real", sort=sel)
-    except np.linalg.LinAlgError:
+    _, q, wr, wi, sdim, _, _, info = _TRSEN(inside(w), t, z, job="N")
+    if (info != 0 or sdim != len(cluster) or not np.array_equal(
+            inside(wr + 1j * wi), np.arange(len(w)) < sdim)):
         return None
-    if sdim != len(cluster):
-        return None
-    basis = z[:, :sdim].copy()
+    basis = q[:, :sdim].copy()
     # Deterministic sign: largest-magnitude entry of each vector positive.
-    for j in range(basis.shape[1]):
-        k = int(np.argmax(np.abs(basis[:, j])))
-        if basis[k, j] < 0:
-            basis[:, j] = -basis[:, j]
+    lead = basis[np.argmax(np.abs(basis), axis=0), np.arange(sdim)]
+    basis *= np.where(lead < 0, -1.0, 1.0)
     return basis
 
 
@@ -307,9 +314,15 @@ def _geometric_multiplicity(m, lam, config):
 def eigen_blocks(m, config: ToleranceConfig = DEFAULT_TOL):
     """Cluster the spectrum of ``m`` into real/pair/repeated blocks.
 
-    Eigenvalues are sorted by (real part, imaginary part) and clustered at a
-    scale-relative gap; conjugate pairs are kept atomic.  The returned blocks
-    carry orthonormal invariant-subspace bases for semisimple clusters.
+    The eigenvalues (``np.linalg.eigvals``) are sorted by (real part,
+    imaginary part) and clustered by single linkage on the folded points
+    re + i|im| at 1e-7 max(1, rho(m)); the distance of two folded points is
+    min(|l_i - l_j|, |l_i - conj l_j|), so conjugate pairs stay atomic.
+    Blocks come in order of their least real part, then least |imag|.
+    ``m`` is reduced once to real Schur form (LAPACK ``gees``), and one
+    ``trsen`` per block reorders it to give the block its orthonormal
+    invariant-subspace basis, for semisimple clusters: O(n^3) plus the
+    reorders, where a sorted Schur form per block cost k O(n^3).
     """
     m = _as_matrix(m, "M")
     _require_square(m, "M")
@@ -319,37 +332,22 @@ def eigen_blocks(m, config: ToleranceConfig = DEFAULT_TOL):
     eigs = np.linalg.eigvals(m)
     scale = max(1.0, float(np.max(np.abs(eigs))))
     cluster_tol = 1e-7 * scale
+    eigs = eigs[np.lexsort((eigs.imag, eigs.real))]
 
-    order = np.lexsort((eigs.imag, eigs.real))
-    eigs = eigs[order]
+    # Each eigenvalue takes the least index it reaches through near pairs.
+    folded = eigs.real + 1j * np.abs(eigs.imag)
+    near = np.abs(folded[:, None] - folded[None, :]) <= cluster_tol
+    labels, prev = np.arange(n), None
+    while not np.array_equal(labels, prev):
+        prev, labels = labels, np.where(near, labels, n).min(axis=1)
+    clusters = sorted((eigs[labels == lab] for lab in np.unique(labels)),
+                      key=lambda v: (v.real.min(), np.abs(v.imag).min()))
 
-    # Union-find style clustering on pairwise distance.
-    labels = -np.ones(n, dtype=int)
-    nlab = 0
-    for i in range(n):
-        if labels[i] >= 0:
-            continue
-        labels[i] = nlab
-        for j in range(i + 1, n):
-            if labels[j] < 0 and (
-                abs(eigs[j] - eigs[i]) <= cluster_tol
-                or abs(eigs[j] - eigs[i].conjugate()) <= cluster_tol
-            ):
-                labels[j] = nlab
-        nlab += 1
-    # Merge conjugate clusters that were split by the scan above.
-    for a in range(nlab):
-        ia = labels == a
-        for b in range(a + 1, nlab):
-            ib = labels == b
-            if np.min(np.abs(eigs[ia][:, None] - eigs[ib][None, :].conj())) <= cluster_tol:
-                labels[ib] = a
-
+    t, _, wr, wi, z, _, info = _GEES(lambda re, im: None, m)
+    w = wr + 1j * wi
     blocks = []
     pos = 0
-    for lab in sorted(set(labels), key=lambda l: (eigs[labels == l].real.min(),
-                                                  abs(eigs[labels == l].imag).min())):
-        vals = eigs[labels == lab]
+    for vals in clusters:
         rep = vals[np.argmax(vals.imag >= 0)] if np.any(vals.imag >= 0) else vals[0]
         is_pair = np.max(np.abs(vals.imag)) > cluster_tol
         if is_pair:
@@ -357,7 +355,7 @@ def eigen_blocks(m, config: ToleranceConfig = DEFAULT_TOL):
         else:
             vals = vals.real + 0j
             kind = "real" if len(vals) == 1 else "repeated"
-        basis = _schur_block_basis(m, vals, cluster_tol)
+        basis = None if info else _block_basis(t, z, w, vals, cluster_tol)
         if (basis is not None and kind == "repeated"
                 and _geometric_multiplicity(m, rep, config) != len(vals)):
             basis = None  # defective cluster: geometric < algebraic multiplicity

@@ -43,8 +43,6 @@ __all__ = [
     "series",
     "inverse",
     "moebius",
-    "moebius_image",
-    "moebius_preimage",
     "choose_moebius_parameter",
     "minimal",
     "mcmillan_degree",
@@ -213,24 +211,27 @@ def _evalfr(r: Realization, zs, form, config):
             f"evaluation point {zs[np.argmax(bad)]} is too close to a pole"
         )
     n, k, m = r.n, zs.size, r.n_in
-    if schur is None:
-        lhs = zs[:, None, None] * np.eye(n) - r.a
-        rhs = np.broadcast_to(r.b.astype(complex), (k, n, m))
-        try:
-            vals = r.c @ np.linalg.solve(lhs, rhs) + r.d
-        except np.linalg.LinAlgError as exc:  # exact hit despite the guard
-            raise EvaluationAtPole("evaluation point is a pole") from exc
-    else:
-        # Back-substitution through (zI - T) x = U^H B for all points at
-        # once: row i of x, shape (k, m), is stored as x[i].
-        t, u = schur
-        g = u.conj().T @ r.b
-        shift = zs[None, :] - np.diag(t)[:, None]
-        x = np.empty((n, k, m), dtype=complex)
-        for i in range(n - 1, -1, -1):
-            above = t[i, i + 1:] @ x[i + 1:].reshape(n - i - 1, k * m)
-            x[i] = (g[i] + above.reshape(k, m)) / shift[i][:, None]
-        vals = np.matmul(r.c @ u, x.transpose(1, 0, 2)) + r.d
+    # Next to a pole the solve may overflow; the finiteness test below is
+    # the signal, so numpy's warnings are not raised.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if schur is None:
+            lhs = zs[:, None, None] * np.eye(n) - r.a
+            rhs = np.broadcast_to(r.b.astype(complex), (k, n, m))
+            try:
+                vals = r.c @ np.linalg.solve(lhs, rhs) + r.d
+            except np.linalg.LinAlgError as exc:  # exact hit despite the guard
+                raise EvaluationAtPole("evaluation point is a pole") from exc
+        else:
+            # Back-substitution through (zI - T) x = U^H B for all points
+            # at once: row i of x, shape (k, m), is stored as x[i].
+            t, u = schur
+            g = u.conj().T @ r.b
+            shift = zs[None, :] - np.diag(t)[:, None]
+            x = np.empty((n, k, m), dtype=complex)
+            for i in range(n - 1, -1, -1):
+                above = t[i, i + 1:] @ x[i + 1:].reshape(n - i - 1, k * m)
+                x[i] = (g[i] + above.reshape(k, m)) / shift[i][:, None]
+            vals = np.matmul(r.c @ u, x.transpose(1, 0, 2)) + r.d
     if not np.all(np.isfinite(vals)):
         raise EvaluationAtPole("evaluation overflowed next to a pole")
     return vals
@@ -286,18 +287,6 @@ def inverse(r: Realization, config: ToleranceConfig = DEFAULT_TOL) -> Realizatio
     d_inv = _inv(r.d, SingularFeedthrough, "feedthrough D", config)
     a = r.a - r.b @ d_inv @ r.c
     return Realization(a, r.b @ d_inv, -d_inv @ r.c, d_inv)
-
-
-def moebius_image(z, a: float):
-    """Scalar Moebius map z -> (z - a) / (1 - a z); maps circle to circle."""
-    z = np.asarray(z, dtype=complex)
-    return (z - a) / (1.0 - a * z)
-
-
-def moebius_preimage(lam, a: float):
-    """Inverse of moebius_image: lam -> (lam + a) / (1 + a lam)."""
-    lam = np.asarray(lam, dtype=complex)
-    return (lam + a) / (1.0 + a * lam)
 
 
 def moebius(r: Realization, a: float,

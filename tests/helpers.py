@@ -1,6 +1,7 @@
 """Shared test utilities: the closed-form reference channels, a
 well-conditioned random outer-model generator, the benchmark's
-unfiltered random recipe and two sampled transfer comparisons."""
+unfiltered random recipe, two sampled transfer comparisons and the scalar
+Moebius map with its inverse."""
 
 import functools
 import importlib.util
@@ -112,6 +113,18 @@ def full_gamma_divisor(cp):
     pi = np.zeros((cp.t.n, cp.t.n))
     pi[:cp.n_gamma, :cp.n_gamma] = np.eye(cp.n_gamma)
     return sf.divisor_from_projector(cp, pi)
+
+
+def moebius_image(z, a):
+    """Scalar Moebius map z -> (z - a) / (1 - a z); maps circle to circle."""
+    z = np.asarray(z, dtype=complex)
+    return (z - a) / (1.0 - a * z)
+
+
+def moebius_preimage(lam, a):
+    """Inverse of moebius_image: lam -> (lam + a) / (1 + a lam)."""
+    lam = np.asarray(lam, dtype=complex)
+    return (lam + a) / (1.0 + a * lam)
 
 
 def circle_points(k):

@@ -18,7 +18,8 @@ bases of its blocks, and makes no projector round trip; neither does
 the spec's basis the same way.  The eigenvalue blocks of Gamma and A^{-T}
 are clustered once, by ``conjugate_phase``: the enumeration, the spec
 projectors and the theta-grid expansion read the carried blocks, so
-together they make two ``eigen_blocks`` calls.
+together they make two ``eigen_blocks`` calls, each of which reduces its
+matrix to real Schur form once and reorders that form once per block.
 """
 
 import dataclasses
@@ -37,7 +38,7 @@ from spectralfactors.factors import family_member, spectrum_gap
 from spectralfactors.modelio import expand_spec_entries, write_model
 from spectralfactors.statespace import eval_gap
 
-from helpers import random_outer, transfer_equal
+from helpers import random_outer, recipe_outer, transfer_equal
 
 
 def _count_calls(monkeypatch, module, name):
@@ -322,6 +323,19 @@ def test_spectral_structure_is_clustered_once(monkeypatch, ref_model):
     specs = expand_spec_entries([{"a_select": [0, 1], "theta_grid": 2}], cp)
     assert len(specs) == 2
     assert [args[0] for args in blocks] == [cp.gamma, cp.a_inv_t]
+
+
+@pytest.mark.parametrize("make", [MODELS["reference"], MODELS["random"],
+                                  lambda: recipe_outer(8, 0)],
+                         ids=["reference", "random", "recipe8_0"])
+def test_each_spectrum_takes_one_schur_form(monkeypatch, make):
+    w = make()
+    forms = _count_calls(monkeypatch, matnum, "_GEES")
+    reorders = _count_calls(monkeypatch, matnum, "_TRSEN")
+    cp = sf.conjugate_phase(w)
+    # One gees each for Gamma and A^{-T}, whatever their block counts.
+    assert len(forms) == 2
+    assert len(reorders) == len(cp.gamma_blocks) + len(cp.a_blocks)
 
 
 def test_divisor_input_leaving_the_range_raises(monkeypatch, ref_cp):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import block_diag, schur
 
 import spectralfactors as sf
 from spectralfactors.matnum import (
@@ -13,6 +14,34 @@ from spectralfactors.matnum import (
     orth_basis,
     selection_basis,
 )
+
+from helpers import recipe_outer
+
+
+def non_normal(n, seed=0):
+    """Random n x n matrix with a heavy strict upper triangle, scaled to
+    spectral radius one: its Henrici departure from normality is about
+    0.76 of its norm at n = 32."""
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n, n)) + 2.0 * np.triu(rng.standard_normal((n, n)), 1)
+    return m / max(abs(np.linalg.eigvals(m)))
+
+
+def sorted_schur_basis(m, cluster):
+    """Reference block basis: the leading vectors of a real Schur form that
+    LAPACK ``gees`` sorts for this cluster alone, signed so that each
+    vector's largest-magnitude entry is positive."""
+    tol = 1e-7 * max(1.0, np.max(np.abs(np.linalg.eigvals(m))))
+
+    def sel(re, im):
+        return any(abs(complex(re, im) - t) <= tol for t in cluster)
+
+    _, z, sdim = schur(m, output="real", sort=sel)
+    basis = z[:, :sdim].copy()
+    for j in range(sdim):
+        if basis[np.argmax(np.abs(basis[:, j])), j] < 0:
+            basis[:, j] = -basis[:, j]
+    return basis
 
 
 def projector(v):
@@ -283,6 +312,50 @@ class TestEigenStructure:
                 selection.extend(blk.indices)
         v = selection_basis(eigen_blocks(m), selection)
         assert sf.is_invariant(m, v)
+
+    @pytest.mark.parametrize("m, dim", [
+        (np.diag(0.5 + 0.8e-7 * np.arange(5)), 5),
+        (block_diag(*[[[0.5 + 0.8e-7 * j, -0.3], [0.3, 0.5 + 0.8e-7 * j]]
+                      for j in range(5)]), 10),
+    ], ids=["real", "pairs"])
+    def test_chained_spectrum_is_one_cluster(self, m, dim):
+        # Neighbours 0.8e-7 apart chain within the cluster tolerance 1e-7
+        # into one cluster, whose kernel is smaller than the cluster:
+        # selecting it raises the typed defective-cluster error.
+        blocks = eigen_blocks(m)
+        assert [(b.kind, b.dim) for b in blocks] == [("repeated", dim)]
+        assert blocks[0].basis is None
+        with pytest.raises(sf.AmbiguousEigenspace, match="defective"):
+            selection_basis(blocks, range(dim))
+
+    @pytest.mark.parametrize("m", [
+        np.kron(np.eye(2), [[0.5, -0.4], [0.4, 0.5]]),
+        non_normal(32),
+    ], ids=["repeated-pair", "non-normal-32"])
+    def test_block_bases_invariant_and_independent(self, m):
+        blocks = eigen_blocks(m)
+        assert sum(b.dim for b in blocks) == len(m)
+        for b in blocks:
+            assert_allclose(b.basis.T @ b.basis, np.eye(b.dim), atol=1e-13)
+            assert sf.is_invariant(m, b.basis)
+        stacked = np.hstack([b.basis for b in blocks])
+        assert np.linalg.svd(stacked, compute_uv=False)[-1] > 1e-3
+
+    @pytest.mark.parametrize("m", [
+        np.diag([0.25, 1 / 3, 2.0, 2.0]),
+        np.kron(np.eye(2), [[0.5, -0.4], [0.4, 0.5]]),
+        non_normal(32),
+        non_normal(16, seed=1),
+    ] + [getattr(sf.conjugate_phase(recipe_outer(8, 0)), name)
+         for name in ("gamma", "a_inv_t")],
+        ids=["diag", "repeated-pair", "non-normal-32", "non-normal-16",
+             "recipe8_0-gamma", "recipe8_0-a_inv_t"])
+    def test_block_bases_equal_sorted_schur_forms(self, m):
+        # One Schur form reordered per block gives bit for bit the basis of
+        # a Schur form sorted for that block alone.
+        for b in eigen_blocks(m):
+            assert np.array_equal(b.basis,
+                                  sorted_schur_basis(m, b.eigenvalues))
 
 
 class TestIsInvariant:

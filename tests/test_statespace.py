@@ -15,7 +15,8 @@ from spectralfactors import statespace
 from spectralfactors.factors import spectrum_gap
 from spectralfactors.statespace import _LU_MAX_POINTS, eval_gap
 
-from helpers import ref_w_minus_entry, transfer_equal
+from helpers import (moebius_image, moebius_preimage, ref_w_minus_entry,
+                     transfer_equal)
 
 
 class TestRealization:
@@ -160,7 +161,6 @@ class TestEvalfr:
                 with pytest.raises(sf.EvaluationAtPole):
                     sf.evalfr_many(ref_model, zs)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("k", LU_AND_SCHUR)
     def test_overflow_next_to_a_pole_raises(self, k):
         # A Jordan block at 0 squares the inverse distance: a point 1e-200
@@ -279,7 +279,6 @@ class TestMoebius:
         assert_allclose(np.linalg.eigvals(moved.a).real, [0.2, 0.2], atol=1e-12)
 
     def test_substitution_property(self, ref_model, rng):
-        from spectralfactors.statespace import moebius_preimage
         a = 0.37
         zs = 1.9 * np.exp(2j * np.pi * rng.uniform(size=32))
         lhs = sf.evalfr_many(sf.moebius(ref_model, a), zs)
@@ -287,7 +286,6 @@ class TestMoebius:
         assert np.max(np.abs(lhs - rhs)) <= 1e-11
 
     def test_circle_preserved(self):
-        from spectralfactors.statespace import moebius_image
         zs = np.exp(2j * np.pi * np.arange(64) / 64)
         assert_allclose(np.abs(moebius_image(zs, 0.55)), 1.0, atol=1e-13)
 
