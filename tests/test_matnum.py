@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import block_diag, schur
 
 import spectralfactors as sf
+from spectralfactors import matnum
 from spectralfactors.matnum import (
     basis_from_projector,
     eigen_blocks,
@@ -356,6 +357,22 @@ class TestEigenStructure:
         for b in eigen_blocks(m):
             assert np.array_equal(b.basis,
                                   sorted_schur_basis(m, b.eigenvalues))
+
+
+    @pytest.mark.parametrize("handle, spoil", [
+        ("_GEES", lambda out: out[:-1] + (1,)),
+        ("_TRSEN", lambda out: out[:-1] + (1,)),
+        ("_TRSEN", lambda out: out[:4] + (out[4] + 1,) + out[5:]),
+        ("_TRSEN", lambda out: out[:2] + (out[2][::-1],) + out[3:]),
+    ], ids=["gees-info", "trsen-info", "trsen-dimension", "trsen-order"])
+    def test_failed_reorder_leaves_no_basis(self, monkeypatch, handle, spoil):
+        # A failed decomposition, a reorder that counts another dimension,
+        # or reordered eigenvalues that swap sides give no basis.
+        lapack = getattr(matnum, handle)
+        monkeypatch.setattr(matnum, handle,
+                            lambda *args, **kw: spoil(lapack(*args, **kw)))
+        blocks = eigen_blocks(np.diag([0.25, 0.5]))
+        assert [b.basis for b in blocks] == [None, None]
 
 
 class TestIsInvariant:
