@@ -50,7 +50,6 @@ import numpy as np
 from scipy.linalg import block_diag
 
 from .errors import (
-    AmbiguousEigenspace,
     DegreeAdditivityViolation,
     InvalidSubspace,
     NotInvariant,
@@ -209,7 +208,7 @@ def divisor_from_projector(cp: ConjugatePhase, pi,
         If the range of ``pi`` is not invariant (or ``pi`` is not an
         orthogonal projector).
     CompressionNotPD
-        If the Gram matrix of the completion fails the definiteness test.
+        If the completion's complement or its Gram matrix fails its test.
     GramianIdentityViolation
         If the completed divisor fails its all-pass identities.
     DegreeViolation
@@ -291,15 +290,12 @@ def _block_choices(blocks, part, config):
 
     Simple real eigenvalues and complex pairs toggle in or out; a repeated
     (semisimple) eigenvalue contributes only the empty or full eigenspace
-    and is reported as a continuum of intermediate subspaces.
+    and is reported as a continuum of intermediate subspaces.  A block
+    without a basis, defective or not reorderable, makes
+    :func:`selection_basis` raise AmbiguousEigenspace.
     """
     continua = []
     for blk in blocks:
-        if blk.basis is None:
-            raise AmbiguousEigenspace(
-                f"{part} block at {blk.eigenvalues[0]} is defective; "
-                "automated enumeration requires diagonalizable blocks"
-            )
         if blk.dim >= 2 and blk.kind == "repeated":
             continua.append(ContinuumFamily(
                 part=part, eigenvalue=blk.eigenvalues[0], dim=blk.dim,

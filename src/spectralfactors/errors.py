@@ -91,10 +91,10 @@ class NotInvariant(SpectralFactorsError):
 
 
 class CompressionNotPD(SpectralFactorsError):
-    """The m x m Gram matrix of an all-pass completion, [B; D]^T diag(Q, -I)
-    [B; D] over the diag(Q, -I)-orthogonal complement of [A; C], failed the
-    negative-definiteness check: the compressed Stein solution Q is
-    numerically singular."""
+    """An all-pass completion failed: [A^T Q, -C^T] has rank below n, so the
+    diag(Q, -I)-orthogonal complement of [A; C] is not m-dimensional, or the
+    complement's Gram matrix [B; D]^T diag(Q, -I) [B; D] is not negative
+    definite: the compressed Stein solution Q is numerically singular."""
 
 
 class DegreeAdditivityViolation(SpectralFactorsError):

@@ -8,9 +8,9 @@ of magnitude, so absolute thresholds are avoided throughout.
 :func:`eigen_blocks` clusters a spectrum by single linkage on the folded
 points re + i|im| at 1e-7 max(1, rho), reduces the matrix once to real Schur
 form (LAPACK ``gees``) and reorders that form once per block (``trsen``;
-Bai & Demmel, Linear Algebra Appl. 186, 1993) to read off the block's
-invariant-subspace basis: O(n^3) plus the reorders, where a sorted Schur
-form per block cost k O(n^3) for k blocks.
+Bai & Demmel, Linear Algebra Appl. 186, 1993).  Each reordering gives its
+cluster's invariant-subspace basis and decides on the leading Schur block
+whether the cluster is semisimple: O(n^3) plus the reorders.
 """
 
 from __future__ import annotations
@@ -263,8 +263,8 @@ class EigenBlock:
     the canonically ordered eigenvalue list.  ``basis`` is a real orthonormal
     basis of the block's invariant subspace, the leading Schur vectors after
     :func:`eigen_blocks` reorders the block to the top of the matrix's one
-    real Schur form (``None`` for defective clusters, which fall outside the
-    supported class, and where the reordering fails).
+    real Schur form, which also decides semisimplicity (``None`` where the
+    reordering fails and for defective clusters, outside the supported class).
     """
 
     kind: str
@@ -277,38 +277,37 @@ class EigenBlock:
         return len(self.indices)
 
 
-def _block_basis(t, z, w, cluster, cluster_tol):
+def _block_basis(t, z, w, cluster, cluster_tol, config):
     """Real orthonormal basis of the invariant subspace of an eigenvalue
     cluster: LAPACK ``trsen`` moves the blocks of the real Schur form
     (T, Z) whose eigenvalues ``w`` lie within ``cluster_tol`` of the cluster
-    to the top.  None if it fails, counts another dimension, or its
-    reordered eigenvalues do not split into the cluster on top and the rest
-    below (what ``gees`` with ``sort`` reports as info n + 2)."""
+    to the top.  None if it fails, counts another dimension, its reordered
+    eigenvalues do not split into the cluster on top and the rest below
+    (what ``gees`` with ``sort`` reports as info n + 2), or the leading
+    block T11 shows the cluster defective (:func:`eigen_blocks`)."""
     def inside(w):
         return np.min(np.abs(w[:, None] - cluster), axis=1) <= cluster_tol
 
-    _, q, wr, wi, sdim, _, _, info = _TRSEN(inside(w), t, z, job="N")
+    ts, q, wr, wi, sdim, _, _, info = _TRSEN(inside(w), t, z, job="N")
     if (info != 0 or sdim != len(cluster) or not np.array_equal(
             inside(wr + 1j * wi), np.arange(len(w)) < sdim)):
         return None
+    if sdim > 1 + np.any(cluster.imag):  # a repeated cluster
+        p = ((ts[:sdim, :sdim] - cluster.real.mean() * np.eye(sdim))
+             / max(1.0, np.linalg.norm(ts)))
+        if np.any(cluster.imag):
+            inner = np.flatnonzero(np.diag(p, -1))  # the 2x2 blocks
+            p = p @ p  # the constant im^2 moves only the diagonal
+            p[inner, inner + 1] = 0.0
+        else:
+            p = p + p.T  # b + c on the 2x2 blocks; nothing else lies below
+        if np.linalg.norm(np.triu(p, 1)) > max(config.rank_rel_tol, 1e-10):
+            return None  # defective
     basis = q[:, :sdim].copy()
     # Deterministic sign: largest-magnitude entry of each vector positive.
     lead = basis[np.argmax(np.abs(basis), axis=0), np.arange(sdim)]
     basis *= np.where(lead < 0, -1.0, 1.0)
     return basis
-
-
-def _geometric_multiplicity(m, lam, config):
-    """Kernel dimension of m - lam*I (or of the real quadratic factor of a
-    conjugate pair); detects defective clusters."""
-    n = m.shape[0]
-    if abs(lam.imag) > 0:
-        poly = m @ m - 2.0 * lam.real * m + (abs(lam) ** 2) * np.eye(n)
-    else:
-        poly = m - lam.real * np.eye(n)
-    s = np.linalg.svd(poly, compute_uv=False)
-    tol = max(s[0], 1.0) * max(config.rank_rel_tol, 1e-10)
-    return int(np.sum(s <= tol))
 
 
 def eigen_blocks(m, config: ToleranceConfig = DEFAULT_TOL):
@@ -319,10 +318,16 @@ def eigen_blocks(m, config: ToleranceConfig = DEFAULT_TOL):
     re + i|im| at 1e-7 max(1, rho(m)); the distance of two folded points is
     min(|l_i - l_j|, |l_i - conj l_j|), so conjugate pairs stay atomic.
     Blocks come in order of their least real part, then least |imag|.
-    ``m`` is reduced once to real Schur form (LAPACK ``gees``), and one
-    ``trsen`` per block reorders it to give the block its orthonormal
-    invariant-subspace basis, for semisimple clusters: O(n^3) plus the
-    reorders, where a sorted Schur form per block cost k O(n^3).
+    ``m`` is reduced once to real Schur form T (LAPACK ``gees``), and one
+    ``trsen`` per block reorders it: O(n^3) plus the reorders.  The leading
+    Schur vectors are the block's orthonormal basis, and the leading block
+    T11 decides whether the cluster is semisimple, i.e. whether its minimal
+    polynomial p, x - r or (x - r)^2 + im^2 if complex (r the mean real
+    part), annihilates T11 but for the eigenvalue spread, which T11's 1x1
+    and 2x2 diagonal blocks hold: the rest of p(T11 / max(1, ||T||_F)), plus
+    the non-normal part b + c of a 2x2 block in a real cluster (a pair that
+    rounding split off), must not exceed max(rank_rel_tol, 1e-10) in
+    Frobenius norm.  A defective cluster gets no basis.
     """
     m = _as_matrix(m, "M")
     _require_square(m, "M")
@@ -345,26 +350,19 @@ def eigen_blocks(m, config: ToleranceConfig = DEFAULT_TOL):
 
     t, _, wr, wi, z, _, info = _GEES(lambda re, im: None, m)
     w = wr + 1j * wi
-    blocks = []
-    pos = 0
+    blocks, pos = [], 0
     for vals in clusters:
-        rep = vals[np.argmax(vals.imag >= 0)] if np.any(vals.imag >= 0) else vals[0]
         is_pair = np.max(np.abs(vals.imag)) > cluster_tol
         if is_pair:
             kind = "pair" if len(vals) == 2 else "repeated"
         else:
             vals = vals.real + 0j
             kind = "real" if len(vals) == 1 else "repeated"
-        basis = None if info else _block_basis(t, z, w, vals, cluster_tol)
-        if (basis is not None and kind == "repeated"
-                and _geometric_multiplicity(m, rep, config) != len(vals)):
-            basis = None  # defective cluster: geometric < algebraic multiplicity
-        idx = tuple(range(pos, pos + len(vals)))
+        basis = None if info else _block_basis(t, z, w, vals, cluster_tol,
+                                               config)
+        blocks.append(EigenBlock(kind, tuple(complex(v) for v in vals),
+                                 tuple(range(pos, pos + len(vals))), basis))
         pos += len(vals)
-        blocks.append(EigenBlock(kind=kind,
-                                 eigenvalues=tuple(complex(v) for v in vals),
-                                 indices=idx,
-                                 basis=basis))
     return blocks
 
 
@@ -399,7 +397,8 @@ def _selected_blocks(blocks, selection):
         if blk.basis is None:
             raise AmbiguousEigenspace(
                 f"eigenvalue cluster at {blk.eigenvalues[0]} is defective"
-            )
+                if blk.kind == "repeated" else f"{blk.kind} block at "
+                f"{blk.eigenvalues[0]}: its Schur reordering gave no basis")
         chosen.append(blk)
     return chosen
 

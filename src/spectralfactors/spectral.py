@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag, null_space, polar
+from scipy.linalg import block_diag, polar, svd
 
 from .errors import (
     CompressionNotPD,
@@ -166,26 +166,30 @@ def _allpass_completion(a, c, q, what, config):
     """Certified all-pass completion (A, B, C, D) of an observable (C, A)
     from its Stein solution Q, with  A^T Q A - Q = C^T C.
 
-    [B; D] spans the diag(Q, -I)-orthogonal complement of [A; C]; the m x m
-    Gram matrix of that complement is negative definite whenever Q is
-    nonsingular (inertia), and scaling by it gives B^T Q B - D^T D = -I.
-    D is taken to its symmetric positive definite polar factor.  Returns
-    the realization and its :func:`_j_identities` check.
+    [B; D] spans the diag(Q, -I)-orthogonal complement of [A; C], the last m
+    right singular vectors of [A^T Q, -C^T]; its m x m Gram matrix is
+    negative definite whenever Q is nonsingular (inertia), and scaling by it
+    gives B^T Q B - D^T D = -I, D taken to its positive definite polar
+    factor.  Returns the realization and its :func:`_j_identities` check.
 
-    Raises CompressionNotPD if the Gram matrix fails the definiteness test
-    and GramianIdentityViolation naming ``what`` if the identities fail.
+    Raises CompressionNotPD if the gap s_n / s_1 <= eps (n + m) or the Gram
+    matrix fails the definiteness test, and GramianIdentityViolation naming
+    ``what`` if the identities fail.
     """
     n, m = a.shape[0], c.shape[0]
-    basis = null_space(np.hstack([a.T @ q, -c.T])) if n else np.eye(m)
-    top, bottom = basis[:n], basis[n:]
+    _, s, vh = svd(np.hstack([a.T @ q, -c.T]))  # vh = I if n = 0
+    if n and s[-1] <= np.finfo(float).eps * (n + m) * s[0]:
+        raise CompressionNotPD(f"completion complement is not {m}-dimensional"
+                               f": gap s_n/s_1 = {s[-1]:.3e}/{s[0]:.3e}")
+    top, bottom = vh[n:, :n].T, vh[n:, n:].T
     gram = bottom.T @ bottom - top.T @ q @ top
     w, u = np.linalg.eigh(0.5 * (gram + gram.T))
-    if basis.shape[1] != m or w[0] <= config.rank_rel_tol * w[-1]:
+    if w[0] <= config.rank_rel_tol * w[-1]:
         raise CompressionNotPD(
             f"completion Gram matrix is not negative definite (eigenvalues "
             f"of its negative span {w[0]:.3e} to {w[-1]:.3e})"
         )
-    bd = basis @ (u / np.sqrt(w))
+    bd = vh[n:].T @ (u / np.sqrt(w))
     rot, _ = polar(bd[n:], side="left")
     bd = bd @ rot.T
     b, d = bd[:n], bd[n:]

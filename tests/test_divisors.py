@@ -384,6 +384,16 @@ class TestEnumerateDivisors:
         with pytest.raises(sf.GramianIdentityViolation, match="divisor"):
             sf.enumerate_divisors(doctored)
 
+    def test_defective_cluster_is_refused(self):
+        # ((z - 0.3)/(z - 0.5))^2: Jordan blocks at the double zero and at
+        # the double pole's mirror image 2, so no block subset enumerates.
+        section = sf.Realization([[0.5]], [[1.0]], [[0.2]], [[1.0]])
+        cp = sf.conjugate_phase(sf.series(section, section))
+        assert [b.basis for b in cp.gamma_blocks + cp.a_blocks] == [None] * 2
+        with pytest.raises(sf.AmbiguousEigenspace,
+                           match=r"cluster at \(0.3\+0j\) is defective"):
+            sf.enumerate_divisors(cp)
+
     def test_constant_model(self):
         cp = sf.conjugate_phase(sf.identity(2))
         out = sf.enumerate_divisors(cp)

@@ -39,6 +39,15 @@ class TestMinimalFactor:
         gap = equivalence_gap(w, ref_values["w_bar_minus"])
         assert gap <= 1e-9
 
+    def test_wrong_factor_raises_spectrum_mismatch(self, ref_model, ref_cp):
+        div = sf.enumerate_divisors(ref_cp)[3]
+        f = div.factor
+        bad = dataclasses.replace(
+            div, factor=sf.Realization(f.a, f.b, 1.01 * f.c, f.d))
+        with pytest.raises(sf.SpectrumMismatch,
+                           match="generated factor spectrum residual"):
+            sf.minimal_factor(ref_model, bad)
+
     def test_angle_family_at_right_angle(self, ref_model, ref_cp):
         spec = sf.SubspaceSpec(a_basis=np.array([[0.0], [1.0]]))
         pi = sf.projector_from_spec(ref_cp, spec)

@@ -9,6 +9,7 @@ from scipy.linalg import block_diag, schur
 
 import spectralfactors as sf
 from spectralfactors import matnum
+from spectralfactors.divisors import _block_choices
 from spectralfactors.matnum import (
     basis_from_projector,
     eigen_blocks,
@@ -43,6 +44,33 @@ def sorted_schur_basis(m, cluster):
         if basis[np.argmax(np.abs(basis[:, j])), j] < 0:
             basis[:, j] = -basis[:, j]
     return basis
+
+
+def rotation(re, im):
+    """Real 2 x 2 block with eigenvalues re +- i im."""
+    return np.array([[re, -im], [im, re]])
+
+
+def similar(d, seed=0):
+    """S D S^{-1} for a seeded Gaussian S: the same Jordan structure as D in
+    non-normal coordinates."""
+    s = np.random.default_rng(seed).standard_normal(np.shape(d))
+    return s @ d @ np.linalg.inv(s)
+
+
+# Each matrix with whether its one repeated cluster is semisimple; the kernel
+# dimension of M - lam I (or of a pair's real quadratic) gives the same.
+SEMISIMPLICITY = {
+    "jordan-a_inv_t": (np.array([[2.0, 0.0], [-4.0, 2.0]]), False),
+    "jordan-pair": (np.block([[rotation(0.5, 0.4), np.eye(2)],
+                              [np.zeros((2, 2)), rotation(0.5, 0.4)]]), False),
+    "coupled-1e-8": (np.array([[0.5, 1e-8], [0.0, 0.5]]), False),
+    "coupled-1e-11": (np.array([[0.5, 1e-11], [0.0, 0.5]]), True),
+    "triple-real": (similar(np.diag([0.3, 0.3, 0.3, 0.9, -0.2, 0.5])), True),
+    "double-pair": (similar(block_diag(rotation(0.4, 0.3), rotation(0.4, 0.3),
+                                       0.7, -0.1)), True),
+    "2I": (2.0 * np.eye(2), True),
+}
 
 
 def projector(v):
@@ -321,13 +349,47 @@ class TestEigenStructure:
     ], ids=["real", "pairs"])
     def test_chained_spectrum_is_one_cluster(self, m, dim):
         # Neighbours 0.8e-7 apart chain within the cluster tolerance 1e-7
-        # into one cluster, whose kernel is smaller than the cluster:
-        # selecting it raises the typed defective-cluster error.
+        # into one cluster.  Its Schur block is (block) diagonal, so nothing
+        # couples the eigenvalues: the cluster is semisimple.
         blocks = eigen_blocks(m)
         assert [(b.kind, b.dim) for b in blocks] == [("repeated", dim)]
-        assert blocks[0].basis is None
-        with pytest.raises(sf.AmbiguousEigenspace, match="defective"):
-            selection_basis(blocks, range(dim))
+        basis = blocks[0].basis
+        assert_allclose(basis.T @ basis, np.eye(dim), atol=1e-13)
+        assert sf.is_invariant(m, basis)
+        assert selection_basis(blocks, range(dim)).shape == (dim, dim)
+
+    @pytest.mark.parametrize("name", SEMISIMPLICITY)
+    def test_semisimplicity_verdicts(self, name):
+        m, semisimple = SEMISIMPLICITY[name]
+        (blk,) = [b for b in eigen_blocks(m) if b.kind == "repeated"]
+        assert (blk.basis is not None) == semisimple
+        if semisimple:
+            assert_allclose(blk.basis.T @ blk.basis, np.eye(blk.dim),
+                            atol=1e-13)
+            assert sf.is_invariant(m, blk.basis)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_jordan_block_in_random_coordinates_is_defective(self, seed):
+        # Rounding splits the double eigenvalue 0.7 by about 1e-8, along the
+        # real axis or into a complex pair; either way one real cluster.  Its
+        # polynomial is x - 0.7, not the real quadratic that a 2 x 2 Jordan
+        # block satisfies, and a 2 x 2 Schur block keeps its non-normal part,
+        # which holds the coupling.
+        jordan = np.diag([0.7, 0.7, 0.2, -0.4])
+        jordan[0, 1] = 1.0
+        (blk,) = [b for b in eigen_blocks(similar(jordan, seed))
+                  if b.kind == "repeated"]
+        assert blk.dim == 2 and blk.basis is None
+
+    def test_decides_semisimplicity_without_svd(self, monkeypatch):
+        # Semisimplicity is read off the reordered Schur form, so no
+        # singular value decomposition runs.
+        def svd(*args, **kwargs):
+            raise AssertionError("eigen_blocks called np.linalg.svd")
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        blocks = eigen_blocks(np.diag([0.25, 1 / 3, 2.0, 2.0]))
+        assert [b.basis is not None for b in blocks] == [True] * 3
 
     @pytest.mark.parametrize("m", [
         np.kron(np.eye(2), [[0.5, -0.4], [0.4, 0.5]]),
@@ -373,6 +435,23 @@ class TestEigenStructure:
                             lambda *args, **kw: spoil(lapack(*args, **kw)))
         blocks = eigen_blocks(np.diag([0.25, 0.5]))
         assert [b.basis for b in blocks] == [None, None]
+
+    @pytest.mark.parametrize("pick", [
+        lambda blocks: selection_basis(blocks, [0]),
+        lambda blocks: _block_choices(blocks, "gamma", sf.DEFAULT_TOL),
+    ], ids=["selection", "enumeration"])
+    def test_failed_reorder_of_a_simple_block_is_not_defective(
+            self, monkeypatch, pick):
+        # A simple eigenvalue cannot be defective: its block lacks a basis
+        # only because the reordering failed, and the error says so.
+        lapack = matnum._TRSEN
+        monkeypatch.setattr(matnum, "_TRSEN", lambda *args, **kw: (
+            lapack(*args, **kw)[:-1] + (1,)))
+        blocks = eigen_blocks(np.diag([0.25, 0.5]))
+        with pytest.raises(sf.AmbiguousEigenspace) as err:
+            pick(blocks)
+        assert str(err.value) == ("real block at (0.25+0j): its Schur "
+                                  "reordering gave no basis")
 
 
 class TestIsInvariant:

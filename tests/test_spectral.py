@@ -11,6 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import spectralfactors as sf
+from spectralfactors.spectral import _allpass_completion
 from helpers import (circle_points, full_gamma_divisor, random_outer,
                      recipe_outer, ref_density_entry)
 
@@ -279,6 +280,22 @@ class TestGramianIdentities:
     def test_constant_vacuous(self):
         cp = sf.conjugate_phase(sf.identity(2))
         assert sf.check_gramian_identities(cp).passed
+
+
+class TestAllpassCompletion:
+    def test_indefinite_gram_raises(self):
+        # Q = 4/3 solves A^T Q A - Q = -C^T C, the wrong sign: the
+        # complement's Gram matrix is positive, not negative, definite.
+        with pytest.raises(sf.CompressionNotPD, match="not negative definite"):
+            _allpass_completion(np.array([[0.5]]), np.array([[1.0]]),
+                                np.array([[4 / 3]]), "test", sf.DEFAULT_TOL)
+
+    def test_rank_deficient_complement_raises(self):
+        # [A^T Q, -C^T] = 0 has a two-dimensional null space, not m = 1.
+        with pytest.raises(sf.CompressionNotPD,
+                           match="not 1-dimensional: gap s_n/s_1"):
+            _allpass_completion(np.array([[0.5]]), np.array([[0.0]]),
+                                np.array([[0.0]]), "test", sf.DEFAULT_TOL)
 
 
 @pytest.mark.parametrize("seed", range(8))

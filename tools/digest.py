@@ -25,6 +25,8 @@ repeated in clear at the end.  Covered:
   ``varma_round(7, 0)``;
 * a Moebius-gated ``factor_family`` of the reference model and a few
   deliberately bad inputs, among them the non-minimal candidate W- z^{-1} I;
+* the kinds, dims and bases of ``eigen_blocks`` of fixed matrices with
+  repeated eigenvalues: Jordan, semisimple and chained clusters;
 * exit code, stdout, stderr and written files of every command of
   ``cli_mix`` for ``cli_inputs(1234, 0..1)``, each in a fresh interpreter.
 
@@ -49,6 +51,7 @@ import sys
 import tempfile
 
 import numpy as np
+from scipy.linalg import block_diag
 
 ROOT = os.path.abspath(sys.argv[1] if len(sys.argv) > 1 else ".")
 SRC, BENCH = os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")
@@ -217,6 +220,37 @@ def bad_inputs(ref, config):
     emit("bad/verify_width", sf.verify_factor(sf.identity(1), ref, config))
 
 
+def eigen_structure(config):
+    """One key per matrix: kind, dim and basis of each eigenvalue block."""
+    def rot(re, im):
+        return np.array([[re, -im], [im, re]])
+
+    def similar(d, seed=0):
+        s = np.random.default_rng(seed).standard_normal(np.shape(d))
+        return s @ d @ np.linalg.inv(s)
+
+    jordan = np.diag([0.7, 0.7, 0.2, -0.4])
+    jordan[0, 1] = 1.0
+    cases = {
+        "jordan-a_inv_t": [[2.0, 0.0], [-4.0, 2.0]],
+        "jordan-pair": np.block([[rot(0.5, 0.4), np.eye(2)],
+                                 [np.zeros((2, 2)), rot(0.5, 0.4)]]),
+        "jordan-similar": similar(jordan, 1),
+        "coupled-1e-8": [[0.5, 1e-8], [0.0, 0.5]],
+        "coupled-1e-11": [[0.5, 1e-11], [0.0, 0.5]],
+        "triple-real": similar(np.diag([0.3, 0.3, 0.3, 0.9, -0.2, 0.5])),
+        "double-pair": similar(block_diag(rot(0.4, 0.3), rot(0.4, 0.3),
+                                          0.7, -0.1)),
+        "2I": 2.0 * np.eye(2),
+        "chained-real": np.diag(0.5 + 0.8e-7 * np.arange(5)),
+        "chained-pairs": block_diag(*[rot(0.5 + 0.8e-7 * j, 0.3)
+                                      for j in range(5)]),
+    }
+    for name, m in cases.items():
+        emit(f"eigen/{name}", [(b.kind, b.dim, b.basis)
+                               for b in sf.eigen_blocks(m, config)])
+
+
 def moebius_family(ref, config):
     specs = [sf.SubspaceSpec(), sf.SubspaceSpec(gamma_select=(0,)),
              sf.SubspaceSpec(a_select=(0, 1)),
@@ -273,6 +307,7 @@ def main():
             session(f"{name}/{slot}", sf.Realization(*abcd), sf.DEFAULT_TOL)
     moebius_family(ref, sf.DEFAULT_TOL)
     bad_inputs(ref, sf.DEFAULT_TOL)
+    eigen_structure(sf.DEFAULT_TOL)
     for index in range(2):
         cli(1234, index)
     for line in FAILURES:
