@@ -27,7 +27,7 @@ from .errors import (
     SpectralFactorsError,
     SpectrumMismatch,
 )
-from .matnum import DEFAULT_TOL, ToleranceConfig
+from .matnum import DEFAULT_TOL, ToleranceConfig, _schur_split
 from .spectral import (
     ALLPASS_CERT_TOL,
     ConjugatePhase,
@@ -185,18 +185,72 @@ def minimal_factor(w_minus: Realization, div: AllPassDivisor,
         config)
 
 
+def _vanishes(block1, block2, config):
+    """Whether the sum of two blocks vanishes against the size of its
+    terms, to ``residual_tol``."""
+    return bool(np.linalg.norm(block1 + block2) <= config.residual_tol
+                * (np.linalg.norm(block1) + np.linalg.norm(block2)))
+
+
+def _peel(w_inv, w0m, pz, config):
+    """T- = W-^{-1} W0 on its kept states, or None where the peel does not
+    certify.
+
+    In the cascade of W-^{-1} (n1 states) and the minimal W0 with the
+    inventory ``pz``, W0's poles inside the disc cancel against zeros of
+    W-^{-1} (unobservable), and the eigenvalues of W-^{-1}'s state matrix
+    that equal W0's zeros inside the disc are uncontrollable.  One ordered
+    real Schur form (:func:`matnum._schur_split`) puts the first group on
+    top and the second at the bottom; the kept block between reads neither,
+    so it carries the transfer function once the unobservable group's C and
+    the uncontrollable group's B vanish, each against its two terms.
+    """
+    inner = [v[np.abs(v) <= 1.0] for v in (pz.poles, pz.zeros)]
+    cascade = series(w_inv, w0m)
+    if not any(v.size for v in inner):
+        return cascade
+    split = _schur_split(cascade.a, *inner)
+    if split is None:
+        return None
+    t, q = split
+    n1, lo = w_inv.n, len(inner[0])
+    hi = cascade.n - len(inner[1])
+    q_u, q_r = q[:, :lo], q[:, hi:]
+    if not (_vanishes(cascade.c[:, :n1] @ q_u[:n1],
+                      cascade.c[:, n1:] @ q_u[n1:], config)
+            and _vanishes(q_r[:n1].T @ cascade.b[:n1],
+                          q_r[n1:].T @ cascade.b[n1:], config)):
+        return None
+    q_k = q[:, lo:hi]
+    return Realization(t[lo:hi, lo:hi], q_k.T @ cascade.b, cascade.c @ q_k,
+                       cascade.d)
+
+
 def extract_left_divisor(w_minus: Realization, w0: Realization,
                          config: ToleranceConfig = DEFAULT_TOL,
                          w_bar_plus: Realization | None = None):
     """Extract and certify the divisor of a candidate minimal factor.
 
-    W0 must have the shape of W-, and T- = W-^{-1} W0, reduced, must be
-    all-pass (else NotAFactor).  A minimal factor has degree n, and its
-    divisor flips exactly its poles and zeros outside the unit circle, so
-    deg T- is their number: both degrees are certified from the candidate's
-    inventory (else NotMinimalFactor).  Only the state count n of
-    ``w_bar_plus`` is read; without it, n is that of the validated W-.  A
-    candidate on more than n states is reduced.
+    W0 must have the shape of W-, and T- = W-^{-1} W0 must be all-pass
+    (else NotAFactor).  A minimal factor has degree n, and its divisor flips
+    exactly its poles and zeros outside the unit circle, so deg T- is their
+    number k: both degrees are certified from the candidate's inventory
+    (else NotMinimalFactor).  Only the state count n of ``w_bar_plus`` is
+    read; without it, n is that of the validated W-.  A candidate on more
+    than n states is reduced once; the inventory is read from its minimal
+    realization W0m.
+
+    T- comes from the 2n-state cascade of W-^{-1} and W0m, whose dropped
+    modes the inventory names: W0m's poles inside the disc are unobservable
+    and the zeros of W- that stay zeros of W0 are uncontrollable.  Two peels
+    of one ordered real Schur form leave the k kept modes (W0's poles
+    outside the disc and the reflections 1/conj(zeta) of its zeros zeta
+    outside), in O(n^3).  Each peel is certified by its vanishing block,
+    the unobservable group's C and the uncontrollable group's B, against
+    its two terms to ``residual_tol``.  Where the candidate's degree is not
+    n or its feedthrough is singular, the kept and dropped eigenvalues do
+    not separate by the cluster tolerance, or a certificate fails, T- is
+    the Loewner cut (:func:`minimal`) of the cascade of W-^{-1} and W0.
 
     Returns the extracted divisor and a report on the candidate.
     """
@@ -204,16 +258,23 @@ def extract_left_divisor(w_minus: Realization, w0: Realization,
         raise NotAFactor(f"candidate is {w0.n_out}x{w0.n_in}, the outer "
                          f"factor is {w_minus.n_out}x{w_minus.n_in}")
     n = (w_bar_plus or validate_outer(w_minus, config)).n
-    t_minus = minimal(series(inverse(w_minus, config), w0), config)
+    w_inv = inverse(w_minus, config)
+    # W0 = W- T- with T- all-pass is a spectral factor, and no spectral
+    # factor of this density has degree below n: on n states it is minimal
+    # once the all-pass test below passes.
+    w0m = w0 if w0.n == n else minimal(w0, config)
+    pz = _inventory(w0m, config)
+    t_minus = None
+    if pz.degree == n and pz.zeros is not None:
+        t_minus = _peel(w_inv, w0m, pz, config)
+    if t_minus is None:
+        t_minus = minimal(series(w_inv, w0), config)
     ap_res = allpass_residual(t_minus, config)
     if ap_res > ALLPASS_CERT_TOL:
         raise NotAFactor(
             f"quotient is not all-pass (residual {ap_res:.3e}); the candidate "
             "is not a spectral factor of the same density"
         )
-    # W0 = W- T- with T- all-pass is a spectral factor, and no spectral
-    # factor of this density has degree below n: on n states it is minimal.
-    pz = _inventory(w0, config) if w0.n == n else poles_zeros(w0, config)
     if pz.degree != n:
         raise NotMinimalFactor(f"candidate degree {pz.degree} != {n}")
     if pz.zeros is None:

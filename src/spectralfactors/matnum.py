@@ -277,21 +277,44 @@ class EigenBlock:
         return len(self.indices)
 
 
+def _cluster_tol(eigs):
+    """Distance within which eigenvalues form one cluster: 1e-7 max(1, rho)
+    over the eigenvalues ``eigs`` of one matrix."""
+    return 1e-7 * max(1.0, float(np.max(np.abs(eigs), initial=0.0)))
+
+
+def _near(group, tol):
+    """Mask of the eigenvalues within ``tol`` of some entry of the non-empty
+    array ``group``."""
+    return lambda w: np.min(np.abs(w[:, None] - group), axis=1) <= tol
+
+
+def _reorder(t, z, w, pick, count):
+    """The real Schur form (T, Z) with eigenvalues ``w`` reordered by LAPACK
+    ``trsen`` so that the blocks whose eigenvalues ``pick`` marks come on
+    top: (T, Z, reordered eigenvalues).  None if it fails, moves another
+    number than ``count``, or its reordered eigenvalues do not split into
+    the marked ones on top and the rest below (what ``gees`` with ``sort``
+    reports as info n + 2)."""
+    ts, q, wr, wi, sdim, _, _, info = _TRSEN(pick(w), t, z, job="N")
+    w = wr + 1j * wi
+    if (info != 0 or sdim != count
+            or not np.array_equal(pick(w), np.arange(len(w)) < sdim)):
+        return None
+    return ts, q, w
+
+
 def _block_basis(t, z, w, cluster, cluster_tol, config):
     """Real orthonormal basis of the invariant subspace of an eigenvalue
-    cluster: LAPACK ``trsen`` moves the blocks of the real Schur form
+    cluster: :func:`_reorder` moves the blocks of the real Schur form
     (T, Z) whose eigenvalues ``w`` lie within ``cluster_tol`` of the cluster
-    to the top.  None if it fails, counts another dimension, its reordered
-    eigenvalues do not split into the cluster on top and the rest below
-    (what ``gees`` with ``sort`` reports as info n + 2), or the leading
-    block T11 shows the cluster defective (:func:`eigen_blocks`)."""
-    def inside(w):
-        return np.min(np.abs(w[:, None] - cluster), axis=1) <= cluster_tol
-
-    ts, q, wr, wi, sdim, _, _, info = _TRSEN(inside(w), t, z, job="N")
-    if (info != 0 or sdim != len(cluster) or not np.array_equal(
-            inside(wr + 1j * wi), np.arange(len(w)) < sdim)):
+    to the top.  None if that fails or the leading block T11 shows the
+    cluster defective (:func:`eigen_blocks`)."""
+    form = _reorder(t, z, w, _near(cluster, cluster_tol), len(cluster))
+    if form is None:
         return None
+    ts, q, _ = form
+    sdim = len(cluster)
     if sdim > 1 + np.any(cluster.imag):  # a repeated cluster
         p = ((ts[:sdim, :sdim] - cluster.real.mean() * np.eye(sdim))
              / max(1.0, np.linalg.norm(ts)))
@@ -308,6 +331,41 @@ def _block_basis(t, z, w, cluster, cluster_tol, config):
     lead = basis[np.argmax(np.abs(basis), axis=0), np.arange(sdim)]
     basis *= np.where(lead < 0, -1.0, 1.0)
     return basis
+
+
+def _schur_split(m, top, bottom):
+    """Ordered real Schur form of ``m`` in three groups of eigenvalues: one
+    ``gees`` and one ``trsen`` per non-empty end group.
+
+    Returns (T, Q), Q orthogonal and T = Q^T M Q quasi-upper-triangular,
+    whose leading eigenvalues are those of M within the cluster tolerance of
+    ``top``, its trailing ones those near ``bottom``, each exactly as many as
+    listed, and the rest between.  None where a LAPACK call fails or the
+    three groups do not separate so.
+    """
+    n = m.shape[0]
+    t, _, wr, wi, q, _, info = _GEES(lambda re, im: None, m)
+    if info != 0:
+        return None
+    w = wr + 1j * wi
+    tol = _cluster_tol(w)
+    s = len(top)
+    if s:
+        form = _reorder(t, q, w, _near(top, tol), s)
+        if form is None:
+            return None
+        t, q, w = form
+    if len(bottom):
+        near = _near(bottom, tol)
+        form = _reorder(t[s:, s:], np.eye(n - s), w[s:],
+                        lambda v: ~near(v), n - s - len(bottom))
+        if form is None:
+            return None
+        t_rest, z, _ = form
+        t[:s, s:] = t[:s, s:] @ z
+        t[s:, s:] = t_rest
+        q[:, s:] = q[:, s:] @ z
+    return t, q
 
 
 def eigen_blocks(m, config: ToleranceConfig = DEFAULT_TOL):
@@ -335,8 +393,7 @@ def eigen_blocks(m, config: ToleranceConfig = DEFAULT_TOL):
     if n == 0:
         return []
     eigs = np.linalg.eigvals(m)
-    scale = max(1.0, float(np.max(np.abs(eigs))))
-    cluster_tol = 1e-7 * scale
+    cluster_tol = _cluster_tol(eigs)
     eigs = eigs[np.lexsort((eigs.imag, eigs.real))]
 
     # Each eigenvalue takes the least index it reaches through near pairs.

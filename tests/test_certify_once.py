@@ -3,9 +3,10 @@
 The conjugate phase carries the Gramian check of its completion, ``verify_factor`` reduces a
 candidate once, and ``spectrum_gap`` refuses densities of another width.
 ``minimal_factor`` and ``extract_left_divisor`` take the degree of W- from
-the certified conjugate phase and never reduce W-; the extraction reduces
-only T- and a candidate on more than n states, and certifies both degrees
-from the candidate's pole/zero inventory.  ``cli verify`` validates W- once
+the certified conjugate phase and never reduce W-; the extraction peels T-
+off the cascade on the states the candidate's pole/zero inventory names,
+reduces only a candidate on more than n states, and certifies both degrees
+from that inventory.  ``cli verify`` validates W- once
 and hands its extremal set to the extraction.  A divisor is the compression
 of T onto an invariant subspace, whose dimension is its certified degree: it
 is never reduced, and neither is its closed-form right complement, built
@@ -38,7 +39,8 @@ from spectralfactors.factors import family_member, spectrum_gap
 from spectralfactors.modelio import expand_spec_entries, write_model
 from spectralfactors.statespace import eval_gap
 
-from helpers import random_outer, recipe_outer, transfer_equal
+from helpers import (bench_workloads, equivalence_gap, random_outer,
+                     recipe_outer, transfer_equal)
 
 
 def _count_calls(monkeypatch, module, name):
@@ -162,11 +164,9 @@ def test_extract_left_divisor_reduces_one_system(monkeypatch, ref_model,
     degrees = _count_calls(monkeypatch, statespace, "mcmillan_degree")
     _, report = sf.extract_left_divisor(
         ref_model, w0, w_bar_plus=ref_cp.extremals.w_bar_plus)
-    # T- = W-^{-1} W0 only; the certified candidate on n states is minimal
-    # and is not reduced.
-    assert len(calls) == 1 and not degrees
-    assert all(args[0] is not ref_model and args[0] is not w0
-               for args in calls)
+    # T- is peeled off the cascade on its known states, and the certified
+    # candidate on n states is minimal: nothing is reduced.
+    assert not calls and not degrees
     assert report.passed and report.expected_degree == ref_model.n
 
 
@@ -190,11 +190,52 @@ def test_extract_left_divisor_reduces_a_padded_candidate(monkeypatch,
         t_back, report = sf.extract_left_divisor(
             ref_model, w0, w_bar_plus=ref_cp.extremals.w_bar_plus)
         monkeypatch.undo()
-        assert len(calls) == 2 and calls[1][0] is w0
+        assert len(calls) == 1 and calls[0][0] is w0
         assert w0.n == n + 1
         assert report.passed
         assert report.degree == report.pole_zero.degree == n
         assert t_back.n == div.degree
+
+
+def _session_divisors(w):
+    """The divisors of the benchmark's session specs of ``w``."""
+    cp = sf.conjugate_phase(w)
+    specs = [
+        sf.SubspaceSpec(),
+        sf.SubspaceSpec(gamma_select=range(cp.n_gamma)),
+        sf.SubspaceSpec(a_select=range(cp.n_a)),
+        sf.SubspaceSpec(gamma_select=cp.gamma_blocks[0].indices,
+                        a_select=cp.a_blocks[0].indices),
+    ]
+    return cp, [sf.divisor_from_projector(cp, sf.projector_from_spec(cp, s))
+                for s in specs]
+
+
+def _varma8():
+    wl = bench_workloads()
+    return sf.Realization(*wl.varma_model(wl._rng(7, 3, 0, 0), 8))
+
+
+@pytest.mark.parametrize("family", [*MODELS, "varma8"])
+def test_extracting_generated_factors_reduces_nothing(monkeypatch, family):
+    # Every generated factor is minimal on n states, and its divisor is
+    # peeled off the cascade: no Loewner cut at all.
+    if family == "varma8":
+        w = _varma8()
+        cp, divs = _session_divisors(w)
+    else:
+        w = MODELS[family]()
+        cp = sf.conjugate_phase(w)
+        divs = sf.enumerate_divisors(cp)
+    calls = _count_calls(monkeypatch, statespace, "minimal")
+    for div in divs:
+        w0, _ = sf.minimal_factor(w, div)
+        t_back, report = sf.extract_left_divisor(
+            w, w0, w_bar_plus=cp.extremals.w_bar_plus)
+        assert report.passed and t_back.n == div.degree
+        if div.degree:
+            assert equivalence_gap(div.t_ell, t_back) <= 1e-7
+    assert calls == []
 
 
 @pytest.mark.parametrize("make", MODELS.values(), ids=MODELS.keys())
@@ -285,9 +326,9 @@ def test_cli_verify_carries_one_extremal_set(monkeypatch, tmp_path, ref_model,
     assert result.exit_code == 0, result.output
     # W- twice (validation, expected degree); the candidate once (its
     # report; the extraction does not reduce a certified n-state candidate);
-    # T- once.
+    # T- is peeled, not reduced.
     assert len(checks) == 1
-    assert len(calls) == 4
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("make", MODELS.values(), ids=MODELS.keys())

@@ -152,20 +152,83 @@ class TestExtractLeftDivisor:
             sf.extract_left_divisor(ref_model, w, **extra)
 
     def test_padded_divisor_cut_raises(self, monkeypatch, ref_model, ref_cp):
-        # A T- cut that keeps one state too many is never returned: its
-        # degree must equal the candidate's poles and zeros outside the disc.
+        # A T- that keeps one state too many is never returned, whether the
+        # peel or the Loewner cut it falls back to built it: its degree must
+        # equal the candidate's poles and zeros outside the disc.
         idle = sf.Realization([[0.5]], np.zeros((1, 2)), np.zeros((2, 1)),
                               np.eye(2))
-        monkeypatch.setattr(factors, "minimal",
-                            lambda r, config: sf.series(sf.minimal(r, config),
-                                                        idle))
+        peel, cut = factors._peel, factors.minimal
+        for route in ("peel", "cut"):
+            with monkeypatch.context() as mp:
+                if route == "peel":
+                    mp.setattr(factors, "_peel",
+                               lambda *args: sf.series(peel(*args), idle))
+                else:
+                    mp.setattr(factors, "_peel", lambda *args: None)
+                    mp.setattr(factors, "minimal",
+                               lambda r, config: sf.series(cut(r, config),
+                                                           idle))
+                for div in sf.enumerate_divisors(ref_cp):
+                    w, _ = sf.minimal_factor(ref_model, div)
+                    k = div.degree
+                    with pytest.raises(sf.NotMinimalFactor,
+                                       match=f"divisor degree {k + 1} != {k},"):
+                        sf.extract_left_divisor(
+                            ref_model, w,
+                            w_bar_plus=ref_cp.extremals.w_bar_plus)
+
+    @pytest.mark.parametrize("hidden", ["unreachable", "unobservable"])
+    def test_candidate_padded_outside_the_disc(self, ref_model, ref_cp,
+                                               hidden):
+        # A hidden mode at 2.0 is outside the disc, where the divisor keeps
+        # modes: the cascade must be built on the reduced candidate.
+        n = ref_model.n
         for div in sf.enumerate_divisors(ref_cp):
             w, _ = sf.minimal_factor(ref_model, div)
-            k = div.degree
-            with pytest.raises(sf.NotMinimalFactor,
-                               match=f"divisor degree {k + 1} != {k},"):
-                sf.extract_left_divisor(
-                    ref_model, w, w_bar_plus=ref_cp.extremals.w_bar_plus)
+            a = np.zeros((n + 1, n + 1))
+            a[:n, :n], a[n, n] = w.a, 2.0
+            b = np.vstack([w.b, np.full((1, 2), hidden == "unobservable")])
+            c = np.hstack([w.c, np.full((2, 1), hidden == "unreachable")])
+            w0 = sf.Realization(a, b, c, w.d)
+            t_back, report = sf.extract_left_divisor(
+                ref_model, w0, w_bar_plus=ref_cp.extremals.w_bar_plus)
+            assert report.passed and report.degree == n
+            assert t_back.n == div.degree
+            if div.degree:
+                assert equivalence_gap(div.t_ell, t_back) <= 1e-7
+
+    def test_rotated_outer_is_not_a_factor(self, ref_model):
+        # Q W- has the poles and zeros of W-, so the peel drops every mode
+        # and would leave the constant Q; its certificates refuse that, and
+        # the Loewner cut finds the quotient W-^{-1} Q W-, not all-pass.
+        c, s = np.cos(0.4), np.sin(0.4)
+        q = np.array([[c, -s], [s, c]])
+        w0 = sf.Realization(ref_model.a, ref_model.b, q @ ref_model.c,
+                            q @ ref_model.d)
+        with pytest.raises(sf.NotAFactor, match="not all-pass"):
+            sf.extract_left_divisor(ref_model, w0)
+
+    def test_repeated_zero_flipped_once_falls_back(self, monkeypatch):
+        # W- = diag(w1, w1) with w1 = (z - 0.3)/(z - 0.6); flipping one copy
+        # of the zero keeps the other, so the kept and dropped eigenvalues
+        # of the cascade meet at 0.3 and one Loewner cut of it decides.
+        rho, zeta = 0.6, 0.3
+        w_minus = sf.Realization(rho * np.eye(2), np.eye(2),
+                                 (rho - zeta) * np.eye(2), np.eye(2))
+        w0 = sf.Realization(rho * np.eye(2), np.eye(2),
+                            np.diag([1.0 - zeta * rho, rho - zeta]),
+                            np.diag([-zeta, 1.0]))
+        calls = []
+        cut = factors.minimal
+        monkeypatch.setattr(factors, "minimal",
+                            lambda r, config: calls.append(r) or cut(r, config))
+        t_back, report = sf.extract_left_divisor(w_minus, w0)
+        assert [r.n for r in calls] == [4]
+        assert report.passed and t_back.n == 1
+        flip = sf.Realization([[zeta]], [[1.0, 0.0]],
+                              [[1.0 - zeta * zeta], [0.0]],
+                              np.diag([-zeta, 1.0]))
+        assert equivalence_gap(flip, t_back) <= 1e-7
 
 
 class TestFactorFamily:

@@ -454,6 +454,33 @@ class TestEigenStructure:
                                   "reordering gave no basis")
 
 
+class TestSchurSplit:
+    # Eigenvalues 0.5 and the pair 0.2 +- 0.6i on top, 0.3 at the bottom,
+    # 1.5 and 0.9 kept between, in non-normal coordinates.
+    TOP = np.array([0.2 - 0.6j, 0.2 + 0.6j, 0.5])
+    BOTTOM = np.array([0.3])
+
+    M = similar(block_diag(0.9, rotation(0.2, 0.6), 0.3, 1.5, 0.5))
+
+    def test_three_groups(self):
+        m = self.M
+        t, q = matnum._schur_split(m, self.TOP, self.BOTTOM)
+        assert_allclose(q.T @ q, np.eye(6), atol=1e-13)
+        assert_allclose(q.T @ m @ q, t, atol=1e-12 * np.linalg.norm(m))
+        assert np.all(np.abs(np.tril(t, -2)) == 0.0)
+        for rows, want in ((slice(0, 3), self.TOP), (slice(5, 6), self.BOTTOM),
+                           (slice(3, 5), np.array([0.9, 1.5]))):
+            got = np.sort_complex(np.linalg.eigvals(t[rows, rows]))
+            assert_allclose(got, np.sort_complex(want), atol=1e-10)
+
+    @pytest.mark.parametrize("top, bottom", [
+        (TOP, np.array([0.5])),          # one eigenvalue listed at both ends
+        (np.array([0.9, 0.9]), BOTTOM),  # listed twice, present once
+    ], ids=["shared", "repeated"])
+    def test_groups_that_do_not_separate(self, top, bottom):
+        assert matnum._schur_split(self.M, top, bottom) is None
+
+
 class TestIsInvariant:
     def test_inside_eigenspace(self):
         m = np.diag([0.25, 1 / 3, 2.0, 2.0])

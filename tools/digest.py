@@ -34,11 +34,11 @@ Takes about 40 s on a 2-core machine.
 
 Where a change moves these numbers on purpose, ``tools/transfer_gap.py
 PARENT CHANGE`` shows by how much: the largest relative transfer gap of
-every divisor, factor and right complement of the enumerated families and
-of the session specs (through ``projector_from_spec`` and through
-``family_member``), and of every factor of the Moebius-gated
-``factor_family`` and of ``cli factors``, with any change of degree or
-subspace dimensions.
+every divisor, factor, right complement and extracted divisor of the
+enumerated families and of the session specs (through
+``projector_from_spec`` and through ``family_member``), and of every
+factor of the Moebius-gated ``factor_family`` and of ``cli factors``,
+with any change of degree or subspace dimensions.
 """
 
 from __future__ import annotations

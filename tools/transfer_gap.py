@@ -9,12 +9,13 @@ bench/workloads.py (read only).  It covers what ``tools/digest.py`` covers
 of divisors and factors:
 
 * every enumerated family (``roundtrip_round(7, 0..3)``, the reference
-  model and ``identity(2)``): t_ell, the factor W- T_l and the right
-  complement of each divisor;
+  model and ``identity(2)``): t_ell, the factor W- T_l, the right
+  complement of each divisor and the divisor extracted back from the factor
+  (``extract_left_divisor`` with ``w_bar_plus``);
 * the session specs of ``seasonal_round(7, 0)`` and ``varma_round(7, 0)``,
   built once through ``projector_from_spec`` and ``divisor_from_projector``
   (keys ``.../projector``) and once through ``family_member`` (keys
-  ``.../member``), with the same three parts;
+  ``.../member``), with the same four parts;
 * the Moebius-gated ``factor_family`` of the reference model for each
   parameter, and the spec file of ``cli factors`` (with and without
   ``--moebius``) for ``cli_inputs(1234, 0..1)``: each factor in the
@@ -25,10 +26,11 @@ between the two checkouts, one line per member whose degree or
 ``subspace_dims`` changed, and any change of a family's size.  A gap is
 max |G_change(z) - G_parent(z)| / max |G_parent(z)| over 64 points of the
 unit circle, evaluated with numpy (``workloads.transfer``), not with either
-library.  A typed failure that differs between the two is printed with both
-messages.  The last line holds the largest gaps over all families.
+library.  A typed failure that differs between the two, of a family, a
+member or an extraction, is printed with both messages.  The last line
+holds the largest gaps over all families.
 
-Takes about 10 s on a 2-core machine.
+Takes about 12 s on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import tempfile
 
 import numpy as np
 
-PARTS = ("t_ell", "factor", "right_complement")
+PARTS = ("t_ell", "factor", "right_complement", "extracted")
 
 
 def _load(root):
@@ -60,19 +62,23 @@ def _abcd(r):
     return tuple(np.array(m, dtype=float) for m in (r.a, r.b, r.c, r.d))
 
 
-def _member(div, t_r):
-    """(degree, dims, {part: (a, b, c, d)}) of one divisor."""
-    return (div.degree, tuple(div.subspace_dims),
-            {"t_ell": _abcd(div.t_ell), "factor": _abcd(div.factor),
-             "right_complement": _abcd(t_r)})
-
-
 def _attempt(sf, fn, *args, **kwargs):
     """``fn``'s result, or the text of its typed failure."""
     try:
         return fn(*args, **kwargs)
     except sf.SpectralFactorsError as exc:
         return f"{type(exc).__name__}: {exc}"
+
+
+def _member(sf, w, cp, div, t_r, config):
+    """(degree, dims, {part: (a, b, c, d) or typed failure}) of one divisor
+    of the conjugate phase ``cp`` of ``w``."""
+    back = _attempt(sf, sf.extract_left_divisor, w, div.factor, config,
+                    w_bar_plus=cp.extremals.w_bar_plus)
+    return (div.degree, tuple(div.subspace_dims),
+            {"t_ell": _abcd(div.t_ell), "factor": _abcd(div.factor),
+             "right_complement": _abcd(t_r),
+             "extracted": back if isinstance(back, str) else _abcd(back[0])})
 
 
 def _session(sf, w, config):
@@ -101,7 +107,8 @@ def _session(sf, w, config):
         if isinstance(div, str):
             return div
         t_r = _attempt(sf, sf.right_complement, cp, div, config)
-        return t_r if isinstance(t_r, str) else _member(div, t_r)
+        return (t_r if isinstance(t_r, str)
+                else _member(sf, w, cp, div, t_r, config))
 
     return ([built(projector_path, spec) for spec in specs],
             [built(member_path, spec) for spec in specs])
@@ -162,12 +169,13 @@ def _families(root, wl):
     out = {}
     for key, w, config in models:
         try:
-            divs = sf.enumerate_divisors(sf.conjugate_phase(w, config),
-                                         config)
+            cp = sf.conjugate_phase(w, config)
+            divs = sf.enumerate_divisors(cp, config)
         except sf.SpectralFactorsError as exc:
             out[key] = f"{type(exc).__name__}: {exc}"
             continue
-        out[key] = [_member(div, div.right_complement) for div in divs]
+        out[key] = [_member(sf, w, cp, div, div.right_complement, config)
+                    for div in divs]
     for name, models in (("seasonal", wl.seasonal_round(7, 0)),
                          ("varma", wl.varma_round(7, 0))):
         for slot, abcd in enumerate(models):
@@ -220,8 +228,13 @@ def main():
                       f"subspace_dims {m0[1]} -> {m1[1]}")
                 continue
             for p in m0[2]:
-                worst[p] = max(worst[p],
-                               _gap(m0[2][p], m1[2][p], zs, wl.transfer))
+                old_p, new_p = m0[2][p], m1[2][p]
+                if isinstance(old_p, str) or isinstance(new_p, str):
+                    if old_p != new_p:
+                        print(f"{key}/{i:02d} {p} failure: parent "
+                              f"{old_p!r}, change {new_p!r}")
+                    continue
+                worst[p] = max(worst[p], _gap(old_p, new_p, zs, wl.transfer))
         print(key, " ".join(f"{p} {worst[p]:.2e}" for p in PARTS))
         for p in PARTS:
             overall[p] = max(overall[p], worst[p])
