@@ -138,12 +138,11 @@ def main():
 @click.option("-o", "--output", "out_path", type=click.Path(), default=None,
               help="Write the JSON report here instead of stdout.")
 @_tol_option
-@_samples_option
 @_moebius_option
-def analyze(model_path, out_path, tol, samples, moebius_value):
+def analyze(model_path, out_path, tol, moebius_value):
     """Construct the extremal factors and the conjugate phase function."""
     doc = _load_model(model_path)
-    config = _config_for(doc, tol, samples)
+    config = _config_for(doc, tol, None)
     moebius_param = _parse_moebius(moebius_value)
     try:
         w_work, a = moebius_gate(doc.realization, moebius_param, config)
@@ -274,9 +273,8 @@ def verify(model_path, candidate_path, tol, samples):
             _, report = extract_left_divisor(doc.realization, cand.realization,
                                              config, w_bar_plus=ext.w_bar_plus)
         except (NotAFactor, NotMinimalFactor) as exc:
-            click.echo(str(report))
-            click.echo(f"divisor extraction: {exc}")
-            sys.exit(EXIT_VERIFY_FAIL)
+            report = replace(report, passed=False, reasons=(
+                *report.reasons, f"divisor extraction: {exc}"))
         except SpectralFactorsError as exc:
             _fail(EXIT_VALIDATION, str(exc))
     click.echo(str(report))
@@ -289,11 +287,10 @@ def verify(model_path, candidate_path, tol, samples):
               help="Number of circle samples (rows).")
 @click.option("-o", "--output", "csv_path", type=click.Path(), default=None,
               help="Write CSV here instead of stdout.")
-@_tol_option
-def spectrum(model_path, n_samples, csv_path, tol):
+def spectrum(model_path, n_samples, csv_path):
     """Emit plot-ready spectral density samples on the unit circle."""
     doc = _load_model(model_path)
-    config = _config_for(doc, tol, None)
+    config = doc.tolerances or DEFAULT_TOL
     n = config.circle_samples if n_samples is None else n_samples
     if not 1 <= n <= _MAX_CIRCLE_SAMPLES:
         _fail(EXIT_PARSE, f"sample count must be positive and at most "

@@ -126,15 +126,14 @@ class AllPassDivisor:
     """A left all-pass divisor with its generating data.
 
     ``t_ell`` is the all-pass completion of the compression onto the range
-    of ``projector`` (orthonormal basis ``basis``), ``factor`` is W- T_l in
-    closed form on n states, and ``degree`` = deg T_l = rank ``projector``.
-    ``subspace_dims`` records the (gamma, a) split of the subspace dimension;
-    ``right_complement`` is attached when degree additivity is certified.
+    of the orthonormal 2n x k ``basis`` (projector ``basis @ basis.T``),
+    ``factor`` is W- T_l in closed form on n states, ``degree`` = deg T_l =
+    k and ``subspace_dims`` its (gamma, a) split; ``right_complement`` is
+    attached when degree additivity is certified.
     """
 
     t_ell: Realization
     factor: Realization
-    projector: np.ndarray
     basis: np.ndarray
     degree: int
     subspace_dims: tuple = (0, 0)
@@ -231,19 +230,18 @@ def divisor_from_projector(cp: ConjugatePhase, pi,
                            "the conjugate phase state matrix")
 
     k_gamma = int(round(float(np.trace(pi[:cp.n_gamma, :cp.n_gamma]))))
-    return _divisor(cp, basis, k_gamma, pi, config)
+    return _divisor(cp, basis, k_gamma, config)
 
 
-def _divisor(cp, v, k_gamma, pi, config):
-    """The divisor on the invariant range of the orthonormal basis ``v``, of
-    which ``k_gamma`` dimensions lie on the gamma side, with its factor."""
+def _divisor(cp, v, k_gamma, config):
+    """The divisor, with its factor, on the invariant range of the
+    orthonormal basis ``v``, ``k_gamma`` dimensions of it on the gamma side."""
     a_l, c_l, q_l = v.T @ cp.t.a @ v, cp.t.c @ v, v.T @ cp.p0_inv @ v
     t_ell, _ = _allpass_completion(a_l, c_l, q_l, "divisor", config)
     k = v.shape[1]
     factor = _factor(cp.extremals.w_minus, cp.extremals.z, cp.a_inv_t, v,
                      t_ell, k - k_gamma, config)
-    return AllPassDivisor(t_ell=t_ell, factor=factor, projector=pi,
-                          basis=v, degree=k,
+    return AllPassDivisor(t_ell=t_ell, factor=factor, basis=v, degree=k,
                           subspace_dims=(k_gamma, k - k_gamma))
 
 
@@ -251,10 +249,10 @@ def right_complement(cp: ConjugatePhase, div: AllPassDivisor,
                      config: ToleranceConfig = DEFAULT_TOL) -> Realization:
     """Right all-pass cofactor T_r with T = T_l T_r and additive degrees.
 
-    T_r is the compression of T onto M^x = P0 M^perp along M = range Pi:
-    with V, W orthonormal bases of M and M^x, S = [V, W] and L2 the last
-    2n - k rows of S^{-1}, T_r = (L2 A W, L2 B, Dl^{-1} C W, Dl^{-1} D)
-    where Dl is the feedthrough of T_l.  Its degree is 2n - k.
+    T_r is the compression of T onto M^x = P0 M^perp along M, the range of
+    V = ``div.basis``: with W an orthonormal basis of M^x, S = [V, W] and
+    L2 the last 2n - k rows of S^{-1}, T_r = (L2 A W, L2 B, Dl^{-1} C W,
+    Dl^{-1} D) where Dl is the feedthrough of T_l.  Its degree is 2n - k.
 
     Raises DegreeAdditivityViolation when M and M^x fail to form a direct
     sum, i.e. when the margin sigma_min(S) / sigma_max(S) is at or below
@@ -324,8 +322,7 @@ def enumerate_divisors(cp: ConjugatePhase,
     out = []
     for vg in g_bases:
         for va in a_bases:
-            v = block_diag(vg, va)
-            div = _divisor(cp, v, vg.shape[1], v @ v.T, config)
+            div = _divisor(cp, block_diag(vg, va), vg.shape[1], config)
             t_r = right_complement(cp, div, config)
             out.append(replace(div, right_complement=t_r))
     return DivisorEnumeration(out, g_cont + a_cont)

@@ -108,6 +108,11 @@ def spectrum_gap(w: Realization, w_ref: Realization,
 
     Raises DimensionMismatch if the two systems differ in width.
     """
+    return _gap_and_scale(w, w_ref, config)[0]
+
+
+def _gap_and_scale(w, w_ref, config):
+    """``spectrum_gap`` and max(1, max|Phi_ref|) from the same samples."""
     if (w.n_out, w.n_in) != (w_ref.n_out, w_ref.n_in):
         raise DimensionMismatch(
             f"densities of a {w.n_out}x{w.n_in} and a "
@@ -118,13 +123,15 @@ def spectrum_gap(w: Realization, w_ref: Realization,
         phi_w = spectrum_samples(w, zs, config)
         phi_ref = spectrum_samples(w_ref, zs, config)
     except EvaluationAtPole:
-        return float("inf")
-    return float(np.max(np.abs(phi_w - phi_ref)))
+        return float("inf"), 1.0
+    return (float(np.max(np.abs(phi_w - phi_ref))),
+            max(1.0, float(np.max(np.abs(phi_ref)))))
 
 
 def _report(w, w_minus, expected, pz, config):
     """Report on the candidate ``w``, whose minimal realization has the
-    inventory ``pz``, against ``w_minus`` of McMillan degree ``expected``."""
+    inventory ``pz``, against ``w_minus`` of McMillan degree ``expected``.
+    Its spectrum gap must be <= ``residual_tol`` max(1, max|Phi_-|)."""
     reasons = []
     if pz.degree != expected:
         reasons.append(f"McMillan degree {pz.degree} != expected {expected}")
@@ -135,12 +142,11 @@ def _report(w, w_minus, expected, pz, config):
             f"{w_minus.n_out}x{w_minus.n_in}"
         )
     else:
-        residual = spectrum_gap(w, w_minus, config)
-        if not residual <= config.residual_tol:
+        residual, scale = _gap_and_scale(w, w_minus, config)
+        bound = config.residual_tol * scale
+        if not residual <= bound:
             reasons.append(
-                f"spectrum residual {residual:.3e} exceeds "
-                f"{config.residual_tol:.1e}"
-            )
+                f"spectrum residual {residual:.3e} exceeds {bound:.1e}")
     return FactorReport(
         degree=pz.degree, expected_degree=expected, spectrum_residual=residual,
         allpass_residual=None, pole_zero=pz, passed=not reasons,
@@ -178,10 +184,10 @@ def minimal_factor(w_minus: Realization, div: AllPassDivisor,
 
     Returns ``div.factor``, the closed form on n states, and its report
     against ``w_minus`` with the degree n that the conjugate phase certified
-    (the projector is 2n x 2n); a wrong spectrum is a numerical failure.
+    (the basis has 2n rows); a wrong spectrum is a numerical failure.
     """
     return div.factor, _require_generated(
-        div.factor, w_minus, div.projector.shape[0] // 2, "generated factor",
+        div.factor, w_minus, div.basis.shape[0] // 2, "generated factor",
         config)
 
 
@@ -236,9 +242,9 @@ def extract_left_divisor(w_minus: Realization, w0: Realization,
     exactly its poles and zeros outside the unit circle, so deg T- is their
     number k: both degrees are certified from the candidate's inventory
     (else NotMinimalFactor).  Only the state count n of ``w_bar_plus`` is
-    read; without it, n is that of the validated W-.  A candidate on more
-    than n states is reduced once; the inventory is read from its minimal
-    realization W0m.
+    read; without it, n and W-^{-1} come from validating W-.  A candidate
+    on more than n states is reduced once; the inventory is read from its
+    minimal realization W0m.
 
     T- comes from the 2n-state cascade of W-^{-1} and W0m, whose dropped
     modes the inventory names: W0m's poles inside the disc are unobservable
@@ -257,8 +263,9 @@ def extract_left_divisor(w_minus: Realization, w0: Realization,
     if (w0.n_out, w0.n_in) != (w_minus.n_out, w_minus.n_in):
         raise NotAFactor(f"candidate is {w0.n_out}x{w0.n_in}, the outer "
                          f"factor is {w_minus.n_out}x{w_minus.n_in}")
-    n = (w_bar_plus or validate_outer(w_minus, config)).n
-    w_inv = inverse(w_minus, config)
+    w_inv = (inverse(w_minus, config) if w_bar_plus
+             else validate_outer(w_minus, config))
+    n = (w_bar_plus or w_inv).n
     # W0 = W- T- with T- all-pass is a spectral factor, and no spectral
     # factor of this density has degree below n: on n states it is minimal
     # once the all-pass test below passes.
@@ -292,14 +299,15 @@ def moebius_gate(w: Realization, moebius_param: float | bool | None,
     """Apply the gated Moebius change of variable.
 
     ``None`` or ``False`` leaves ``w`` as given, ``True`` picks a parameter
-    clear of its poles and zeros, and a float is used as the parameter.
+    clear of the eigenvalues of its A and zero matrix, unreduced (callers
+    certify minimality next), and a float is used as the parameter.
 
     Returns the working model and the parameter ``a`` (None when ungated).
     """
     if moebius_param is None or moebius_param is False:
         return w, None
     if moebius_param is True:
-        pz = poles_zeros(w, config)
+        pz = _inventory(w, config)
         zeros = pz.zeros if pz.zeros is not None else []
         a = choose_moebius_parameter(pz.poles, zeros, config)
     else:
@@ -322,8 +330,7 @@ def family_member(cp: ConjugatePhase, spec: SubspaceSpec,
 
     Returns the divisor, the factor and its verification report.
     """
-    v, k_gamma = _spec_basis(cp, spec, config)
-    div = _divisor(cp, v, k_gamma, v @ v.T, config)
+    div = _divisor(cp, *_spec_basis(cp, spec, config), config)
     w, report = minimal_factor(cp.extremals.w_minus, div, config)
     if a is None:
         return div, w, report

@@ -1,7 +1,7 @@
 """Shared test utilities: the closed-form reference channels, a
 well-conditioned random outer-model generator, the benchmark's
-unfiltered random recipe, two sampled transfer comparisons and the scalar
-Moebius map with its inverse."""
+unfiltered random recipe, the fuzz recipe, two sampled transfer comparisons
+and the scalar Moebius map with its inverse."""
 
 import functools
 import importlib.util
@@ -88,6 +88,19 @@ def recipe_outer(n, seed):
     dimension ``n`` in the probe stream 99."""
     wl = bench_workloads()
     return sf.Realization(*wl.random_outer(wl._rng(99, n, seed), n))
+
+
+def fuzz_outer(seed):
+    """A random model W = (A, B, C, I) with n <= 8 and m <= 3, neither
+    filtered on conditioning nor guaranteed outer (its zeros may lie
+    outside the disc)."""
+    rng = np.random.default_rng(seed)
+    n, m, _ = rng.integers(1, 9), rng.integers(1, 4), rng.integers(0, 6)
+    a = rng.normal(size=(n, n))
+    a *= rng.uniform(0.1, 0.999) / max(abs(np.linalg.eigvals(a)))
+    b = rng.normal(size=(n, m))
+    c = rng.normal(size=(m, n)) * rng.uniform(0.01, 0.5)
+    return sf.Realization(a, b, c, np.eye(m))
 
 
 def transfer_equal(r1, r2, config=sf.DEFAULT_TOL):

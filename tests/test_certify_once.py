@@ -21,6 +21,11 @@ are clustered once, by ``conjugate_phase``: the enumeration, the spec
 projectors and the theta-grid expansion read the carried blocks, so
 together they make two ``eigen_blocks`` calls, each of which reduces its
 matrix to real Schur form once and reorders that form once per block.
+The automatic Moebius gate reads the poles and zeros of the realization it
+is given, unreduced, so an auto-gated ``factor_family`` reduces only in
+``validate_outer``, which certifies the working model minimal; without
+``w_bar_plus`` the extraction uses the W-^{-1} that ``validate_outer``
+returns and inverts W- once.
 """
 
 import dataclasses
@@ -168,6 +173,29 @@ def test_extract_left_divisor_reduces_one_system(monkeypatch, ref_model,
     # candidate on n states is minimal: nothing is reduced.
     assert not calls and not degrees
     assert report.passed and report.expected_degree == ref_model.n
+
+
+def test_auto_gated_family_reduces_only_in_validation(monkeypatch):
+    # A pole at the origin needs the gate, which picks a = 0.1; its
+    # inventory is read from the given model, not from a reduction.
+    w = sf.Realization(np.diag([0.5, 0.0]), np.eye(2),
+                       np.diag([0.25, 1 / 6]), np.eye(2))
+    calls = _count_calls(monkeypatch, statespace, "minimal")
+    checks = _count_calls(monkeypatch, spectral, "validate_outer")
+    out = sf.factor_family(w, [sf.SubspaceSpec(),
+                               sf.SubspaceSpec(gamma_select=(0, 1))],
+                           moebius_param=True)
+    assert all(report.passed for _, report in out)
+    assert len(checks) == 1 and len(calls) == 1
+    assert calls[0][0] is checks[0][0]
+
+
+def test_extraction_without_w_bar_plus_inverts_w_minus_once(
+        monkeypatch, ref_model, ref_values):
+    calls = _count_calls(monkeypatch, statespace, "inverse")
+    _, report = sf.extract_left_divisor(ref_model, ref_values["w_bar_minus"])
+    assert report.passed
+    assert sum(args[0] is ref_model for args in calls) == 1
 
 
 def _padded(r, pole=0.5):
@@ -334,7 +362,8 @@ def test_cli_verify_carries_one_extremal_set(monkeypatch, tmp_path, ref_model,
 @pytest.mark.parametrize("make", MODELS.values(), ids=MODELS.keys())
 def test_divisor_from_projector_reduces_nothing(monkeypatch, make):
     cp = sf.conjugate_phase(make())
-    projectors = [div.projector for div in sf.enumerate_divisors(cp)]
+    projectors = [div.basis @ div.basis.T
+                  for div in sf.enumerate_divisors(cp)]
     calls = _count_calls(monkeypatch, statespace, "minimal")
     for pi in projectors:
         sf.divisor_from_projector(cp, pi)
@@ -344,7 +373,7 @@ def test_divisor_from_projector_reduces_nothing(monkeypatch, make):
 @pytest.mark.parametrize("make", MODELS.values(), ids=MODELS.keys())
 def test_divisor_degree_is_the_projector_rank(make):
     assert [f.name for f in dataclasses.fields(sf.AllPassDivisor)] == [
-        "t_ell", "factor", "projector", "basis", "degree", "subspace_dims",
+        "t_ell", "factor", "basis", "degree", "subspace_dims",
         "right_complement"]
     for div in sf.enumerate_divisors(sf.conjugate_phase(make())):
         assert div.t_ell.n == div.degree == sum(div.subspace_dims)

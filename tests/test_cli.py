@@ -102,8 +102,14 @@ class TestAnalyze:
         result = runner.invoke(main, ["analyze", str(path), "--moebius"])
         assert result.exit_code == 0
         report = json.loads(result.output)
-        assert report["moebius_a"] is not None
-        assert "w_bar_plus_original_variable" in report
+        assert report["moebius_a"] == 0.1
+        # W+ keeps the poles and maps back; Wbar+ has its pole at -1/a,
+        # which maps back to infinity.
+        assert set(report["w_plus_original_variable"]) == set("ABCD")
+        assert report["w_bar_plus_original_variable"] is None
+        assert report["w_bar_plus_original_variable_note"].startswith(
+            "improper in the original variable")
+        assert "w_plus_original_variable_note" not in report
 
     def test_explicit_moebius_value(self, runner, model_path):
         result = runner.invoke(main, ["analyze", model_path, "--moebius=0.3"])
@@ -127,12 +133,6 @@ class TestAnalyze:
         assert result.exit_code == 3
         assert "error: --moebius expects |a| < 1, got '-1.5'" in result.output
 
-    def test_huge_samples_exits_3(self, runner, model_path):
-        result = runner.invoke(main, ["analyze", model_path,
-                                      "--samples", str(10**400)])
-        assert result.exit_code == 3
-        assert "error: bad --tol/--samples value" in result.output
-
     def test_huge_circle_samples_in_model_exits_3(self, runner, model_path,
                                                   tmp_path):
         doc = json.loads(open(model_path).read())
@@ -144,12 +144,6 @@ class TestAnalyze:
         assert result.exception is None or isinstance(result.exception,
                                                       SystemExit)
         assert "error: bad tolerances" in result.output
-
-    @pytest.mark.parametrize("flag", [["--samples", "3"], ["--tol", "-1"]])
-    def test_bad_flag_value_exits_3(self, runner, model_path, flag):
-        result = runner.invoke(main, ["analyze", model_path, *flag])
-        assert result.exit_code == 3
-        assert flag[0] in result.output
 
     @pytest.mark.parametrize("value", ["1.5", "nan", "inf"])
     def test_moebius_out_of_range_exits_3(self, runner, model_path, value):
@@ -176,6 +170,17 @@ class TestAnalyze:
         assert result.exception is None or isinstance(result.exception,
                                                       SystemExit)
         assert "error: bad tolerances" in result.output
+
+
+@pytest.mark.parametrize("argv", [["analyze", "--samples", "64"],
+                                  ["spectrum", "--tol", "1e-3"]],
+                         ids=["analyze-samples", "spectrum-tol"])
+def test_flag_without_effect_is_not_an_option(runner, model_path, argv):
+    # analyze samples no circle and spectrum checks no residual, so neither
+    # takes the flag.
+    result = runner.invoke(main, [argv[0], model_path, *argv[1:]])
+    assert result.exit_code == 2
+    assert "No such option" in result.output and argv[1] in result.output
 
 
 class TestFactors:
@@ -238,6 +243,23 @@ class TestFactors:
         summary = json.loads((outdir / "summary.json").read_text())
         assert summary["moebius_a"] == expected
         assert len(summary["factors"]) == 2
+
+    def test_huge_samples_exits_3(self, runner, model_path, tmp_path):
+        specs = tmp_path / "specs.json"
+        specs.write_text(json.dumps({"specs": [{}]}))
+        result = runner.invoke(main, ["factors", model_path, str(specs),
+                                      "--samples", str(10**400)])
+        assert result.exit_code == 3
+        assert "error: bad --tol/--samples value" in result.output
+
+    @pytest.mark.parametrize("flag", [["--samples", "3"], ["--tol", "-1"]])
+    def test_bad_flag_value_exits_3(self, runner, model_path, tmp_path, flag):
+        specs = tmp_path / "specs.json"
+        specs.write_text(json.dumps({"specs": [{}]}))
+        result = runner.invoke(main, ["factors", model_path, str(specs),
+                                      *flag])
+        assert result.exit_code == 3
+        assert flag[0] in result.output
 
     def test_empty_specs(self, runner, model_path, tmp_path):
         specs = tmp_path / "empty.json"
@@ -334,6 +356,23 @@ class TestVerify:
         result = runner.invoke(main, ["verify", model_path, str(path)])
         assert result.exit_code == 1
         assert "candidate is 1x1, the outer factor is 2x2" in result.output
+
+    def test_failed_extraction_is_the_verdict(self, runner, tmp_path,
+                                              ref_model):
+        # The densities differ by 2e-6 relative, inside the spectrum check
+        # for a density this small, but W-^{-1} W0 = (1 + 1e-6) I is not
+        # all-pass: one report, which fails.
+        model, cand = tmp_path / "model.json", tmp_path / "cand.json"
+        for path, s in ((model, 0.03), (cand, 0.03 * (1 + 1e-6))):
+            write_model(path, sf.Realization(ref_model.a, ref_model.b,
+                                             s * ref_model.c, s * ref_model.d),
+                        name=path.stem)
+        result = runner.invoke(main, ["verify", str(model), str(cand)])
+        assert result.exit_code == 1
+        assert result.output.count("verdict:") == 1
+        assert "verdict:           fail" in result.output
+        assert ("reason:            divisor extraction: quotient is not "
+                "all-pass (residual 2.000e-06)") in result.output
 
     def test_infinite_tol_exits_3(self, runner, model_path, tmp_path,
                                   ref_model):

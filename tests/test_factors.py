@@ -10,7 +10,7 @@ import spectralfactors as sf
 from spectralfactors import factors
 
 from helpers import (bench_workloads, circle_points, equivalence_gap,
-                     random_outer, recipe_outer, transfer_equal)
+                     fuzz_outer, random_outer, recipe_outer, transfer_equal)
 
 
 def wrong_direction_allpass(p=0.7):
@@ -47,6 +47,21 @@ class TestMinimalFactor:
         with pytest.raises(sf.SpectrumMismatch,
                            match="generated factor spectrum residual"):
             sf.minimal_factor(ref_model, bad)
+
+    def test_spectrum_check_scales_with_the_density(self):
+        # max|Phi| is 9.8e3 here: four factors miss residual_tol = 1e-8 in
+        # absolute terms by 1.2e-8 to 1.4e-8, about 1.4e-12 relative.
+        w = fuzz_outer(719)
+        tol = sf.DEFAULT_TOL.residual_tol
+        over = []
+        for div in sf.enumerate_divisors(sf.conjugate_phase(w)):
+            factor, report = sf.minimal_factor(w, div)
+            assert report.passed and not report.reasons
+            assert sf.verify_factor(factor, w).passed
+            if report.spectrum_residual > tol:
+                assert report.spectrum_residual <= 2e-8
+                over.append(div.subspace_dims)
+        assert sorted(over) == [(0, 3), (1, 3), (2, 3), (3, 3)]
 
     def test_angle_family_at_right_angle(self, ref_model, ref_cp):
         spec = sf.SubspaceSpec(a_basis=np.array([[0.0], [1.0]]))
@@ -269,6 +284,17 @@ class TestFactorFamily:
         out = sf.factor_family(w, [sf.SubspaceSpec()], moebius_param=True)
         assert out[0][1].passed
         assert transfer_equal(out[0][0], w)
+
+    def test_factor_with_a_pole_at_minus_one_over_a_is_refused(self):
+        # The gate picks a = 0.1, which maps the pole at 0 to -0.1; the
+        # factor that flips it has its pole at -1/a = -10, which maps back
+        # to infinity.
+        w = sf.Realization(np.diag([0.5, 0.0]), np.eye(2),
+                           np.diag([0.25, 1 / 6]), np.eye(2))
+        with pytest.raises(sf.ParameterHitsSpectrum,
+                           match="improper in the original variable"):
+            sf.factor_family(w, [sf.SubspaceSpec(a_select=(0, 1))],
+                             moebius_param=True)
 
 
 class TestRoundTrip:

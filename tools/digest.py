@@ -17,7 +17,7 @@ Each line is ``<key> <sha256>``; a typed failure prints
 repeated in clear at the end.  Covered:
 
 * conjugate phase (every field, the extremal set and the Gramian check),
-  every divisor (t_ell, projector, degree, dims, right complement), its
+  every divisor (t_ell, basis, degree, dims, right complement), its
   factor and report, its extraction with and without ``w_bar_plus`` and a
   ``verify_factor`` report, over ``roundtrip_round(7, 0..3)``, the reference
   model and ``identity(2)``;
@@ -64,7 +64,7 @@ from spectralfactors.factors import moebius_gate  # noqa: E402
 from spectralfactors.matnum import orth_basis  # noqa: E402
 
 ROUNDTRIP_CFG = sf.ToleranceConfig(circle_samples=64, residual_tol=1e-7)
-DIVISOR_FIELDS = ("t_ell", "projector", "degree", "subspace_dims",
+DIVISOR_FIELDS = ("t_ell", "basis", "degree", "subspace_dims",
                   "right_complement")
 FAILURES = []
 
