@@ -3,7 +3,7 @@
 Exit codes are uniform across commands: 0 success, 1 verification failure
 (a candidate factor did not check out), 2 validation failure (the input
 model is outside the supported class), 3 parse failure (a file could not be
-read).
+read, or the command line could not be parsed).
 """
 
 from __future__ import annotations
@@ -127,7 +127,31 @@ _moebius_option = click.option("--moebius", "moebius_value", is_flag=False,
                                     "variable (optionally give the parameter).")
 
 
-@click.group()
+def _usage_exits_parse(step, *args, **kwargs):
+    """``step(*args, **kwargs)``; a click usage error it raises (an unknown
+    option or command, a missing argument, a flag value of the wrong type)
+    keeps its message but exits EXIT_PARSE, since click's code 2 is
+    EXIT_VALIDATION here."""
+    try:
+        return step(*args, **kwargs)
+    except click.UsageError as exc:
+        exc.exit_code = EXIT_PARSE
+        raise
+
+
+class _Group(click.Group):
+    """Command group whose usage errors exit EXIT_PARSE, whether the group
+    (in ``make_context``) or a command (in ``invoke``) parses them."""
+
+    def make_context(self, info_name, args, parent=None, **extra):
+        return _usage_exits_parse(super().make_context, info_name, args,
+                                  parent, **extra)
+
+    def invoke(self, ctx):
+        return _usage_exits_parse(super().invoke, ctx)
+
+
+@click.group(cls=_Group)
 @click.version_option(version=__version__, prog_name="spectralfactors")
 def main():
     """Spectral factor families of discrete-time rational densities."""

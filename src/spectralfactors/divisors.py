@@ -47,7 +47,6 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .errors import (
     DegreeAdditivityViolation,
@@ -58,6 +57,7 @@ from .errors import (
 from .matnum import (
     DEFAULT_TOL,
     ToleranceConfig,
+    _block_diag,
     basis_from_projector,
     is_invariant,
     orth_basis,
@@ -173,7 +173,7 @@ def _part_basis(block_matrix, blocks, select, basis, part, config):
 
 
 def _spec_basis(cp, spec, config):
-    """Orthonormal basis block_diag(vg, va) of the invariant subspace that
+    """Orthonormal basis diag(vg, va) of the invariant subspace that
     ``spec`` describes, and its gamma-side dimension."""
     if not isinstance(spec, SubspaceSpec):
         raise InvalidSubspace(f"expected a SubspaceSpec, got "
@@ -182,7 +182,7 @@ def _spec_basis(cp, spec, config):
                      spec.gamma_basis, "gamma", config)
     va = _part_basis(cp.a_inv_t, cp.a_blocks, spec.a_select, spec.a_basis,
                      "a", config)
-    return block_diag(vg, va), vg.shape[1]
+    return _block_diag(vg, va), vg.shape[1]
 
 
 def projector_from_spec(cp: ConjugatePhase, spec: SubspaceSpec,
@@ -322,7 +322,7 @@ def enumerate_divisors(cp: ConjugatePhase,
     out = []
     for vg in g_bases:
         for va in a_bases:
-            div = _divisor(cp, block_diag(vg, va), vg.shape[1], config)
+            div = _divisor(cp, _block_diag(vg, va), vg.shape[1], config)
             t_r = right_complement(cp, div, config)
             out.append(replace(div, right_complement=t_r))
     return DivisorEnumeration(out, g_cont + a_cont)

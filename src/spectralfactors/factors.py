@@ -103,8 +103,11 @@ class FactorReport:
 
 def spectrum_gap(w: Realization, w_ref: Realization,
                  config: ToleranceConfig = DEFAULT_TOL) -> float:
-    """Largest entrywise gap between the two spectral densities on the
-    circle.  Returns ``inf`` if either system has a pole on a sample.
+    """Largest entrywise gap between the two spectral densities on
+    ``circle_samples`` points of the circle, evaluated at the floor(k/2) + 1
+    of them on the closed upper half-circle: a density of a real system has
+    Phi(conj z) = conj Phi(z), so the other points repeat their |.|.
+    Returns ``inf`` if either system has a pole on a sample.
 
     Raises DimensionMismatch if the two systems differ in width.
     """

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag, polar, svd
+from scipy.linalg import polar, svd
 
 from .errors import (
     CompressionNotPD,
@@ -39,7 +39,13 @@ from .errors import (
     GramianIdentityViolation,
     NotOuter,
 )
-from .matnum import DEFAULT_TOL, ToleranceConfig, eigen_blocks, solve_stein
+from .matnum import (
+    DEFAULT_TOL,
+    ToleranceConfig,
+    _block_diag,
+    eigen_blocks,
+    solve_stein,
+)
 from .statespace import (
     Realization,
     _circle,
@@ -222,7 +228,7 @@ def _factor(w, z, f, v, t_l, k_a, config):
             f"cancelled modes of the generated factor get input: residual "
             f"{residual:.3e} > {config.residual_tol:.1e} x {scale:.3e}"
         )
-    return Realization(block_diag(u.T @ a @ u, v_a.T @ f @ v_a),
+    return Realization(_block_diag(u.T @ a @ u, v_a.T @ f @ v_a),
                        np.vstack([u.T @ b0, v_a.T @ b_bot]),
                        np.hstack([c @ u, (c @ z + d @ b.T @ f) @ v_a]),
                        d @ t_l.d)
@@ -300,7 +306,7 @@ def conjugate_phase(w_minus: Realization,
         )
     z = solve_stein(a.T, -(b @ b.T), config)
     a_inv_t = np.linalg.inv(a).T
-    a_t = np.block([[gamma, np.zeros((n, n))], [np.zeros((n, n)), a_inv_t]])
+    a_t = _block_diag(gamma, a_inv_t)
     c_t = np.hstack([h1, b.T @ a_inv_t])
     q = np.block([[x, -np.eye(n)], [-np.eye(n), z]])
     t, check = _allpass_completion(a_t, c_t, q, "conjugate phase", config)
@@ -335,9 +341,12 @@ def allpass_residual(r: Realization,
                      config: ToleranceConfig = DEFAULT_TOL) -> float:
     """Max deviation of G(z) G(z)^H from the identity over circle samples.
 
-    Returns ``inf`` when a sample hits a pole (a pole on the circle rules
-    out the all-pass property by definition).  Raises DimensionMismatch for
-    a non-square system.
+    The max over ``circle_samples`` points is taken at the floor(k/2) + 1
+    of them on the closed upper half-circle: G(conj z) = conj G(z) for a
+    real system, so the others repeat their deviations.  Returns ``inf``
+    when a sample hits a pole (a pole on the circle rules out the all-pass
+    property by definition).  Raises DimensionMismatch for a non-square
+    system.
     """
     if r.n_in != r.n_out:
         raise DimensionMismatch("all-pass check requires a square system")

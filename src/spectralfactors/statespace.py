@@ -6,7 +6,10 @@ realizations and never mutate their inputs.  Realizations are compared by
 sampling, never by canonical forms: :func:`eval_gap` bounds the gap between
 two transfer functions, ``factors.spectrum_gap`` between two spectral
 densities, and ``spectral.allpass_residual`` measures the distance from the
-all-pass property.
+all-pass property.  Each takes its max |.| over k equally spaced circle
+points but evaluates only the floor(k/2) + 1 of them on the closed upper
+half-circle (:func:`_circle`): a realization is real, so G(conj z) =
+conj G(z), and the result is the same as over all k.
 
 Every sample goes through one frequency-response kernel that reduces A once
 for all points (Laub, IEEE TAC 26, 1981; SLICOT TB05AD implements his
@@ -275,8 +278,12 @@ def _inv(m, err, what, config):
 
 
 def _circle(k):
-    """k equally spaced points on the unit circle, starting at z = 1."""
-    return np.exp(2j * np.pi * np.arange(k) / k)
+    """The floor(k/2) + 1 points e^{2 pi i j / k}, j = 0..floor(k/2), of the
+    k equally spaced points on the unit circle: one of each conjugate pair
+    z_j, z_{k-j} = conj z_j.  A real system has G(conj z) = conj G(z), and
+    its poles come in conjugate pairs, so a max |.| over the k points, and
+    whether any of them is at a pole, is decided on these."""
+    return np.exp(2j * np.pi * np.arange(k // 2 + 1) / k)
 
 
 def inverse(r: Realization, config: ToleranceConfig = DEFAULT_TOL) -> Realization:
@@ -522,7 +529,11 @@ def eval_gap(r1: Realization, r2: Realization, zs=None,
              config: ToleranceConfig = DEFAULT_TOL) -> float:
     """Largest entrywise evaluation gap between two realizations.
 
-    Sample points too close to a pole of either system are skipped.
+    The default points are the floor(k/2) + 1 points of ``circle_samples``
+    on the closed upper half-circle (:func:`_circle`) and the same scaled
+    by 1.37: the gap of two real systems has the same |.| at conj z, so
+    this is the gap over both full circles of k points.  Sample points too
+    close to a pole of either system are skipped.
     """
     if (r1.n_out, r1.n_in) != (r2.n_out, r2.n_in):
         raise DimensionMismatch("output/input widths differ")

@@ -12,7 +12,9 @@ of T onto an invariant subspace, whose dimension is its certified degree: it
 is never reduced, and neither is its closed-form right complement, built
 from the divisor's carried range basis, nor its factor W- T_l, which is
 closed form on n states, so ``minimal_factor`` reduces nothing.  Each circle
-check decomposes the state matrix of each system it samples once.  The
+check decomposes the state matrix of each system it samples once, for the
+floor(k/2) + 1 points of k circle samples that are one per conjugate pair
+(twice that for ``eval_gap``'s default circle and its 1.37 scaling).  The
 enumeration builds each side subset's basis once, from the carried Schur
 bases of its blocks, and makes no projector round trip; neither does
 ``family_member`` on a selection or basis spec, whose divisor is built from
@@ -138,6 +140,24 @@ def test_circle_checks_decompose_each_system_once(monkeypatch, ref_model,
     assert [id(args[0]) for args in forms] == [id(w.a), id(ref_model.a)] * 2
     assert len(schur) + len(eigs) == 4
     assert len(schur) == (4 if points is None else 0)
+
+
+@pytest.mark.parametrize("k", [8, 9, 64, 512])
+def test_circle_checks_sample_one_point_per_conjugate_pair(monkeypatch,
+                                                           ref_model,
+                                                           ref_values, k):
+    # W(conj z) = conj W(z) for a real system: the k - floor(k/2) - 1
+    # points of the lower half-circle would repeat the upper half's |.|.
+    w = ref_values["w_bar_minus"]
+    config = sf.ToleranceConfig(circle_samples=k)
+    forms = _count_calls(monkeypatch, statespace, "_decompose")
+    spectrum_gap(w, ref_model, config)
+    sf.allpass_residual(w, config)
+    eval_gap(w, ref_model, config=config)
+    half = k // 2 + 1
+    assert [(id(args[0]), args[1]) for args in forms] == [
+        (id(w.a), half), (id(ref_model.a), half), (id(w.a), half),
+        (id(w.a), 2 * half), (id(ref_model.a), 2 * half)]
 
 
 def test_spectrum_gap_is_inf_at_a_pole(ref_model):

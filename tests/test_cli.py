@@ -179,8 +179,25 @@ def test_flag_without_effect_is_not_an_option(runner, model_path, argv):
     # analyze samples no circle and spectrum checks no residual, so neither
     # takes the flag.
     result = runner.invoke(main, [argv[0], model_path, *argv[1:]])
-    assert result.exit_code == 2
+    assert result.exit_code == 3
     assert "No such option" in result.output and argv[1] in result.output
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "MODEL", "--bogus"], "No such option '--bogus'"),
+    (["analyze"], "Missing argument 'MODEL_PATH'"),
+    (["factors", "MODEL", "MODEL", "--samples", "abc"],
+     "Invalid value for '--samples': 'abc' is not a valid integer"),
+    (["bogus"], "No such command 'bogus'"),
+], ids=["unknown-option", "missing-argument", "bad-flag-type",
+        "unknown-command"])
+def test_usage_errors_exit_3(runner, model_path, argv, message):
+    # Exit 2 means the model is outside the supported class; a command line
+    # click cannot parse is a parse failure, with click's own message.
+    argv = [model_path if arg == "MODEL" else arg for arg in argv]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 3
+    assert f"Error: {message}" in result.output
 
 
 class TestFactors:

@@ -198,6 +198,74 @@ class TestEvalfr:
                             atol=1e-14)
 
 
+# Circle sample counts, even and odd, on both sides of the kernel switch.
+HALF_CIRCLE_K = [8, 9, 64, 512]
+
+
+def _all_k(r, zs, config):
+    """G at the k points ``zs`` of a full circle, through ``evalfr_many`` in
+    two calls: the floor(k/2) + 1 points that the library samples, then the
+    rest.  For the k of HALF_CIRCLE_K both calls take the same kernel as the
+    library's one call."""
+    h = zs.size // 2 + 1
+    return np.concatenate([sf.evalfr_many(r, zs[:h], config),
+                           sf.evalfr_many(r, zs[h:], config)])
+
+
+def _term_size(r, zs):
+    """max over ``zs`` of ||C|| ||(zI - A)^{-1}|| ||B|| + ||D||, the size of
+    the terms that an evaluation of G sums."""
+    nrm = np.linalg.norm
+    return max(nrm(r.c, 2) * nrm(np.linalg.inv(z * np.eye(r.n) - r.a), 2)
+               * nrm(r.b, 2) + nrm(r.d, 2) for z in zs)
+
+
+class TestHalfCircle:
+    """A real system has G(conj z) = conj G(z), so the circle checks sample
+    only the floor(k/2) + 1 points e^{2 pi i j / k}, j <= k/2.  Their
+    results equal the maximum over all k points up to the evaluation's
+    rounding, bounded here by 32 eps times the squared term sizes (the
+    largest seen over these systems is 17 eps)."""
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    @pytest.mark.parametrize("n", [1, 3, 8, 16])
+    def test_checks_equal_the_full_circle_maximum(self, n, m):
+        w, w_ref = _dense(n, m, 1), _dense(n, m, 101)
+        if n > 1:   # each has complex pole pairs
+            for r in (w, w_ref):
+                assert np.any(np.linalg.eigvals(r.a).imag > 1e-3)
+        eps = np.finfo(float).eps
+        for k in HALF_CIRCLE_K:
+            config = sf.ToleranceConfig(circle_samples=k)
+            zs = np.exp(2j * np.pi * np.arange(k) / k)
+            g, g_ref = _all_k(w, zs, config), _all_k(w_ref, zs, config)
+            phi = g @ np.conj(np.swapaxes(g, -1, -2))
+            phi_ref = g_ref @ np.conj(np.swapaxes(g_ref, -1, -2))
+            size, size_ref = _term_size(w, zs), _term_size(w_ref, zs)
+
+            full = np.max(np.abs(phi - np.eye(m)))
+            assert (abs(sf.allpass_residual(w, config) - full)
+                    <= 32 * eps * (size ** 2 + 1))
+            full = np.max(np.abs(phi - phi_ref))
+            assert (abs(spectrum_gap(w, w_ref, config) - full)
+                    <= 32 * eps * (size ** 2 + size_ref ** 2))
+            both = np.concatenate([zs, 1.37 * zs])
+            full = np.max(np.abs(_all_k(w, both, config)
+                                 - _all_k(w_ref, both, config)))
+            assert (abs(eval_gap(w, w_ref, config=config) - full)
+                    <= 32 * eps * (size + size_ref))
+
+    def test_lower_half_pole_is_reached_through_its_conjugate(self):
+        # Poles exactly at e^{+-2 pi i 3/8}: only the upper one, j = 3, is
+        # among the k = 8 samples j = 0..4; j = 5 is not sampled.
+        t = 2 * np.pi * 3 / 8
+        r = sf.Realization([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]],
+                           [[1.0], [0.0]], [[1.0, 0.0]], [[1.0]])
+        config = sf.ToleranceConfig(circle_samples=8)
+        assert sf.allpass_residual(r, config) == float("inf")
+        assert spectrum_gap(r, r, config) == float("inf")
+
+
 class TestSeries:
     def test_identity_padding(self, ref_model, config):
         composed = sf.series(ref_model, sf.identity(2))

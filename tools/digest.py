@@ -38,7 +38,9 @@ every divisor, factor, right complement and extracted divisor of the
 enumerated families and of the session specs (through
 ``projector_from_spec`` and through ``family_member``), and of every
 factor of the Moebius-gated ``factor_family`` and of ``cli factors``,
-with any change of degree or subspace dimensions.
+with any change of degree or subspace dimensions; and the largest
+relative change of the residuals of their reports, with any change of a
+report's ``passed`` or ``reasons``.
 """
 
 from __future__ import annotations

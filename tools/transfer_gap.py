@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Compare the divisors and factors of two checkouts by transfer.
+"""Compare the divisors, factors and reports of two checkouts.
 
 Usage: python tools/transfer_gap.py PARENT CHANGE
 
@@ -21,16 +21,25 @@ of divisors and factors:
   ``--moebius``) for ``cli_inputs(1234, 0..1)``: each factor in the
   original variable, with its degree.
 
+Each member also carries the ``FactorReport``s that ``tools/digest.py``
+hashes: the factor's (``minimal_factor``), the extraction's with and
+without ``w_bar_plus`` and ``verify_factor``'s for an enumerated or session
+divisor, the one ``factor_family`` or ``family_member`` returns for a
+Moebius or CLI factor.
+
 It prints for every family the largest relative transfer gap of each part
-between the two checkouts, one line per member whose degree or
-``subspace_dims`` changed, and any change of a family's size.  A gap is
+between the two checkouts, and the largest relative change
+|new - old| / |old| of each report's ``spectrum_residual`` and
+``allpass_residual``; one line per member whose degree or
+``subspace_dims`` changed, one per report whose ``passed`` or ``reasons``
+changed, and any change of a family's size.  A gap is
 max |G_change(z) - G_parent(z)| / max |G_parent(z)| over 64 points of the
 unit circle, evaluated with numpy (``workloads.transfer``), not with either
 library.  A typed failure that differs between the two, of a family, a
-member or an extraction, is printed with both messages.  The last line
-holds the largest gaps over all families.
+member, an extraction or a report, is printed with both messages.  The
+last line holds the largest gaps and changes over all families.
 
-Takes about 12 s on a 2-core machine.
+Takes about 30 s on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -42,6 +51,7 @@ import tempfile
 import numpy as np
 
 PARTS = ("t_ell", "factor", "right_complement", "extracted")
+RESIDUALS = ("spectrum_residual", "allpass_residual")
 
 
 def _load(root):
@@ -70,15 +80,31 @@ def _attempt(sf, fn, *args, **kwargs):
         return f"{type(exc).__name__}: {exc}"
 
 
+def _report(report):
+    """The compared fields of a ``FactorReport``, or a typed failure."""
+    if isinstance(report, str):
+        return report
+    return ({name: getattr(report, name) for name in RESIDUALS},
+            report.passed, tuple(report.reasons))
+
+
 def _member(sf, w, cp, div, t_r, config):
-    """(degree, dims, {part: (a, b, c, d) or typed failure}) of one divisor
-    of the conjugate phase ``cp`` of ``w``."""
+    """(degree, dims, {part: (a, b, c, d) or typed failure}, {report name:
+    report fields or typed failure}) of one divisor of the conjugate phase
+    ``cp`` of ``w``."""
+    factor = _attempt(sf, sf.minimal_factor, w, div, config)
     back = _attempt(sf, sf.extract_left_divisor, w, div.factor, config,
                     w_bar_plus=cp.extremals.w_bar_plus)
+    rebuilt = _attempt(sf, sf.extract_left_divisor, w, div.factor, config)
+    reports = {name: out if isinstance(out, str) else out[1]
+               for name, out in (("factor", factor), ("extract.carried", back),
+                                 ("extract.rebuilt", rebuilt))}
+    reports["verify"] = sf.verify_factor(div.factor, w, config)
     return (div.degree, tuple(div.subspace_dims),
             {"t_ell": _abcd(div.t_ell), "factor": _abcd(div.factor),
              "right_complement": _abcd(t_r),
-             "extracted": back if isinstance(back, str) else _abcd(back[0])})
+             "extracted": back if isinstance(back, str) else _abcd(back[0])},
+            {name: _report(r) for name, r in reports.items()})
 
 
 def _session(sf, w, config):
@@ -126,7 +152,8 @@ def _moebius(sf, ref, config):
         pairs = _attempt(sf, sf.factor_family, ref, specs, config,
                          moebius_param=param)
         out[f"moebius/{param}"] = pairs if isinstance(pairs, str) else [
-            (report.degree, (), {"factor": _abcd(w)}) for w, report in pairs]
+            (report.degree, (), {"factor": _abcd(w)},
+             {"factor": _report(report)}) for w, report in pairs]
     return out
 
 
@@ -149,15 +176,15 @@ def _cli(sf, wl):
                            for spec in specs]
                 out[f"cli/{index}/{tag}"] = [
                     (report.degree, tuple(div.subspace_dims),
-                     {"factor": _abcd(factor)})
+                     {"factor": _abcd(factor)}, {"factor": _report(report)})
                     for div, factor, report in members]
     return out
 
 
 def _families(root, wl):
-    """Key -> list of members (degree, dims, {part: (a, b, c, d)}) or typed
-    failures, or the text of a typed failure of the whole family, for every
-    family of one checkout."""
+    """Key -> list of members (degree, dims, {part: (a, b, c, d)}, {report
+    name: fields}) or typed failures, or the text of a typed failure of the
+    whole family, for every family of one checkout."""
     sf, reference_model = _load(root)
     roundtrip_cfg = sf.ToleranceConfig(circle_samples=64, residual_tol=1e-7)
     models = [(f"roundtrip/{index}/{slot}", sf.Realization(*abcd),
@@ -197,6 +224,30 @@ def _gap(parent, change, zs, transfer):
                  / max(float(np.max(np.abs(ref))), np.finfo(float).tiny))
 
 
+def _change(old, new):
+    """Relative change |new - old| / |old| of a report residual; 0 when the
+    two are equal (both inf or both None included)."""
+    if old == new:
+        return 0.0
+    if old is None or new is None or old == 0:
+        return float("inf")
+    return abs(new - old) / abs(old)
+
+
+def _compare_reports(name, old, new, worst):
+    """Fold one report's residual changes into ``worst``; print the report
+    when its failure, ``passed`` or ``reasons`` differ."""
+    if isinstance(old, str) or isinstance(new, str):
+        if old != new:
+            print(f"{name} failure: parent {old!r}, change {new!r}")
+        return
+    for r in RESIDUALS:
+        worst[r] = max(worst[r], _change(old[0][r], new[0][r]))
+    if old[1:] != new[1:]:
+        print(f"{name} passed {old[1]} -> {new[1]}, reasons "
+              f"{list(old[2])} -> {list(new[2])}")
+
+
 def main():
     if len(sys.argv) != 3:
         sys.exit(__doc__)
@@ -207,7 +258,7 @@ def main():
     zs = np.exp(1j * (0.1234567 + 2.0 * np.pi * np.arange(64) / 64))
     parent = _families(parent_root, wl)
     change = _families(change_root, wl)
-    overall = dict.fromkeys(PARTS, 0.0)
+    overall = dict.fromkeys(PARTS + RESIDUALS, 0.0)
     for key in dict.fromkeys([*parent, *change]):
         old, new = parent.get(key, "absent"), change.get(key, "absent")
         if isinstance(old, str) or isinstance(new, str):
@@ -216,7 +267,7 @@ def main():
             continue
         if len(old) != len(new):
             print(f"{key} size {len(old)} -> {len(new)}")
-        worst = dict.fromkeys(PARTS, 0.0)
+        worst = dict.fromkeys(PARTS + RESIDUALS, 0.0)
         for i, (m0, m1) in enumerate(zip(old, new)):
             if isinstance(m0, str) or isinstance(m1, str):
                 if m0 != m1:
@@ -235,10 +286,13 @@ def main():
                               f"{old_p!r}, change {new_p!r}")
                     continue
                 worst[p] = max(worst[p], _gap(old_p, new_p, zs, wl.transfer))
-        print(key, " ".join(f"{p} {worst[p]:.2e}" for p in PARTS))
-        for p in PARTS:
+            for name in m0[3]:
+                _compare_reports(f"{key}/{i:02d} {name} report", m0[3][name],
+                                 m1[3][name], worst)
+        print(key, " ".join(f"{p} {worst[p]:.2e}" for p in worst))
+        for p in overall:
             overall[p] = max(overall[p], worst[p])
-    print("max", " ".join(f"{p} {overall[p]:.2e}" for p in PARTS))
+    print("max", " ".join(f"{p} {overall[p]:.2e}" for p in overall))
 
 
 if __name__ == "__main__":
