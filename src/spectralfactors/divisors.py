@@ -20,7 +20,8 @@ normalized so the feedthrough Dl is symmetric positive definite.  The
 compression is minimal, so deg Tl = rank V.  Every divisor is certified
 by the completion's algebraic identity check, which implies the all-pass
 property at every point of the circle.  It carries its factor W- Tl in
-closed form on n states.
+closed form on n states, and the conjugate phase's samples of W-'s density
+that the factor's spectrum is checked against.
 
 The right complement Tr with T = Tl Tr is closed form as well (Bart,
 Gohberg, Kaashoek & Van Dooren, SIAM J. Control Optim. 18, 1980).  The
@@ -63,7 +64,12 @@ from .matnum import (
     orth_basis,
     selection_basis,
 )
-from .spectral import ConjugatePhase, _allpass_completion, _factor
+from .spectral import (
+    ConjugatePhase,
+    DensitySamples,
+    _allpass_completion,
+    _factor,
+)
 from .statespace import Realization
 
 __all__ = [
@@ -129,7 +135,9 @@ class AllPassDivisor:
     of the orthonormal 2n x k ``basis`` (projector ``basis @ basis.T``),
     ``factor`` is W- T_l in closed form on n states, ``degree`` = deg T_l =
     k and ``subspace_dims`` its (gamma, a) split; ``right_complement`` is
-    attached when degree additivity is certified.
+    attached when degree additivity is certified.  ``w_minus_density`` is
+    the conjugate phase's sampled density of W-, carried by reference, which
+    :func:`.factors.minimal_factor` checks the factor against.
     """
 
     t_ell: Realization
@@ -138,6 +146,7 @@ class AllPassDivisor:
     degree: int
     subspace_dims: tuple = (0, 0)
     right_complement: Realization | None = None
+    w_minus_density: DensitySamples | None = None
 
 
 @contextmanager
@@ -242,7 +251,8 @@ def _divisor(cp, v, k_gamma, config):
     factor = _factor(cp.extremals.w_minus, cp.extremals.z, cp.a_inv_t, v,
                      t_ell, k - k_gamma, config)
     return AllPassDivisor(t_ell=t_ell, factor=factor, basis=v, degree=k,
-                          subspace_dims=(k_gamma, k - k_gamma))
+                          subspace_dims=(k_gamma, k - k_gamma),
+                          w_minus_density=cp.w_minus_density)
 
 
 def right_complement(cp: ConjugatePhase, div: AllPassDivisor,

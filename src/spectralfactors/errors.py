@@ -67,9 +67,12 @@ class NoParameterFound(SpectralFactorsError):
 class NotOuter(SpectralFactorsError):
     """The supplied realization is not a valid outer (minimum-phase) factor:
     poles or zeros are not strictly inside the unit circle, the state or zero
-    matrix is singular, or the zero-direction Stein solution X fails to be
-    negative definite.  That is the only sign test on a Stein solution:
-    with Z > 0 it makes Y = Z - X^{-1} positive definite."""
+    matrix is singular, or the zero-direction Stein solution X fails its
+    definiteness test: its largest eigenvalue must lie below
+    -rank_rel_tol |lambda_min(X)|.  That also refuses a negative definite X
+    with cond X above 1/rank_rel_tol, so the message names the eigenvalue,
+    the threshold and cond X.  It is the only sign test on a Stein
+    solution: with Z > 0 it makes Y = Z - X^{-1} positive definite."""
 
 
 class GramianIdentityViolation(SpectralFactorsError):

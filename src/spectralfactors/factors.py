@@ -6,6 +6,17 @@ quotient W-^{-1} W0 of any minimal factor W0 is such a divisor.  This module
 reports on the factor each divisor carries, verifies candidate factors,
 and extracts and certifies the divisor of a given candidate.
 
+Each system is sampled on the circle once per family.  The conjugate phase
+samples W-'s density once, and each divisor carries it by reference, so
+:func:`minimal_factor` samples only the factor when it is handed that
+conjugate phase's W- under the config the phase was built with.  The
+factor comes back as a :class:`CertifiedFactor` that carries its report, W-
+and config, and :func:`extract_left_divisor` reads the candidate's
+inventory and spectrum report from that certificate when W-, config and
+expected degree match, so it samples only T-.  Any other candidate takes
+the full path.  The reused arrays and floats are the ones the repeated
+computation gives, so the outputs are the same either way.
+
 Verification never raises on a mathematically bad *candidate* (bad
 candidates are data); exceptions are reserved for numerical breakdowns in
 generated objects.
@@ -20,7 +31,6 @@ import numpy as np
 from .divisors import AllPassDivisor, SubspaceSpec, _divisor, _spec_basis
 from .errors import (
     DimensionMismatch,
-    EvaluationAtPole,
     NotAFactor,
     NotMinimalFactor,
     ParameterHitsSpectrum,
@@ -31,15 +41,14 @@ from .matnum import DEFAULT_TOL, ToleranceConfig, _schur_split
 from .spectral import (
     ALLPASS_CERT_TOL,
     ConjugatePhase,
+    _density,
     allpass_residual,
     conjugate_phase,
-    spectrum_samples,
     validate_outer,
 )
 from .statespace import (
     PoleZeroReport,
     Realization,
-    _circle,
     _inventory,
     choose_moebius_parameter,
     inverse,
@@ -52,6 +61,7 @@ from .statespace import (
 
 __all__ = [
     "FactorReport",
+    "CertifiedFactor",
     "minimal_factor",
     "extract_left_divisor",
     "verify_factor",
@@ -101,6 +111,23 @@ class FactorReport:
         return "\n".join(lines)
 
 
+@dataclass(frozen=True, repr=False, eq=False)
+class CertifiedFactor(Realization):
+    """A generated factor (A, B, C, D) with the passing ``report`` that
+    certified it against ``w_minus`` under ``config``.
+
+    :func:`minimal_factor` and :func:`family_member` return it; it is a
+    :class:`Realization` in every other respect.  :func:`extract_left_divisor`
+    reads the report instead of inventorying and sampling the factor again
+    when it is given the same ``w_minus`` object, an equal config and the
+    report's expected degree.
+    """
+
+    report: FactorReport
+    w_minus: Realization
+    config: ToleranceConfig
+
+
 def spectrum_gap(w: Realization, w_ref: Realization,
                  config: ToleranceConfig = DEFAULT_TOL) -> float:
     """Largest entrywise gap between the two spectral densities on
@@ -114,26 +141,36 @@ def spectrum_gap(w: Realization, w_ref: Realization,
     return _gap_and_scale(w, w_ref, config)[0]
 
 
-def _gap_and_scale(w, w_ref, config):
-    """``spectrum_gap`` and max(1, max|Phi_ref|) from the same samples."""
+def _gap_and_scale(w, w_ref, config, density=None):
+    """``spectrum_gap`` and max(1, max|Phi_ref|) from the same samples;
+    ``density`` holds those of ``w_ref`` under ``config`` if they were
+    carried."""
     if (w.n_out, w.n_in) != (w_ref.n_out, w_ref.n_in):
         raise DimensionMismatch(
             f"densities of a {w.n_out}x{w.n_in} and a "
             f"{w_ref.n_out}x{w_ref.n_in} system are not comparable"
         )
-    zs = _circle(config.circle_samples)
-    try:
-        phi_w = spectrum_samples(w, zs, config)
-        phi_ref = spectrum_samples(w_ref, zs, config)
-    except EvaluationAtPole:
+    phi_w = _density(w, config)
+    phi_ref = (None if phi_w is None else density.phi if density
+               else _density(w_ref, config))
+    if phi_ref is None:
         return float("inf"), 1.0
     return (float(np.max(np.abs(phi_w - phi_ref))),
             max(1.0, float(np.max(np.abs(phi_ref)))))
 
 
-def _report(w, w_minus, expected, pz, config):
+def _made_for(carrier, w_minus, config):
+    """Whether ``carrier``, a :class:`.spectral.DensitySamples` or a
+    :class:`CertifiedFactor`, was made for this ``w_minus`` object under a
+    config equal to ``config``."""
+    return (carrier is not None and carrier.w_minus is w_minus
+            and carrier.config == config)
+
+
+def _report(w, w_minus, expected, pz, config, density=None):
     """Report on the candidate ``w``, whose minimal realization has the
-    inventory ``pz``, against ``w_minus`` of McMillan degree ``expected``.
+    inventory ``pz``, against ``w_minus`` of McMillan degree ``expected``,
+    whose carried ``density`` is used if given.
     Its spectrum gap must be <= ``residual_tol`` max(1, max|Phi_-|)."""
     reasons = []
     if pz.degree != expected:
@@ -145,7 +182,7 @@ def _report(w, w_minus, expected, pz, config):
             f"{w_minus.n_out}x{w_minus.n_in}"
         )
     else:
-        residual, scale = _gap_and_scale(w, w_minus, config)
+        residual, scale = _gap_and_scale(w, w_minus, config, density)
         bound = config.residual_tol * scale
         if not residual <= bound:
             reasons.append(
@@ -157,14 +194,16 @@ def _report(w, w_minus, expected, pz, config):
     )
 
 
-def _require_generated(w, w_minus, n, what, config):
-    """Report on a generated factor on n states; raise if it fails."""
-    report = _report(w, w_minus, n, _inventory(w, config), config)
+def _require_generated(w, w_minus, n, what, config, density=None):
+    """The generated factor ``w`` on n states, certified by its report
+    against ``w_minus``; raise if it fails."""
+    report = _report(w, w_minus, n, _inventory(w, config), config,
+                     density if _made_for(density, w_minus, config) else None)
     if not report.passed:
         raise SpectrumMismatch(
             f"{what} spectrum residual {report.spectrum_residual:.3e}"
         )
-    return report
+    return CertifiedFactor(w.a, w.b, w.c, w.d, report, w_minus, config)
 
 
 def verify_factor(w: Realization, w_minus: Realization,
@@ -185,13 +224,17 @@ def minimal_factor(w_minus: Realization, div: AllPassDivisor,
                    config: ToleranceConfig = DEFAULT_TOL):
     """Minimal spectral factor W = W- T_l generated by a divisor.
 
-    Returns ``div.factor``, the closed form on n states, and its report
-    against ``w_minus`` with the degree n that the conjugate phase certified
-    (the basis has 2n rows); a wrong spectrum is a numerical failure.
+    Returns ``div.factor``, the closed form on n states, as a
+    :class:`CertifiedFactor`, and its report against ``w_minus`` with the
+    degree n that the conjugate phase certified (the basis has 2n rows); a
+    wrong spectrum is a numerical failure.  When ``w_minus`` is the
+    conjugate phase's own W- object and ``config`` equals the one it was
+    built with, the report reads the W- density that the divisor carries
+    (``div.w_minus_density``) instead of sampling W- again.
     """
-    return div.factor, _require_generated(
-        div.factor, w_minus, div.basis.shape[0] // 2, "generated factor",
-        config)
+    w = _require_generated(div.factor, w_minus, div.basis.shape[0] // 2,
+                           "generated factor", config, div.w_minus_density)
+    return w, w.report
 
 
 def _vanishes(block1, block2, config):
@@ -261,6 +304,11 @@ def extract_left_divisor(w_minus: Realization, w0: Realization,
     not separate by the cluster tolerance, or a certificate fails, T- is
     the Loewner cut (:func:`minimal`) of the cascade of W-^{-1} and W0.
 
+    A :class:`CertifiedFactor` certified against this ``w_minus`` object
+    under an equal config with expected degree n brings its inventory and
+    spectrum report along: neither is computed again, and only T- is
+    sampled.  Any other candidate is inventoried and sampled with W-.
+
     Returns the extracted divisor and a report on the candidate.
     """
     if (w0.n_out, w0.n_in) != (w_minus.n_out, w_minus.n_in):
@@ -272,8 +320,11 @@ def extract_left_divisor(w_minus: Realization, w0: Realization,
     # W0 = W- T- with T- all-pass is a spectral factor, and no spectral
     # factor of this density has degree below n: on n states it is minimal
     # once the all-pass test below passes.
+    cert = (w0.report if isinstance(w0, CertifiedFactor)
+            and _made_for(w0, w_minus, config)
+            and w0.report.expected_degree == n else None)
     w0m = w0 if w0.n == n else minimal(w0, config)
-    pz = _inventory(w0m, config)
+    pz = cert.pole_zero if cert else _inventory(w0m, config)
     t_minus = None
     if pz.degree == n and pz.zeros is not None:
         t_minus = _peel(w_inv, w0m, pz, config)
@@ -293,7 +344,7 @@ def extract_left_divisor(w_minus: Realization, w0: Realization,
     if t_minus.n != k:
         raise NotMinimalFactor(f"divisor degree {t_minus.n} != {k}, the "
                                "candidate's poles and zeros outside the disc")
-    report = _report(w0, w_minus, n, pz, config)
+    report = cert or _report(w0, w_minus, n, pz, config)
     return t_minus, replace(report, allpass_residual=ap_res)
 
 
@@ -331,7 +382,8 @@ def family_member(cp: ConjugatePhase, spec: SubspaceSpec,
     back to the original variable, still on n states, and re-verified
     against ``w_minus``; a failure there raises.
 
-    Returns the divisor, the factor and its verification report.
+    Returns the divisor, the factor as a :class:`CertifiedFactor` and its
+    verification report.
     """
     div = _divisor(cp, *_spec_basis(cp, spec, config), config)
     w, report = minimal_factor(cp.extremals.w_minus, div, config)
@@ -345,8 +397,9 @@ def family_member(cp: ConjugatePhase, spec: SubspaceSpec,
             "infinity); it is representable only in the transformed "
             "variable"
         ) from exc
-    return div, w, _require_generated(w, w_minus, report.expected_degree,
-                                      "mapped-back factor", config)
+    w = _require_generated(w, w_minus, report.expected_degree,
+                           "mapped-back factor", config)
+    return div, w, w.report
 
 
 def factor_family(w_minus: Realization, specs,

@@ -57,6 +57,7 @@ from .statespace import (
 __all__ = [
     "ExtremalSet",
     "ConjugatePhase",
+    "DensitySamples",
     "GramianCheck",
     "validate_outer",
     "extremal_set",
@@ -235,6 +236,20 @@ def _factor(w, z, f, v, t_l, k_a, config):
 
 
 @dataclass(frozen=True)
+class DensitySamples:
+    """The spectral density of ``w_minus`` at the floor(k/2) + 1 points of
+    the closed upper half-circle that the circle checks under ``config``
+    evaluate (k = ``config.circle_samples``), sampled once per family by
+    :func:`conjugate_phase`.  ``phi`` is None where a sample is at a pole
+    of ``w_minus`` by the pole guard, which makes every spectrum gap
+    against it infinite."""
+
+    w_minus: Realization
+    config: ToleranceConfig
+    phi: np.ndarray | None
+
+
+@dataclass(frozen=True)
 class ConjugatePhase:
     """Minimal realization of the conjugate phase function T = W-^{-1} Wbar+
     with its Stein solution.
@@ -250,6 +265,10 @@ class ConjugatePhase:
     nonsingular Q is controllable.  ``gamma_blocks`` and ``a_blocks``, the
     :func:`.matnum.eigen_blocks` of ``gamma`` and ``a_inv_t``, are the blocks
     that the enumeration toggles and that ``SubspaceSpec`` indices refer to.
+    ``w_minus_density`` holds the density of ``extremals.w_minus`` on the
+    circle under the config T was built with; every divisor carries it, and
+    :func:`.factors.minimal_factor` checks each factor's spectrum against it
+    instead of sampling W- again when it is handed this W- under that config.
     """
 
     t: Realization
@@ -262,6 +281,7 @@ class ConjugatePhase:
     gramian: GramianCheck
     gamma_blocks: tuple
     a_blocks: tuple
+    w_minus_density: DensitySamples
 
 
 def check_gramian_identities(cp: ConjugatePhase,
@@ -276,7 +296,8 @@ def conjugate_phase(w_minus: Realization,
     """Validate W- and build its conjugate phase function and extremal set.
 
     X solves  Gamma^T X Gamma = X + H1^T H1  (H1 = D^{-1} C) and must be
-    negative definite; Z solves  Z = A Z A^T + B B^T.  The 2n-state
+    negative definite, its largest eigenvalue below -rank_rel_tol
+    |lambda_min(X)|; Z solves  Z = A Z A^T + B B^T.  The 2n-state
     realization of T has state matrix diag(Gamma, A^{-T}) and output matrix
     [H1 | B^T A^{-T}]; its input and feedthrough matrices are the all-pass
     completion from Q = [[X, -I], [-I, Z]], with a symmetric positive
@@ -286,7 +307,9 @@ def conjugate_phase(w_minus: Realization,
     The extremal factors are the closed form (:func:`_factor`) of W- T_Gamma,
     W+ = (A, B D_Gamma + B_Gamma, C, D D_Gamma) with (B_Gamma, D_Gamma) the
     completion of (H1, Gamma) from X, and Wbar+ = W- T = (A^{-T}, B_T[n:],
-    C Z + D B^T A^{-T}, D D_T).  Gamma and A^{-T} are clustered once, here.
+    C Z + D B^T A^{-T}, D D_T).  Gamma and A^{-T} are clustered once, here,
+    and the density of W- is sampled once, here, on the circle points of
+    ``config`` (:class:`DensitySamples`).
 
     Raises NotOuter, SingularFeedthrough, CompressionNotPD if a completion
     Gram matrix is not definite, GramianIdentityViolation if T or T_Gamma
@@ -300,9 +323,13 @@ def conjugate_phase(w_minus: Realization,
     x = solve_stein(gamma, h1.T @ h1, config)
     wx = np.linalg.eigvalsh(x)
     if x.size and wx[-1] >= -config.rank_rel_tol * abs(wx[0]):
+        size = np.abs(wx)
+        cond = size.max() / size.min() if size.min() else float("inf")
         raise NotOuter(
-            "zero-direction Stein solution is not negative definite; the "
-            "realization is not a minimal outer factor"
+            f"zero-direction Stein solution X fails the definiteness test: "
+            f"its largest eigenvalue {wx[-1]:.3e} is not below "
+            f"-rank_rel_tol |lambda_min(X)| = "
+            f"{-config.rank_rel_tol * abs(wx[0]):.3e} (cond X = {cond:.3e})"
         )
     z = solve_stein(a.T, -(b @ b.T), config)
     a_inv_t = np.linalg.inv(a).T
@@ -320,7 +347,9 @@ def conjugate_phase(w_minus: Realization,
     return ConjugatePhase(t=t, p0_inv=q, n_gamma=n, n_a=n, gamma=gamma,
                           a_inv_t=a_inv_t, extremals=ext, gramian=check,
                           gamma_blocks=tuple(eigen_blocks(gamma, config)),
-                          a_blocks=tuple(eigen_blocks(a_inv_t, config)))
+                          a_blocks=tuple(eigen_blocks(a_inv_t, config)),
+                          w_minus_density=DensitySamples(
+                              w_minus, config, _density(w_minus, config)))
 
 
 def extremal_set(w_minus: Realization,
@@ -335,6 +364,15 @@ def spectrum_samples(w: Realization, zs,
     vals = evalfr_many(w, zs, config)
     phi = vals @ np.conj(np.swapaxes(vals, -1, -2))
     return 0.5 * (phi + np.conj(np.swapaxes(phi, -1, -2)))
+
+
+def _density(w, config):
+    """The density of ``w`` at the half-circle points of ``config``, or
+    None if a sample hits a pole."""
+    try:
+        return spectrum_samples(w, _circle(config.circle_samples), config)
+    except EvaluationAtPole:
+        return None
 
 
 def allpass_residual(r: Realization,

@@ -27,7 +27,12 @@ The automatic Moebius gate reads the poles and zeros of the realization it
 is given, unreduced, so an auto-gated ``factor_family`` reduces only in
 ``validate_outer``, which certifies the working model minimal; without
 ``w_bar_plus`` the extraction uses the W-^{-1} that ``validate_outer``
-returns and inverts W- once.
+returns and inverts W- once.  W-'s density is sampled once, by
+``conjugate_phase``, and every divisor carries it; the factor that
+``minimal_factor`` returns carries its report into its extraction, so a
+family samples W- once and each divisor's factor and T- once, and
+inventories each factor once.  The carried report is the one a plain copy
+of the factor gets, and it is not read under another config or W-.
 """
 
 import dataclasses
@@ -394,7 +399,7 @@ def test_divisor_from_projector_reduces_nothing(monkeypatch, make):
 def test_divisor_degree_is_the_projector_rank(make):
     assert [f.name for f in dataclasses.fields(sf.AllPassDivisor)] == [
         "t_ell", "factor", "basis", "degree", "subspace_dims",
-        "right_complement"]
+        "right_complement", "w_minus_density"]
     for div in sf.enumerate_divisors(sf.conjugate_phase(make())):
         assert div.t_ell.n == div.degree == sum(div.subspace_dims)
 
@@ -437,3 +442,145 @@ def test_divisor_input_leaving_the_range_raises(monkeypatch, ref_cp):
     with pytest.raises(sf.GramianIdentityViolation,
                        match="divisor fails its all-pass identities"):
         sf.divisor_from_projector(ref_cp, q @ q.T)
+
+
+BENCH_CFG = sf.ToleranceConfig(circle_samples=64, residual_tol=1e-7)
+
+
+@pytest.mark.parametrize("family", ["reference", "random", "varma8"])
+def test_each_system_is_sampled_once_per_family(monkeypatch, family):
+    # The conjugate phase samples W-'s density once; per divisor the factor
+    # is sampled once (its report, which the extraction reads) and T- once
+    # (its all-pass check), and the factor is inventoried once.
+    wl = bench_workloads()
+    if family == "varma8":
+        w, op, config = _varma8(), wl.session_op, sf.DEFAULT_TOL
+    else:
+        w, op, config = MODELS[family](), wl.roundtrip_op, BENCH_CFG
+    densities = _count_calls(monkeypatch, spectral, "spectrum_samples")
+    allpass = _count_calls(monkeypatch, spectral, "allpass_residual")
+    inventories = _count_calls(monkeypatch, statespace, "_inventory")
+    cp, out, failures = op(sf, w, config)
+    assert not failures and out
+    factors = [div.factor for div, _, _ in out]
+    assert _ids(args[0] for args in densities) == _ids([w, *factors])
+    assert (_ids(args[0] for args in allpass)
+            == _ids(t_back for _, _, t_back in out))
+    assert _ids(args[0] for args in inventories) == _ids(factors)
+    assert cp.w_minus_density.w_minus is w
+
+
+def _ids(objects):
+    return [id(x) for x in objects]
+
+
+def _plain(r):
+    return sf.Realization(r.a, r.b, r.c, r.d)
+
+
+def _assert_same_system(r1, r2):
+    for name in "abcd":
+        assert np.array_equal(getattr(r1, name), getattr(r2, name))
+
+
+def _assert_same_report(r1, r2, skip=()):
+    for f in dataclasses.fields(sf.FactorReport):
+        v1, v2 = getattr(r1, f.name), getattr(r2, f.name)
+        if f.name in skip:
+            continue
+        if f.name == "pole_zero":
+            assert v1.degree == v2.degree
+            assert np.array_equal(v1.poles, v2.poles)
+            assert np.array_equal(v1.zeros, v2.zeros)
+        else:
+            assert v1 == v2, f.name
+
+
+@pytest.mark.parametrize("make", [reference_model, lambda: recipe_outer(6, 0)],
+                         ids=["reference", "recipe6_0"])
+def test_carried_report_is_the_recomputed_report(monkeypatch, make):
+    w = make()
+    cp = sf.conjugate_phase(w)
+    for div in sf.enumerate_divisors(cp):
+        w0, report = sf.minimal_factor(w, div)
+        assert isinstance(w0, sf.CertifiedFactor)
+        assert isinstance(w0, sf.Realization)
+        assert w0.report is report and w0.w_minus is w
+        assert w0.config == sf.DEFAULT_TOL
+        assert div.w_minus_density is cp.w_minus_density
+        inventories = _count_calls(monkeypatch, statespace, "_inventory")
+        t_cert, rep_cert = sf.extract_left_divisor(
+            w, w0, w_bar_plus=cp.extremals.w_bar_plus)
+        assert inventories == []
+        t_fresh, rep_fresh = sf.extract_left_divisor(
+            w, _plain(w0), w_bar_plus=cp.extremals.w_bar_plus)
+        monkeypatch.undo()
+        _assert_same_system(t_cert, t_fresh)
+        _assert_same_report(rep_cert, rep_fresh)
+        _assert_same_report(rep_cert, report, skip=("allpass_residual",))
+
+
+OTHER_CONFIGS = {"residual_tol": dict(residual_tol=1e-8),
+                 "samples128": dict(circle_samples=128)}
+
+
+@pytest.mark.parametrize("change", OTHER_CONFIGS.values(),
+                         ids=OTHER_CONFIGS.keys())
+def test_certificate_is_not_reused_under_another_config(monkeypatch, change):
+    w = reference_model()
+    cp = sf.conjugate_phase(w, BENCH_CFG)
+    other = dataclasses.replace(BENCH_CFG, **change)
+    for div in sf.enumerate_divisors(cp, BENCH_CFG):
+        w0, _ = sf.minimal_factor(w, div, BENCH_CFG)
+        inventories = _count_calls(monkeypatch, statespace, "_inventory")
+        densities = _count_calls(monkeypatch, spectral, "spectrum_samples")
+        _, report = sf.extract_left_divisor(
+            w, w0, other, w_bar_plus=cp.extremals.w_bar_plus)
+        monkeypatch.undo()
+        assert _ids(args[0] for args in inventories) == _ids([w0])
+        assert _ids(args[0] for args in densities) == _ids([w0, w])
+        _assert_same_report(report, sf.verify_factor(_plain(w0), w, other),
+                            skip=("allpass_residual",))
+
+
+@pytest.mark.parametrize("change", OTHER_CONFIGS.values(),
+                         ids=OTHER_CONFIGS.keys())
+def test_minimal_factor_samples_w_minus_under_another_config(monkeypatch,
+                                                             change):
+    w = reference_model()
+    cp = sf.conjugate_phase(w, BENCH_CFG)
+    other = dataclasses.replace(BENCH_CFG, **change)
+    for div in sf.enumerate_divisors(cp, BENCH_CFG):
+        densities = _count_calls(monkeypatch, spectral, "spectrum_samples")
+        w0, report = sf.minimal_factor(w, div, other)
+        monkeypatch.undo()
+        assert _ids(args[0] for args in densities) == _ids([div.factor, w])
+        assert w0.config == other
+        _assert_same_report(report, sf.verify_factor(div.factor, w, other))
+
+
+def test_certificate_is_not_reused_for_another_w_minus(monkeypatch, ref_model,
+                                                       ref_cp):
+    copy = _plain(ref_model)
+    doubled = sf.Realization(ref_model.a, ref_model.b, 2.0 * ref_model.c,
+                             2.0 * ref_model.d)
+    for div in sf.enumerate_divisors(ref_cp):
+        w0, _ = sf.minimal_factor(ref_model, div)
+        # An equal W- that is another object: the factor is sampled with it.
+        densities = _count_calls(monkeypatch, spectral, "spectrum_samples")
+        w1, report = sf.minimal_factor(copy, div)
+        _, extracted = sf.extract_left_divisor(copy, w0)
+        monkeypatch.undo()
+        assert (_ids(args[0] for args in densities)
+                == _ids([div.factor, copy, w0, copy]))
+        assert w1.w_minus is copy
+        fresh = sf.verify_factor(_plain(w0), copy)
+        _assert_same_report(report, fresh)
+        _assert_same_report(extracted, fresh, skip=("allpass_residual",))
+        # Twice W- has another density: W-^{-1} W0 is T_l / 2, so both
+        # candidates fail the same way.
+        with pytest.raises(sf.NotAFactor) as certified:
+            sf.extract_left_divisor(doubled, w0)
+        with pytest.raises(sf.NotAFactor) as plain:
+            sf.extract_left_divisor(doubled, _plain(w0))
+        assert str(certified.value) == str(plain.value)

@@ -4,6 +4,7 @@ Golden values for the reference model are recomputed here in exact rational
 arithmetic before being compared against the floating-point pipeline.
 """
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -12,8 +13,8 @@ from numpy.testing import assert_allclose
 
 import spectralfactors as sf
 from spectralfactors.spectral import _allpass_completion
-from helpers import (circle_points, full_gamma_divisor, random_outer,
-                     recipe_outer, ref_density_entry)
+from helpers import (circle_points, full_gamma_divisor, fuzz_outer,
+                     random_outer, recipe_outer, ref_density_entry)
 
 
 def _sqrt_fraction(q):
@@ -222,6 +223,26 @@ class TestConjugatePhase:
         cp = sf.conjugate_phase(sf.identity(2))
         assert cp.t.n == 0
         assert_allclose(cp.t.d, np.eye(2))
+
+    @pytest.mark.parametrize("seed", [103, 143, 152, 173, 182])
+    def test_x_test_names_its_margin(self, seed):
+        # Minimal outer models whose X is negative definite but too
+        # ill-conditioned for the eigenvalue test: the refusal names the
+        # largest eigenvalue of X, its threshold and cond X, and does not
+        # call the model non-outer.
+        w = fuzz_outer(seed)
+        sf.validate_outer(w)
+        with pytest.raises(sf.NotOuter) as info:
+            sf.conjugate_phase(w)
+        text = str(info.value)
+        assert "not a minimal outer factor" not in text
+        match = re.fullmatch(
+            r"zero-direction Stein solution X fails the definiteness test: "
+            r"its largest eigenvalue (\S+) is not below -rank_rel_tol "
+            r"\|lambda_min\(X\)\| = (\S+) \(cond X = (\S+)\)", text)
+        largest, threshold, cond = (float(v) for v in match.groups())
+        assert threshold < 0 and largest >= threshold
+        assert cond >= 1.0 / sf.DEFAULT_TOL.rank_rel_tol
 
 
 class TestSpectrumSample:

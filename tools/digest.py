@@ -18,9 +18,12 @@ repeated in clear at the end.  Covered:
 
 * conjugate phase (every field, the extremal set and the Gramian check),
   every divisor (t_ell, basis, degree, dims, right complement), its
-  factor and report, its extraction with and without ``w_bar_plus`` and a
-  ``verify_factor`` report, over ``roundtrip_round(7, 0..3)``, the reference
-  model and ``identity(2)``;
+  factor and report, its extraction and a ``verify_factor`` report, over
+  ``roundtrip_round(7, 0..3)``, the reference model and ``identity(2)``.
+  The extraction runs twice: with ``w_bar_plus`` on the factor that
+  ``minimal_factor`` returns, whose carried certificate it reads
+  (``extract.carried``), and without it on a plain ``Realization`` copy of
+  the factor, which it inventories and samples again (``extract.rebuilt``);
 * the session specs of ``session_op`` over ``seasonal_round(7, 0)`` and
   ``varma_round(7, 0)``;
 * a Moebius-gated ``factor_family`` of the reference model and a few
@@ -133,10 +136,12 @@ def factor_and_extraction(key, w, cp, div, config):
     emit(f"{key}/factor", w_fac)
     emit(f"{key}/factor.report", report)
     emit(f"{key}/verify", sf.verify_factor(w_fac, w, config))
-    for tag, extra in (("carried", {"w_bar_plus": cp.extremals.w_bar_plus}),
-                       ("rebuilt", {})):
+    plain = sf.Realization(w_fac.a, w_fac.b, w_fac.c, w_fac.d)
+    for tag, cand, extra in (
+            ("carried", w_fac, {"w_bar_plus": cp.extremals.w_bar_plus}),
+            ("rebuilt", plain, {})):
         back = attempt(f"{key}/extract.{tag}", sf.extract_left_divisor,
-                       w, w_fac, config, **extra)
+                       w, cand, config, **extra)
         if back is not None:
             emit(f"{key}/extract.{tag}", back[0])
             emit(f"{key}/extract.{tag}.report", back[1])

@@ -11,7 +11,8 @@ of divisors and factors:
 * every enumerated family (``roundtrip_round(7, 0..3)``, the reference
   model and ``identity(2)``): t_ell, the factor W- T_l, the right
   complement of each divisor and the divisor extracted back from the factor
-  (``extract_left_divisor`` with ``w_bar_plus``);
+  that ``minimal_factor`` returns (``extract_left_divisor`` with
+  ``w_bar_plus``, which reads the factor's carried certificate);
 * the session specs of ``seasonal_round(7, 0)`` and ``varma_round(7, 0)``,
   built once through ``projector_from_spec`` and ``divisor_from_projector``
   (keys ``.../projector``) and once through ``family_member`` (keys
@@ -22,9 +23,10 @@ of divisors and factors:
   original variable, with its degree.
 
 Each member also carries the ``FactorReport``s that ``tools/digest.py``
-hashes: the factor's (``minimal_factor``), the extraction's with and
-without ``w_bar_plus`` and ``verify_factor``'s for an enumerated or session
-divisor, the one ``factor_family`` or ``family_member`` returns for a
+hashes: the factor's (``minimal_factor``), the extraction's with
+``w_bar_plus`` and, without it, of a plain ``Realization`` copy of the
+factor (which is inventoried and sampled again), and ``verify_factor``'s
+for an enumerated or session divisor, the one ``factor_family`` or ``family_member`` returns for a
 Moebius or CLI factor.
 
 It prints for every family the largest relative transfer gap of each part
@@ -93,9 +95,12 @@ def _member(sf, w, cp, div, t_r, config):
     report fields or typed failure}) of one divisor of the conjugate phase
     ``cp`` of ``w``."""
     factor = _attempt(sf, sf.minimal_factor, w, div, config)
-    back = _attempt(sf, sf.extract_left_divisor, w, div.factor, config,
+    w_fac = div.factor if isinstance(factor, str) else factor[0]
+    back = _attempt(sf, sf.extract_left_divisor, w, w_fac, config,
                     w_bar_plus=cp.extremals.w_bar_plus)
-    rebuilt = _attempt(sf, sf.extract_left_divisor, w, div.factor, config)
+    rebuilt = _attempt(sf, sf.extract_left_divisor, w,
+                       sf.Realization(w_fac.a, w_fac.b, w_fac.c, w_fac.d),
+                       config)
     reports = {name: out if isinstance(out, str) else out[1]
                for name, out in (("factor", factor), ("extract.carried", back),
                                  ("extract.rebuilt", rebuilt))}
