@@ -16,7 +16,10 @@ class SpectralFactorsError(Exception):
 
 class SingularSteinOperator(SpectralFactorsError):
     """The Stein operator is singular: an eigenvalue pair of the state
-    matrix has product one (min |1 - lambda_i lambda_j| names the margin)."""
+    matrix has product one (min |1 - lambda_i lambda_j| names the margin),
+    or the solver found its linear system singular because the state matrix
+    is too ill conditioned in the given coordinates (the message names
+    cond M)."""
 
 
 class NotPositiveDefinite(SpectralFactorsError):

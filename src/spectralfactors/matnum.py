@@ -133,7 +133,8 @@ def solve_stein(m, q, config: ToleranceConfig = DEFAULT_TOL):
     ------
     SingularSteinOperator
         If min |1 - lambda_i lambda_j| over the eigenvalues of M is at or
-        below the relative rank tolerance, scaled by 1 + rho(M)^2.
+        below the relative rank tolerance, scaled by 1 + rho(M)^2, or if
+        the solver finds its linear system singular (M ill conditioned).
     """
     m = _as_matrix(m, "M")
     q = _as_matrix(q, "Q")
@@ -154,7 +155,16 @@ def solve_stein(m, q, config: ToleranceConfig = DEFAULT_TOL):
         )
 
     def solve(rhs):
-        return solve_discrete_lyapunov(m.T, -rhs)
+        try:
+            return solve_discrete_lyapunov(m.T, -rhs)
+        except np.linalg.LinAlgError as exc:
+            # The eigenvalue gap is coordinate-free; scipy's solve works in
+            # the given coordinates and can still find its system singular.
+            raise SingularSteinOperator(
+                f"Stein solver failed although min |1 - lambda_i lambda_j| "
+                f"= {gap:.3e}: M is too ill conditioned in these coordinates "
+                f"(cond M ~{np.linalg.cond(m):.2e}; {exc})"
+            ) from exc
 
     x = solve(q)
     # One step of iterative refinement keeps the residual at rounding level

@@ -103,8 +103,10 @@ def validate_outer(w: Realization, config: ToleranceConfig = DEFAULT_TOL):
                 f"{what} matrix is singular; apply a Moebius change of "
                 "variable first"
             )
-    if mcmillan_degree(w, config) != w.n:
-        raise NotOuter("realization is not minimal")
+    degree = mcmillan_degree(w, config)
+    if degree != w.n:
+        raise NotOuter(f"realization is not minimal: McMillan degree "
+                       f"{degree} on {w.n} states")
     return w_inv
 
 

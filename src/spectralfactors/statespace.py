@@ -19,6 +19,16 @@ the pole guard its eigenvalues, and solves each point by one
 back-substitution through zI - T, in O(n^3 + k n^2 m) for k points of an
 m-input system; for fewer points the Schur form costs more than it saves,
 and each point is solved by batched LU in O(k n^3).
+
+The McMillan degree (:func:`minimal`) is the numerical rank of a real block
+Loewner matrix L of transfer samples (Mayo & Antoulas, Linear Algebra Appl.
+425, 2007).  It is decided in two stages: for a wide L, a randomized range
+sketch (Halko, Martinsson & Tropp, SIAM Rev. 53, 2011) bounds the n-th
+singular value from below in O(L^2 (n + p)), and where that bound clears
+the rank cut, the degree n is proved without the full SVD, O(L^3), which
+decides every other case.  The sketch can only skip the SVD where the SVD
+would keep n singular values, so every decision and output is the full
+SVD's.
 """
 
 from __future__ import annotations
@@ -396,6 +406,41 @@ def _block_matrix(grid):
     return np.ascontiguousarray(grid.transpose(0, 2, 1, 3)).reshape(p * a, q * b)
 
 
+# Oversampling p of the range sketch in :func:`_certifies_degree`: n + p
+# Gaussian test vectors, the usual 5 to 10 of Halko, Martinsson & Tropp.
+# :func:`minimal` sketches only a Loewner matrix whose short side is at least
+# _SKETCH_SPAN times n + p: the wide VARMA models (L = 112 to 352 at
+# n = m = 8 to 16), not the 16 to 40 rows of small or single-input models,
+# where the full SVD is already cheap and a sketch that fails to certify
+# would only add to it.
+_SKETCH_OVERSAMPLE = 6
+_SKETCH_SPAN = 4
+
+
+def _certifies_degree(low, n, anchor_floor, config):
+    """True if a randomized range sketch of the Loewner matrix ``low``
+    proves that the full-SVD rank cut of :func:`minimal` keeps at least n
+    singular values; False says nothing.
+
+    With Q an orthonormal basis of low @ Omega for a fixed-seed Gaussian
+    Omega of n + p columns (Halko, Martinsson & Tropp, SIAM Rev. 53, 2011),
+    s_i(Q^T low) <= s_i(low) for every i, and s_1(low) <= ||low||_F.  So
+    s_n(Q^T low) above rank_rel_tol * max(||low||_F, ``anchor_floor``)
+    plus a rounding slack of (rows + cols) eps ||low||_F, which covers the
+    errors of both computed SVDs and of Q's orthogonality, implies
+    s_n(low) > rank_rel_tol * max(s_1(low), ``anchor_floor``).  The sketch
+    costs O(L^2 (n + p)) for an L x L matrix against the full SVD's
+    O(L^3).  Needs n + p <= min(low.shape).
+    """
+    k = n + _SKETCH_OVERSAMPLE
+    omega = np.random.default_rng(0).standard_normal((low.shape[1], k))
+    q, _ = np.linalg.qr(low @ omega)
+    s = np.linalg.svd(q.T @ low, compute_uv=False)
+    fro = float(np.linalg.norm(low))
+    slack = sum(low.shape) * np.finfo(float).eps * fro
+    return bool(s[n - 1] > config.rank_rel_tol * max(fro, anchor_floor) + slack)
+
+
 def minimal(r: Realization, config: ToleranceConfig = DEFAULT_TOL) -> Realization:
     """Minimal realization with the same transfer function.
 
@@ -406,6 +451,14 @@ def minimal(r: Realization, config: ToleranceConfig = DEFAULT_TOL) -> Realizatio
     near-cancellations of a cascade can be invisible to reachability and
     observability separately while the transfer function drops degree; the
     Loewner rank has its cliff at rounding level instead.
+
+    The degree is decided in two stages.  The rule is the full SVD's: the
+    number nu of singular values above rank_rel_tol * max(s_1, max |sample|).
+    First a randomized range sketch (:func:`_certifies_degree`) bounds the
+    n-th singular value from below in O(L^2 (n + p)) for an L x L Loewner
+    matrix; when that bound clears the cut with s_1 replaced by the larger
+    Frobenius norm, nu >= n is proved and the full SVD, O(L^3), is skipped.
+    Otherwise the full SVD decides, so both stages give the same answer.
 
     An already-minimal realization is returned unchanged (same object); a
     reducible one is rebuilt from the sample data via the Loewner pencil
@@ -457,6 +510,29 @@ def minimal(r: Realization, config: ToleranceConfig = DEFAULT_TOL) -> Realizatio
     x_blk = (v[:, None] - w[None, :]) / d_x
     y_blk = (v[:, None] - np.conj(w)[None, :]) / d_y
     low = _block_matrix(real_pairs(x_blk, y_blk))
+
+    # The rank cut is anchored on the transfer magnitude: when the strictly
+    # proper part is pure rounding noise, a cut relative to the Loewner
+    # matrix's own largest singular value would keep phantom rank.
+    sample_scale = max(
+        float(np.max(np.abs(v))) if v.size else 0.0,
+        float(np.max(np.abs(w))) if w.size else 0.0,
+        float(np.max(np.abs(r.d))) if r.d.size else 0.0,
+    )
+    if (_SKETCH_SPAN * (n + _SKETCH_OVERSAMPLE) <= min(low.shape)
+            and _certifies_degree(low, n, sample_scale, config)):
+        return r
+    u, s, vt = np.linalg.svd(low)
+    anchor = max(s[0] if s.size else 0.0, sample_scale)
+    nu = int(np.sum(s > config.rank_rel_tol * anchor)) if anchor > 0 else 0
+    if nu >= n:
+        return r
+    if nu == 0:
+        return Realization(np.zeros((0, 0)), np.zeros((0, m_in)),
+                           np.zeros((m_out, 0)), r.d)
+
+    # Reduction: compress the shifted pencil and the sample stacks onto the
+    # leading nu singular directions of the Loewner matrix.
     xs_blk = (mu[:, None, None, None] * v[:, None]
               - lam[None, :, None, None] * w[None, :]) / d_x
     ys_blk = (mu[:, None, None, None] * v[:, None]
@@ -473,22 +549,6 @@ def minimal(r: Realization, config: ToleranceConfig = DEFAULT_TOL) -> Realizatio
     w_cols[1::2] = -rt2 * np.imag(w)
     w_stack = np.hstack(list(w_cols))
 
-    # The rank cut is anchored on the transfer magnitude: when the strictly
-    # proper part is pure rounding noise, a cut relative to the Loewner
-    # matrix's own largest singular value would keep phantom rank.
-    sample_scale = max(
-        float(np.max(np.abs(v))) if v.size else 0.0,
-        float(np.max(np.abs(w))) if w.size else 0.0,
-        float(np.max(np.abs(r.d))) if r.d.size else 0.0,
-    )
-    u, s, vt = np.linalg.svd(low)
-    anchor = max(s[0] if s.size else 0.0, sample_scale)
-    nu = int(np.sum(s > config.rank_rel_tol * anchor)) if anchor > 0 else 0
-    if nu >= n:
-        return r
-    if nu == 0:
-        return Realization(np.zeros((0, 0)), np.zeros((0, m_in)),
-                           np.zeros((m_out, 0)), r.d)
     y_l = u[:, :nu]
     x_r = vt[:nu].T
     e_c = -(y_l.T @ low @ x_r)

@@ -23,8 +23,9 @@ are clustered once, by ``conjugate_phase``: the enumeration, the spec
 projectors and the theta-grid expansion read the carried blocks, so
 together they make two ``eigen_blocks`` calls, each of which reduces its
 matrix to real Schur form once and reorders that form once per block.
-The automatic Moebius gate reads the poles and zeros of the realization it
-is given, unreduced, so an auto-gated ``factor_family`` reduces only in
+``validate_outer`` certifies the degree of a wide model from a sketch of
+its Loewner matrix, with no full SVD of it.  The automatic Moebius gate
+reads the poles and zeros of the realization it is given, unreduced, so an auto-gated ``factor_family`` reduces only in
 ``validate_outer``, which certifies the working model minimal; without
 ``w_bar_plus`` the extraction uses the W-^{-1} that ``validate_outer``
 returns and inverts W- once.  W-'s density is sampled once, by
@@ -213,6 +214,28 @@ def test_auto_gated_family_reduces_only_in_validation(monkeypatch):
     assert all(report.passed for _, report in out)
     assert len(checks) == 1 and len(calls) == 1
     assert calls[0][0] is checks[0][0]
+
+
+def test_validating_a_wide_model_takes_no_full_loewner_svd(monkeypatch):
+    # n = m = 16: the Loewner matrix is 352 x 352 for a degree of 16, and
+    # the sketched bound certifies the degree from the SVD of a 22 x 352
+    # matrix.  The only other SVD is the 16 x 16 feedthrough's inverse.
+    wl = bench_workloads()
+    w = sf.Realization(*wl.varma_model(wl._rng(7, 3, 0, 4), 16))
+    svd = np.linalg.svd
+    shapes = []
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    calls = _count_calls(monkeypatch, statespace, "minimal")
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    sf.validate_outer(w)
+    assert len(calls) == 1
+    width = 16 + statespace._SKETCH_OVERSAMPLE
+    assert max(min(shape) for shape in shapes) == width
+    assert (352, 352) not in shapes
 
 
 def test_extraction_without_w_bar_plus_inverts_w_minus_once(

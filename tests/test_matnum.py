@@ -17,7 +17,7 @@ from spectralfactors.matnum import (
     selection_basis,
 )
 
-from helpers import recipe_outer
+from helpers import bench_workloads, recipe_outer
 
 
 def non_normal(n, seed=0):
@@ -166,6 +166,22 @@ class TestSolveSteinKernel:
         m = np.array([[2.0, 1.0], [0.0, 0.5 + 1e-12]])
         with pytest.raises(sf.SingularSteinOperator, match="product one"):
             sf.solve_stein(m, np.eye(2))
+
+    def test_solver_failure_in_bad_coordinates_is_typed(self):
+        # A roundtrip model under a state similarity with cond S = 1e8: the
+        # eigenvalue gap passes, but scipy's direct solve finds its
+        # Kronecker system singular in these coordinates.
+        wl = bench_workloads()
+        a, b, c, d = wl.roundtrip_round(0, 0)[0]
+        rng = np.random.default_rng([0, 0, 8])
+        u, v = wl._orthogonal(rng, 3), wl._orthogonal(rng, 3)
+        s = u @ np.diag(np.logspace(0, 8, 3)) @ v.T
+        s_inv = np.linalg.inv(s)
+        w = sf.Realization(s @ a @ s_inv, s @ b, c @ s_inv, d)
+        cfg = sf.ToleranceConfig(circle_samples=64, residual_tol=1e-7)
+        with pytest.raises(sf.SingularSteinOperator,
+                           match="Stein solver failed.*cond M"):
+            sf.conjugate_phase(w, cfg)
 
 
 class TestSymSqrt:

@@ -118,7 +118,8 @@ class TestValidateOuter:
         padded = sf.Realization(a, np.vstack([ref_model.b, ref_model.b]),
                                 np.hstack([ref_model.c, np.zeros((2, 2))]),
                                 ref_model.d)
-        with pytest.raises(sf.NotOuter):
+        with pytest.raises(sf.NotOuter,
+                           match="not minimal: McMillan degree 2 on 4 states"):
             sf.validate_outer(padded)
 
 

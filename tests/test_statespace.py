@@ -12,11 +12,12 @@ from numpy.testing import assert_allclose
 
 import spectralfactors as sf
 from spectralfactors import statespace
+from spectralfactors.demo import reference_model
 from spectralfactors.factors import spectrum_gap
 from spectralfactors.statespace import _LU_MAX_POINTS, eval_gap
 
-from helpers import (moebius_image, moebius_preimage, ref_w_minus_entry,
-                     transfer_equal)
+from helpers import (bench_workloads, fuzz_outer, moebius_image,
+                     moebius_preimage, ref_w_minus_entry, transfer_equal)
 
 
 class TestRealization:
@@ -422,6 +423,100 @@ class TestMinimal:
             r = sf.Realization(a, rng.normal(size=(n, 2)),
                                rng.normal(size=(2, n)), rng.normal(size=(2, 2)))
             assert eval_gap(sf.minimal(r), r) <= 1e-10
+
+
+def _full_svd_rule(low, n, anchor_floor, config):
+    """The degree decision of :func:`statespace.minimal` by the full SVD
+    alone: nu >= n for nu the count of singular values above
+    rank_rel_tol * max(s_1, anchor_floor)."""
+    s = np.linalg.svd(low)[1]
+    anchor = max(s[0], anchor_floor)
+    return anchor > 0 and int(np.sum(s > config.rank_rel_tol * anchor)) >= n
+
+
+def _reducible():
+    """TestValidateOuter's padded reference model, W^{-1} W and the cascade
+    of W^{-1} with a generated factor."""
+    w = reference_model()
+    a = np.zeros((4, 4))
+    a[:2, :2] = a[2:, 2:] = w.a
+    padded = sf.Realization(a, np.vstack([w.b, w.b]),
+                            np.hstack([w.c, np.zeros((2, 2))]), w.d)
+    div = sf.enumerate_divisors(sf.conjugate_phase(w))[1]
+    factor = sf.minimal_factor(w, div)[0]
+    return [padded, sf.series(sf.inverse(w), w),
+            sf.series(sf.inverse(w), factor)]
+
+
+def _certificate_cases():
+    wl = bench_workloads()
+    return {
+        "fuzz": lambda: [fuzz_outer(s) for s in range(200)],
+        "roundtrip": lambda: [sf.Realization(*m) for i in (0, 1)
+                              for m in wl.roundtrip_round(7, i)],
+        "seasonal": lambda: [sf.Realization(*m)
+                             for m in wl.seasonal_round(7, 0)],
+        "varma": lambda: [sf.Realization(*m) for m in wl.varma_round(7, 0)],
+        "reducible": _reducible,
+    }
+
+
+class TestDegreeCertificate:
+    """The sketched lower bound of ``minimal`` only ever skips the full SVD
+    where the full-SVD rule keeps n singular values: it changes no
+    decision and no output."""
+
+    @pytest.mark.parametrize("family", list(_certificate_cases()))
+    def test_same_decision_and_output_as_the_full_svd(self, monkeypatch,
+                                                      family):
+        certify = statespace._certifies_degree
+        seen = []
+
+        def recorded(low, n, anchor_floor, config):
+            got = certify(low, n, anchor_floor, config)
+            seen.append((got, _full_svd_rule(low, n, anchor_floor, config)))
+            return got
+
+        for r in _certificate_cases()[family]():
+            # Sketch every Loewner matrix that has n + p columns, not only
+            # the wide ones minimal picks, so small models test it too.
+            monkeypatch.setattr(statespace, "_SKETCH_SPAN", 1)
+            monkeypatch.setattr(statespace, "_certifies_degree", recorded)
+            seen.clear()
+            out = sf.minimal(r)
+            monkeypatch.setattr(statespace, "_certifies_degree",
+                                lambda *args: False)
+            ref = sf.minimal(r)
+            assert (out is r) == (ref is r)
+            if out is not r:
+                for x, y in zip((out.a, out.b, out.c, out.d),
+                                (ref.a, ref.b, ref.c, ref.d)):
+                    assert np.array_equal(x, y)
+            if seen:
+                (certified, full), = seen
+                assert full == (ref is r)
+                assert full or not certified
+                # The bound is tight enough to skip the SVD of every
+                # minimal model here.
+                assert certified == full
+
+    def test_default_sketches_only_wide_loewner_matrices(self, monkeypatch):
+        wl = bench_workloads()
+        shapes = []
+        certify = statespace._certifies_degree
+
+        def recorded(low, *args):
+            shapes.append(low.shape)
+            return certify(low, *args)
+
+        monkeypatch.setattr(statespace, "_certifies_degree", recorded)
+        for m in wl.roundtrip_round(7, 0) + wl.seasonal_round(7, 0):
+            sf.minimal(sf.Realization(*m))
+        assert shapes == []
+        for m in wl.varma_round(7, 0):
+            r = sf.Realization(*m)
+            assert sf.minimal(r) is r
+        assert [min(s) for s in shapes] == [112, 216, 216, 216, 352]
 
 
 class TestDegreesAndPoleZero:
