@@ -409,10 +409,10 @@ def _block_matrix(grid):
 # Oversampling p of the range sketch in :func:`_certifies_degree`: n + p
 # Gaussian test vectors, the usual 5 to 10 of Halko, Martinsson & Tropp.
 # :func:`minimal` sketches only a Loewner matrix whose short side is at least
-# _SKETCH_SPAN times n + p: the wide VARMA models (L = 112 to 352 at
-# n = m = 8 to 16), not the 16 to 40 rows of small or single-input models,
-# where the full SVD is already cheap and a sketch that fails to certify
-# would only add to it.
+# _SKETCH_SPAN times n + p, as for wide models (L = 112 to 352 for VARMA(1,1)
+# at n = m = 8 to 16), not the 16 to 40 rows of small or two-channel
+# models, where the full SVD is already cheap and a sketch that fails to
+# certify would only add to it.
 _SKETCH_OVERSAMPLE = 6
 _SKETCH_SPAN = 4
 

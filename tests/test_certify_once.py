@@ -24,8 +24,9 @@ projectors and the theta-grid expansion read the carried blocks, so
 together they make two ``eigen_blocks`` calls, each of which reduces its
 matrix to real Schur form once and reorders that form once per block.
 ``validate_outer`` certifies the degree of a wide model from a sketch of
-its Loewner matrix, with no full SVD of it.  The automatic Moebius gate
-reads the poles and zeros of the realization it is given, unreduced, so an auto-gated ``factor_family`` reduces only in
+its Loewner matrix, with no full SVD of it.
+The automatic Moebius gate reads the poles and zeros of the realization it
+is given, unreduced, so an auto-gated ``factor_family`` reduces only in
 ``validate_outer``, which certifies the working model minimal; without
 ``w_bar_plus`` the extraction uses the W-^{-1} that ``validate_outer``
 returns and inverts W- once.  W-'s density is sampled once, by
