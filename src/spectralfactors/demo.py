@@ -153,7 +153,7 @@ def run_demo(config: ToleranceConfig = DEFAULT_TOL) -> list[DemoCheck]:
                             rep2.spectrum_residual, 1e-8))
 
     cand = ref["w_bar_minus"]
-    rep_c = verify_factor(cand, w_minus, config)
+    rep_c = verify_factor(cand, cp)
     checks.append(DemoCheck("closed-form candidate passes verification",
                             rep_c.spectrum_residual, 1e-8))
     t_min, _ = extract_left_divisor(w_minus, cand, config,

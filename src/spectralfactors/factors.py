@@ -6,16 +6,16 @@ quotient W-^{-1} W0 of any minimal factor W0 is such a divisor.  This module
 reports on the factor each divisor carries, verifies candidate factors,
 and extracts and certifies the divisor of a given candidate.
 
-Each system is sampled on the circle once per family.  The conjugate phase
-samples W-'s density once, and each divisor carries it by reference, so
-:func:`minimal_factor` samples only the factor when it is handed that
-conjugate phase's W- under the config the phase was built with.  The
-factor comes back as a :class:`CertifiedFactor` that carries its report, W-
-and config, and :func:`extract_left_divisor` reads the candidate's
-inventory and spectrum report from that certificate when W-, config and
-expected degree match, so it samples only T-.  Any other candidate takes
-the full path.  The reused arrays and floats are the ones the repeated
-computation gives, so the outputs are the same either way.
+The conjugate phase is the family's context: it carries W-, its config and
+W-'s density, and every divisor carries its phase.  One rule decides every
+reuse (:func:`_made_from`): a carried fact is read only by a check against
+the phase's own W- object under a config equal to the phase's.  So
+:func:`minimal_factor` samples only the factor, which comes back as a
+:class:`CertifiedFactor` carrying its report and phase, and
+:func:`extract_left_divisor` reads that report and samples only T-.
+:func:`verify_factor` takes the phase, reduces and samples the candidate
+once and folds the extraction into its report.  Any other check samples
+both systems; the reused values are those the repeated computation gives.
 
 Verification never raises on a mathematically bad *candidate* (bad
 candidates are data); exceptions are reserved for numerical breakdowns in
@@ -52,10 +52,8 @@ from .statespace import (
     _inventory,
     choose_moebius_parameter,
     inverse,
-    mcmillan_degree,
     minimal,
     moebius,
-    poles_zeros,
     series,
 )
 
@@ -114,18 +112,17 @@ class FactorReport:
 @dataclass(frozen=True, repr=False, eq=False)
 class CertifiedFactor(Realization):
     """A generated factor (A, B, C, D) with the passing ``report`` that
-    certified it against ``w_minus`` under ``config``.
+    certified it against the W- object of its conjugate ``phase`` under the
+    phase's config.
 
-    :func:`minimal_factor` and :func:`family_member` return it; it is a
-    :class:`Realization` in every other respect.  :func:`extract_left_divisor`
-    reads the report instead of inventorying and sampling the factor again
-    when it is given the same ``w_minus`` object, an equal config and the
-    report's expected degree.
+    :func:`minimal_factor` and :func:`family_member` return it only then; a
+    factor checked against another W- object or config, or mapped back to
+    the original variable, comes back as a plain :class:`Realization`.
+    :func:`extract_left_divisor` reads the report in the same context.
     """
 
     report: FactorReport
-    w_minus: Realization
-    config: ToleranceConfig
+    phase: ConjugatePhase
 
 
 def spectrum_gap(w: Realization, w_ref: Realization,
@@ -141,36 +138,36 @@ def spectrum_gap(w: Realization, w_ref: Realization,
     return _gap_and_scale(w, w_ref, config)[0]
 
 
-def _gap_and_scale(w, w_ref, config, density=None):
+def _gap_and_scale(w, w_ref, config, cp=None):
     """``spectrum_gap`` and max(1, max|Phi_ref|) from the same samples;
-    ``density`` holds those of ``w_ref`` under ``config`` if they were
-    carried."""
+    those of ``w_ref`` are read from the conjugate phase ``cp`` where it was
+    made from ``w_ref`` under ``config``."""
     if (w.n_out, w.n_in) != (w_ref.n_out, w_ref.n_in):
         raise DimensionMismatch(
             f"densities of a {w.n_out}x{w.n_in} and a "
             f"{w_ref.n_out}x{w_ref.n_in} system are not comparable"
         )
     phi_w = _density(w, config)
-    phi_ref = (None if phi_w is None else density.phi if density
-               else _density(w_ref, config))
+    phi_ref = (None if phi_w is None else cp.w_minus_density
+               if _made_from(cp, w_ref, config) else _density(w_ref, config))
     if phi_ref is None:
         return float("inf"), 1.0
     return (float(np.max(np.abs(phi_w - phi_ref))),
             max(1.0, float(np.max(np.abs(phi_ref)))))
 
 
-def _made_for(carrier, w_minus, config):
-    """Whether ``carrier``, a :class:`.spectral.DensitySamples` or a
-    :class:`CertifiedFactor`, was made for this ``w_minus`` object under a
-    config equal to ``config``."""
-    return (carrier is not None and carrier.w_minus is w_minus
-            and carrier.config == config)
+def _made_from(cp, w_minus, config):
+    """Whether the conjugate phase ``cp`` was made from this ``w_minus``
+    object under a config equal to ``config``: the one rule that decides
+    whether what the phase carries may be read."""
+    return (cp is not None and cp.extremals.w_minus is w_minus
+            and cp.config == config)
 
 
-def _report(w, w_minus, expected, pz, config, density=None):
+def _report(w, w_minus, expected, pz, config, cp=None):
     """Report on the candidate ``w``, whose minimal realization has the
     inventory ``pz``, against ``w_minus`` of McMillan degree ``expected``,
-    whose carried ``density`` is used if given.
+    whose density is read from ``cp`` if it was made from it.
     Its spectrum gap must be <= ``residual_tol`` max(1, max|Phi_-|)."""
     reasons = []
     if pz.degree != expected:
@@ -182,7 +179,7 @@ def _report(w, w_minus, expected, pz, config, density=None):
             f"{w_minus.n_out}x{w_minus.n_in}"
         )
     else:
-        residual, scale = _gap_and_scale(w, w_minus, config, density)
+        residual, scale = _gap_and_scale(w, w_minus, config, cp)
         bound = config.residual_tol * scale
         if not residual <= bound:
             reasons.append(
@@ -194,47 +191,57 @@ def _report(w, w_minus, expected, pz, config, density=None):
     )
 
 
-def _require_generated(w, w_minus, n, what, config, density=None):
-    """The generated factor ``w`` on n states, certified by its report
-    against ``w_minus``; raise if it fails."""
-    report = _report(w, w_minus, n, _inventory(w, config), config,
-                     density if _made_for(density, w_minus, config) else None)
+def _require_generated(w, w_minus, n, what, config, cp=None):
+    """The generated factor ``w`` on n states, certified if ``cp`` was made
+    from ``w_minus`` under ``config``, and its report; raise if it fails."""
+    report = _report(w, w_minus, n, _inventory(w, config), config, cp)
     if not report.passed:
         raise SpectrumMismatch(
             f"{what} spectrum residual {report.spectrum_residual:.3e}"
         )
-    return CertifiedFactor(w.a, w.b, w.c, w.d, report, w_minus, config)
+    if _made_from(cp, w_minus, config):
+        w = CertifiedFactor(w.a, w.b, w.c, w.d, report, cp)
+    return w, report
 
 
-def verify_factor(w: Realization, w_minus: Realization,
-                  config: ToleranceConfig = DEFAULT_TOL) -> FactorReport:
-    """Check a candidate factor against the outer factor's spectrum.
+def verify_factor(w: Realization, cp: ConjugatePhase) -> FactorReport:
+    """Check a candidate factor against the family of the conjugate phase
+    ``cp``, whose W-, density of W- and config it reads.
 
-    Compares spectral density samples on the circle, checks the McMillan
-    degree against that of W-, and inventories poles and zeros; the degree
-    and the inventory come from one reduction of the candidate.  Bad
-    candidates, including those of another input or output width, produce a
-    failing report, never an exception.
+    The candidate is reduced once, for its degree and inventory, and sampled
+    once.  A passing report then has T- extracted from that reduction as
+    :func:`extract_left_divisor` does, sampling neither system again: it
+    gets the all-pass residual of T-, or fails with a ``divisor extraction``
+    reason on NotAFactor or NotMinimalFactor.  Bad candidates, including
+    those of another width, produce a failing report, never an exception.
     """
-    return _report(w, w_minus, mcmillan_degree(w_minus, config),
-                   poles_zeros(w, config), config)
+    w_minus, config = cp.extremals.w_minus, cp.config
+    wm = minimal(w, config)
+    report = _report(w, w_minus, w_minus.n, _inventory(wm, config), config, cp)
+    if not report.passed:
+        return report
+    try:
+        _, ap_res = _quotient(inverse(w_minus, config), w, wm,
+                              report.pole_zero, w_minus.n, config)
+    except (NotAFactor, NotMinimalFactor) as exc:
+        return replace(report, passed=False, reasons=(
+            *report.reasons, f"divisor extraction: {exc}"))
+    return replace(report, allpass_residual=ap_res)
 
 
 def minimal_factor(w_minus: Realization, div: AllPassDivisor,
                    config: ToleranceConfig = DEFAULT_TOL):
     """Minimal spectral factor W = W- T_l generated by a divisor.
 
-    Returns ``div.factor``, the closed form on n states, as a
-    :class:`CertifiedFactor`, and its report against ``w_minus`` with the
-    degree n that the conjugate phase certified (the basis has 2n rows); a
-    wrong spectrum is a numerical failure.  When ``w_minus`` is the
-    conjugate phase's own W- object and ``config`` equals the one it was
-    built with, the report reads the W- density that the divisor carries
-    (``div.w_minus_density``) instead of sampling W- again.
+    Returns ``div.factor``, the closed form on n states, and its report
+    against ``w_minus`` with the degree n that the conjugate phase certified
+    (the basis has 2n rows); a wrong spectrum is a numerical failure.  Made
+    from ``div.phase`` (:func:`_made_from`), the report reads the phase's
+    density of W- and the factor is a :class:`CertifiedFactor`; otherwise
+    both systems are sampled and the factor is a plain :class:`Realization`.
     """
-    w = _require_generated(div.factor, w_minus, div.basis.shape[0] // 2,
-                           "generated factor", config, div.w_minus_density)
-    return w, w.report
+    return _require_generated(div.factor, w_minus, div.basis.shape[0] // 2,
+                              "generated factor", config, div.phase)
 
 
 def _vanishes(block1, block2, config):
@@ -304,10 +311,10 @@ def extract_left_divisor(w_minus: Realization, w0: Realization,
     not separate by the cluster tolerance, or a certificate fails, T- is
     the Loewner cut (:func:`minimal`) of the cascade of W-^{-1} and W0.
 
-    A :class:`CertifiedFactor` certified against this ``w_minus`` object
-    under an equal config with expected degree n brings its inventory and
-    spectrum report along: neither is computed again, and only T- is
-    sampled.  Any other candidate is inventoried and sampled with W-.
+    A :class:`CertifiedFactor` whose phase was made from this ``w_minus``
+    under ``config`` (:func:`_made_from`), with expected degree n, brings its
+    inventory and spectrum report: only T- is sampled.  Any other candidate
+    is inventoried and sampled with W-.
 
     Returns the extracted divisor and a report on the candidate.
     """
@@ -321,10 +328,19 @@ def extract_left_divisor(w_minus: Realization, w0: Realization,
     # factor of this density has degree below n: on n states it is minimal
     # once the all-pass test below passes.
     cert = (w0.report if isinstance(w0, CertifiedFactor)
-            and _made_for(w0, w_minus, config)
+            and _made_from(w0.phase, w_minus, config)
             and w0.report.expected_degree == n else None)
     w0m = w0 if w0.n == n else minimal(w0, config)
     pz = cert.pole_zero if cert else _inventory(w0m, config)
+    t_minus, ap_res = _quotient(w_inv, w0, w0m, pz, n, config)
+    report = cert or _report(w0, w_minus, n, pz, config)
+    return t_minus, replace(report, allpass_residual=ap_res)
+
+
+def _quotient(w_inv, w0, w0m, pz, n, config):
+    """T- = W-^{-1} W0 and its all-pass residual from ``w0``, its minimal
+    realization ``w0m`` and inventory ``pz``, as :func:`extract_left_divisor`
+    certifies them; raises NotAFactor or NotMinimalFactor."""
     t_minus = None
     if pz.degree == n and pz.zeros is not None:
         t_minus = _peel(w_inv, w0m, pz, config)
@@ -344,8 +360,7 @@ def extract_left_divisor(w_minus: Realization, w0: Realization,
     if t_minus.n != k:
         raise NotMinimalFactor(f"divisor degree {t_minus.n} != {k}, the "
                                "candidate's poles and zeros outside the disc")
-    report = cert or _report(w0, w_minus, n, pz, config)
-    return t_minus, replace(report, allpass_residual=ap_res)
+    return t_minus, ap_res
 
 
 def moebius_gate(w: Realization, moebius_param: float | bool | None,
@@ -382,8 +397,8 @@ def family_member(cp: ConjugatePhase, spec: SubspaceSpec,
     back to the original variable, still on n states, and re-verified
     against ``w_minus``; a failure there raises.
 
-    Returns the divisor, the factor as a :class:`CertifiedFactor` and its
-    verification report.
+    Returns the divisor, the factor (a :class:`CertifiedFactor` only when
+    ungated, as :func:`minimal_factor` decides) and its report.
     """
     div = _divisor(cp, *_spec_basis(cp, spec, config), config)
     w, report = minimal_factor(cp.extremals.w_minus, div, config)
@@ -397,9 +412,9 @@ def family_member(cp: ConjugatePhase, spec: SubspaceSpec,
             "infinity); it is representable only in the transformed "
             "variable"
         ) from exc
-    w = _require_generated(w, w_minus, report.expected_degree,
-                           "mapped-back factor", config)
-    return div, w, w.report
+    w, report = _require_generated(w, w_minus, report.expected_degree,
+                                   "mapped-back factor", config)
+    return div, w, report
 
 
 def factor_family(w_minus: Realization, specs,

@@ -15,7 +15,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .divisors import SubspaceSpec, _selection_of, continuum_angle_basis
-from .matnum import ToleranceConfig, _as_matrix, _selected_blocks
+from .matnum import (_MAX_CIRCLE_SAMPLES, ToleranceConfig, _as_matrix,
+                     _selected_blocks)
 from .statespace import Realization
 
 __all__ = [
@@ -121,8 +122,8 @@ def read_spec_entries(path) -> list[dict]:
     The file is a JSON object with a ``specs`` list; each entry gives, per
     block, exactly one of ``gamma_select``/``gamma_basis`` and one of
     ``a_select``/``a_basis`` (missing means empty selection), plus an
-    optional ``theta_grid`` count for sampling a selected two-dimensional
-    repeated eigenspace.
+    optional ``theta_grid`` count, at most the circle sample ceiling, for
+    sampling a selected two-dimensional repeated eigenspace.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -160,8 +161,9 @@ def read_spec_entries(path) -> list[dict]:
                         f"spec entry {i}: {part}_basis: {exc}"
                     ) from exc
         theta = entry.get("theta_grid", 1)
-        if not (_is_int(theta) and theta >= 1):
-            raise SpecFileError(f"spec entry {i}: theta_grid must be a positive int")
+        if not (_is_int(theta) and 1 <= theta <= _MAX_CIRCLE_SAMPLES):
+            raise SpecFileError(f"spec entry {i}: theta_grid must be an int "
+                                f"from 1 to {_MAX_CIRCLE_SAMPLES}")
     return entries
 
 

@@ -57,7 +57,6 @@ from .statespace import (
 __all__ = [
     "ExtremalSet",
     "ConjugatePhase",
-    "DensitySamples",
     "GramianCheck",
     "validate_outer",
     "extremal_set",
@@ -238,23 +237,10 @@ def _factor(w, z, f, v, t_l, k_a, config):
 
 
 @dataclass(frozen=True)
-class DensitySamples:
-    """The spectral density of ``w_minus`` at the floor(k/2) + 1 points of
-    the closed upper half-circle that the circle checks under ``config``
-    evaluate (k = ``config.circle_samples``), sampled once per family by
-    :func:`conjugate_phase`.  ``phi`` is None where a sample is at a pole
-    of ``w_minus`` by the pole guard, which makes every spectrum gap
-    against it infinite."""
-
-    w_minus: Realization
-    config: ToleranceConfig
-    phi: np.ndarray | None
-
-
-@dataclass(frozen=True)
 class ConjugatePhase:
     """Minimal realization of the conjugate phase function T = W-^{-1} Wbar+
-    with its Stein solution.
+    with its Stein solution: the context of the whole factor family, since
+    every minimal factor is W- T_l for a left divisor T_l of T.
 
     The state matrix of ``t`` is block diagonal: the leading ``n_gamma``
     states carry the zero matrix of W- (spectrum inside the circle), the
@@ -267,10 +253,11 @@ class ConjugatePhase:
     nonsingular Q is controllable.  ``gamma_blocks`` and ``a_blocks``, the
     :func:`.matnum.eigen_blocks` of ``gamma`` and ``a_inv_t``, are the blocks
     that the enumeration toggles and that ``SubspaceSpec`` indices refer to.
-    ``w_minus_density`` holds the density of ``extremals.w_minus`` on the
-    circle under the config T was built with; every divisor carries it, and
-    :func:`.factors.minimal_factor` checks each factor's spectrum against it
-    instead of sampling W- again when it is handed this W- under that config.
+    ``config`` is the config T was built with, and ``w_minus_density`` the
+    density of ``extremals.w_minus`` at the half-circle points that the
+    circle checks under it evaluate, or None where a sample hits a pole of
+    W- (every spectrum gap against it is then infinite).  Every divisor
+    carries its phase, and :mod:`.factors` reads the density in its place.
     """
 
     t: Realization
@@ -283,7 +270,8 @@ class ConjugatePhase:
     gramian: GramianCheck
     gamma_blocks: tuple
     a_blocks: tuple
-    w_minus_density: DensitySamples
+    w_minus_density: np.ndarray | None
+    config: ToleranceConfig
 
 
 def check_gramian_identities(cp: ConjugatePhase,
@@ -311,7 +299,7 @@ def conjugate_phase(w_minus: Realization,
     completion of (H1, Gamma) from X, and Wbar+ = W- T = (A^{-T}, B_T[n:],
     C Z + D B^T A^{-T}, D D_T).  Gamma and A^{-T} are clustered once, here,
     and the density of W- is sampled once, here, on the circle points of
-    ``config`` (:class:`DensitySamples`).
+    ``config``, which the phase keeps.
 
     Raises NotOuter, SingularFeedthrough, CompressionNotPD if a completion
     Gram matrix is not definite, GramianIdentityViolation if T or T_Gamma
@@ -350,13 +338,16 @@ def conjugate_phase(w_minus: Realization,
                           a_inv_t=a_inv_t, extremals=ext, gramian=check,
                           gamma_blocks=tuple(eigen_blocks(gamma, config)),
                           a_blocks=tuple(eigen_blocks(a_inv_t, config)),
-                          w_minus_density=DensitySamples(
-                              w_minus, config, _density(w_minus, config)))
+                          w_minus_density=_density(w_minus, config),
+                          config=config)
 
 
 def extremal_set(w_minus: Realization,
                  config: ToleranceConfig = DEFAULT_TOL) -> ExtremalSet:
-    """The extremal set that :func:`conjugate_phase` builds with T."""
+    """The extremal set that :func:`conjugate_phase` builds with T.
+
+    No library path calls it: it stays because the benchmark's span tracer
+    names it as a layer."""
     return conjugate_phase(w_minus, config).extremals
 
 

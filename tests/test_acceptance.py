@@ -134,7 +134,7 @@ def test_criterion_5_candidate_cross_check(ref):
         np.array([[-4.0 / 5.0, 8.0 / 5.0], [-8.0 / 5.0, -4.0 / 5.0]]),
         np.array([[-7.0 / 8.0, -7.0 / 4.0], [5.0 / 3.0, -5.0 / 6.0]]),
         2.0 * np.eye(2))
-    report = sf.verify_factor(candidate, w_minus, CFG)
+    report = sf.verify_factor(candidate, cp)
     assert report.passed
     assert report.degree == 2
     assert report.spectrum_residual <= 1e-8
@@ -191,7 +191,7 @@ def test_criterion_8_moebius_commutation():
         for div in routed:
             v_lam, _ = sf.minimal_factor(w_lam, div, SUITE_CFG)
             v_back = sf.moebius(v_lam, -a, SUITE_CFG)
-            report = sf.verify_factor(v_back, w, SUITE_CFG)
+            report = sf.verify_factor(v_back, cp_direct)
             assert report.degree == w.n
             assert report.spectrum_residual <= 1e-7
             worst = max(worst, report.spectrum_residual)

@@ -6,8 +6,9 @@ candidate once, and ``spectrum_gap`` refuses densities of another width.
 the certified conjugate phase and never reduce W-; the extraction peels T-
 off the cascade on the states the candidate's pole/zero inventory names,
 reduces only a candidate on more than n states, and certifies both degrees
-from that inventory.  ``cli verify`` validates W- once
-and hands its extremal set to the extraction.  A divisor is the compression
+from that inventory.  ``cli verify`` builds one conjugate phase and hands it
+to ``verify_factor``, which reduces and samples the candidate once and folds
+the extraction into its report.  A divisor is the compression
 of T onto an invariant subspace, whose dimension is its certified degree: it
 is never reduced, and neither is its closed-form right complement, built
 from the divisor's carried range basis, nor its factor W- T_l, which is
@@ -34,7 +35,8 @@ returns and inverts W- once.  W-'s density is sampled once, by
 ``minimal_factor`` returns carries its report into its extraction, so a
 family samples W- once and each divisor's factor and T- once, and
 inventories each factor once.  The carried report is the one a plain copy
-of the factor gets, and it is not read under another config or W-.
+of the factor gets, and it is not read under another config or W-: a
+factor certified there comes back as a plain ``Realization``.
 """
 
 import dataclasses
@@ -108,12 +110,12 @@ def test_cli_analyze_checks_the_gramian_once(monkeypatch, tmp_path, ref_model):
 
 @pytest.mark.parametrize("candidate", ["outer", "w_bar_minus", "scalar"])
 def test_verify_factor_reduces_each_system_once(monkeypatch, ref_model,
-                                                ref_values, candidate):
+                                                ref_values, ref_cp, candidate):
     w = {"outer": ref_model, "w_bar_minus": ref_values["w_bar_minus"],
          "scalar": sf.identity(1)}[candidate]
     calls = _count_calls(monkeypatch, statespace, "minimal")
-    report = sf.verify_factor(w, ref_model)
-    assert [args[0] for args in calls] == [ref_model, w]
+    report = sf.verify_factor(w, ref_cp)
+    assert [args[0] for args in calls] == [w]
     assert report.degree == report.pole_zero.degree
     assert report.passed == (candidate != "scalar")
 
@@ -392,20 +394,36 @@ def test_non_minimal_outer_factor_keeps_its_verdict(ref_model, ref_cp):
         assert transfer_equal(w, sf.minimal_factor(ref_model, div)[0])
 
 
+def _count_cli_verify(monkeypatch, model, cand, exit_code):
+    """Run ``cli verify`` and pin its work: one conjugate phase and no
+    extremal set; W- reduced (its validation) and sampled (in the phase)
+    once, then the candidate reduced and sampled once.  T- is peeled, not
+    reduced."""
+    phases = _count_calls(monkeypatch, spectral, "conjugate_phase")
+    extremals = _count_calls(monkeypatch, spectral, "extremal_set")
+    calls = _count_calls(monkeypatch, statespace, "minimal")
+    densities = _count_calls(monkeypatch, spectral, "spectrum_samples")
+    result = CliRunner().invoke(main, ["verify", str(model), str(cand)])
+    assert result.exit_code == exit_code, result.output
+    assert (len(phases), len(calls), len(densities)) == (1, 2, 2)
+    assert extremals == []
+    w_minus = phases[0][0]
+    assert [args[0] is w_minus for args in calls] == [True, False]
+    assert [args[0] for args in densities] == [w_minus, calls[1][0]]
+
+
 def test_cli_verify_carries_one_extremal_set(monkeypatch, tmp_path, ref_model,
                                              ref_values):
     model, cand = tmp_path / "model.json", tmp_path / "cand.json"
     write_model(model, ref_model, name="reference")
     write_model(cand, ref_values["w_bar_minus"], name="unstable_minphase")
-    calls = _count_calls(monkeypatch, statespace, "minimal")
-    checks = _count_calls(monkeypatch, spectral, "validate_outer")
-    result = CliRunner().invoke(main, ["verify", str(model), str(cand)])
-    assert result.exit_code == 0, result.output
-    # W- twice (validation, expected degree); the candidate once (its
-    # report; the extraction does not reduce a certified n-state candidate);
-    # T- is peeled, not reduced.
-    assert len(checks) == 1
-    assert len(calls) == 3
+    _count_cli_verify(monkeypatch, model, cand, 0)
+
+
+def test_cli_verify_of_a_nonfactor_reduces_and_samples_each_system_once(
+        monkeypatch, tmp_path):
+    _, files = bench_workloads().cli_inputs(1234, 0, str(tmp_path))
+    _count_cli_verify(monkeypatch, files["model"], files["nonfactor"], 1)
 
 
 @pytest.mark.parametrize("make", MODELS.values(), ids=MODELS.keys())
@@ -423,7 +441,7 @@ def test_divisor_from_projector_reduces_nothing(monkeypatch, make):
 def test_divisor_degree_is_the_projector_rank(make):
     assert [f.name for f in dataclasses.fields(sf.AllPassDivisor)] == [
         "t_ell", "factor", "basis", "degree", "subspace_dims",
-        "right_complement", "w_minus_density"]
+        "right_complement", "phase"]
     for div in sf.enumerate_divisors(sf.conjugate_phase(make())):
         assert div.t_ell.n == div.degree == sum(div.subspace_dims)
 
@@ -491,7 +509,7 @@ def test_each_system_is_sampled_once_per_family(monkeypatch, family):
     assert (_ids(args[0] for args in allpass)
             == _ids(t_back for _, _, t_back in out))
     assert _ids(args[0] for args in inventories) == _ids(factors)
-    assert cp.w_minus_density.w_minus is w
+    assert cp.extremals.w_minus is w and cp.config == config
 
 
 def _ids(objects):
@@ -529,9 +547,9 @@ def test_carried_report_is_the_recomputed_report(monkeypatch, make):
         w0, report = sf.minimal_factor(w, div)
         assert isinstance(w0, sf.CertifiedFactor)
         assert isinstance(w0, sf.Realization)
-        assert w0.report is report and w0.w_minus is w
-        assert w0.config == sf.DEFAULT_TOL
-        assert div.w_minus_density is cp.w_minus_density
+        assert w0.report is report and w0.phase is cp
+        assert cp.config == sf.DEFAULT_TOL
+        assert div.phase is cp
         inventories = _count_calls(monkeypatch, statespace, "_inventory")
         t_cert, rep_cert = sf.extract_left_divisor(
             w, w0, w_bar_plus=cp.extremals.w_bar_plus)
@@ -563,8 +581,9 @@ def test_certificate_is_not_reused_under_another_config(monkeypatch, change):
         monkeypatch.undo()
         assert _ids(args[0] for args in inventories) == _ids([w0])
         assert _ids(args[0] for args in densities) == _ids([w0, w])
-        _assert_same_report(report, sf.verify_factor(_plain(w0), w, other),
-                            skip=("allpass_residual",))
+        _assert_same_report(
+            report, sf.verify_factor(_plain(w0), sf.conjugate_phase(w, other)),
+            skip=("allpass_residual",))
 
 
 @pytest.mark.parametrize("change", OTHER_CONFIGS.values(),
@@ -579,8 +598,10 @@ def test_minimal_factor_samples_w_minus_under_another_config(monkeypatch,
         w0, report = sf.minimal_factor(w, div, other)
         monkeypatch.undo()
         assert _ids(args[0] for args in densities) == _ids([div.factor, w])
-        assert w0.config == other
-        _assert_same_report(report, sf.verify_factor(div.factor, w, other))
+        assert type(w0) is sf.Realization
+        _assert_same_report(
+            report, sf.verify_factor(div.factor, sf.conjugate_phase(w, other)),
+            skip=("allpass_residual",))
 
 
 def test_certificate_is_not_reused_for_another_w_minus(monkeypatch, ref_model,
@@ -597,9 +618,9 @@ def test_certificate_is_not_reused_for_another_w_minus(monkeypatch, ref_model,
         monkeypatch.undo()
         assert (_ids(args[0] for args in densities)
                 == _ids([div.factor, copy, w0, copy]))
-        assert w1.w_minus is copy
-        fresh = sf.verify_factor(_plain(w0), copy)
-        _assert_same_report(report, fresh)
+        assert type(w1) is sf.Realization
+        fresh = sf.verify_factor(_plain(w0), sf.conjugate_phase(copy))
+        _assert_same_report(report, fresh, skip=("allpass_residual",))
         _assert_same_report(extracted, fresh, skip=("allpass_residual",))
         # Twice W- has another density: W-^{-1} W0 is T_l / 2, so both
         # candidates fail the same way.
@@ -608,3 +629,40 @@ def test_certificate_is_not_reused_for_another_w_minus(monkeypatch, ref_model,
         with pytest.raises(sf.NotAFactor) as plain:
             sf.extract_left_divisor(doubled, _plain(w0))
         assert str(certified.value) == str(plain.value)
+
+
+@pytest.mark.parametrize("change", [*OTHER_CONFIGS.values(), "copy"],
+                         ids=[*OTHER_CONFIGS, "copy"])
+def test_factor_certified_in_another_context_is_plain(monkeypatch, change):
+    # Certified under another config, or against an equal W- that is
+    # another object, the factor carries nothing: its extraction in that
+    # same context inventories and samples it again.
+    w = reference_model()
+    cp = sf.conjugate_phase(w, BENCH_CFG)
+    w_ref, config = ((_plain(w), BENCH_CFG) if change == "copy"
+                     else (w, dataclasses.replace(BENCH_CFG, **change)))
+    for div in sf.enumerate_divisors(cp, BENCH_CFG):
+        w0, report = sf.minimal_factor(w_ref, div, config)
+        assert type(w0) is sf.Realization
+        inventories = _count_calls(monkeypatch, statespace, "_inventory")
+        densities = _count_calls(monkeypatch, spectral, "spectrum_samples")
+        _, extracted = sf.extract_left_divisor(
+            w_ref, w0, config, w_bar_plus=cp.extremals.w_bar_plus)
+        monkeypatch.undo()
+        assert _ids(args[0] for args in inventories) == _ids([w0])
+        assert _ids(args[0] for args in densities) == _ids([w0, w_ref])
+        _assert_same_report(extracted, report, skip=("allpass_residual",))
+
+
+@pytest.mark.parametrize("make", [reference_model, lambda: recipe_outer(6, 0)],
+                         ids=["reference", "recipe6_0"])
+def test_verify_factor_folds_in_the_extraction_report(make):
+    w = make()
+    cp = sf.conjugate_phase(w)
+    for div in sf.enumerate_divisors(cp):
+        w0 = _plain(sf.minimal_factor(w, div)[0])
+        _, extracted = sf.extract_left_divisor(
+            w, w0, w_bar_plus=cp.extremals.w_bar_plus)
+        report = sf.verify_factor(w0, cp)
+        assert report.allpass_residual is not None
+        _assert_same_report(report, extracted)

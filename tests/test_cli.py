@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 
 import spectralfactors as sf
 from spectralfactors.cli import main
+from spectralfactors.matnum import _MAX_CIRCLE_SAMPLES
 from spectralfactors.modelio import read_model, write_model
 
 from helpers import circle_points, recipe_outer
@@ -201,7 +202,7 @@ def test_usage_errors_exit_3(runner, model_path, argv, message):
 
 
 class TestFactors:
-    def test_reference_family(self, runner, model_path, tmp_path, ref_model):
+    def test_reference_family(self, runner, model_path, tmp_path, ref_cp):
         specs = tmp_path / "specs.json"
         specs.write_text(json.dumps({"specs": [
             {},
@@ -223,9 +224,9 @@ class TestFactors:
         # every emitted model file verifies against the source model
         for row in summary["factors"]:
             emitted = read_model(outdir / row["file"]).realization
-            assert sf.verify_factor(emitted, ref_model).passed
+            assert sf.verify_factor(emitted, ref_cp).passed
 
-    def test_moebius_family(self, runner, model_path, tmp_path, ref_model):
+    def test_moebius_family(self, runner, model_path, tmp_path, ref_cp):
         specs = tmp_path / "specs.json"
         specs.write_text(json.dumps({"specs": [
             {},
@@ -242,7 +243,7 @@ class TestFactors:
         assert all(row["degree"] == 2 for row in summary["factors"])
         for row in summary["factors"]:
             emitted = read_model(outdir / row["file"]).realization
-            assert sf.verify_factor(emitted, ref_model).passed
+            assert sf.verify_factor(emitted, ref_cp).passed
 
     @pytest.mark.parametrize("argv, expected", [
         (["--moebius"], 0.1),
@@ -345,6 +346,22 @@ class TestFactors:
         assert result.exception is None or isinstance(result.exception,
                                                       SystemExit)
         assert "is defective" in result.output
+
+    # The grid is bounded before any angle's spec is built, so a huge one
+    # exits 3 and writes nothing instead of filling memory.
+    @pytest.mark.parametrize("count", [_MAX_CIRCLE_SAMPLES + 1, 10**400],
+                             ids=["ceiling-plus-1", "1e400"])
+    def test_theta_grid_over_the_ceiling_exits_3(self, runner, model_path,
+                                                 tmp_path, count):
+        specs = tmp_path / "specs.json"
+        specs.write_text(json.dumps({"specs": [
+            {"a_select": [0, 1], "theta_grid": count}]}))
+        outdir = tmp_path / "x"
+        result = runner.invoke(main, ["factors", model_path, str(specs),
+                                      "-d", str(outdir)])
+        assert result.exit_code == 3
+        assert f"from 1 to {_MAX_CIRCLE_SAMPLES}" in result.output
+        assert not outdir.exists()
 
 
 class TestVerify:

@@ -57,7 +57,7 @@ class TestMinimalFactor:
         for div in sf.enumerate_divisors(sf.conjugate_phase(w)):
             factor, report = sf.minimal_factor(w, div)
             assert report.passed and not report.reasons
-            assert sf.verify_factor(factor, w).passed
+            assert sf.verify_factor(factor, div.phase).passed
             if report.spectrum_residual > tol:
                 assert report.spectrum_residual <= 2e-8
                 over.append(div.subspace_dims)
@@ -73,42 +73,42 @@ class TestMinimalFactor:
 
 
 class TestVerifyFactor:
-    def test_outer_verifies_against_itself(self, ref_model):
-        report = sf.verify_factor(ref_model, ref_model)
+    def test_outer_verifies_against_itself(self, ref_model, ref_cp):
+        report = sf.verify_factor(ref_model, ref_cp)
         assert report.passed
         assert report.spectrum_residual <= 1e-13
 
     def test_full_phase_product(self, ref_model, ref_cp):
         w = sf.series(ref_model, ref_cp.t)
-        report = sf.verify_factor(w, ref_model)
+        report = sf.verify_factor(w, ref_cp)
         assert report.passed
         assert_allclose(sorted(report.pole_zero.poles.real), [2.0, 2.0],
                         atol=1e-9)
 
-    def test_wrong_direction_allpass_raises_degree(self, ref_model):
+    def test_wrong_direction_allpass_raises_degree(self, ref_model, ref_cp):
         w = sf.series(ref_model, wrong_direction_allpass())
-        report = sf.verify_factor(w, ref_model)
+        report = sf.verify_factor(w, ref_cp)
         assert not report.passed
         assert report.degree == 3
         assert any("degree" in r for r in report.reasons)
 
-    def test_scaled_candidate_fails(self, ref_model):
+    def test_scaled_candidate_fails(self, ref_model, ref_cp):
         scaled = sf.Realization(ref_model.a, 2.0 * ref_model.b, ref_model.c,
                                 2.0 * ref_model.d)
-        report = sf.verify_factor(scaled, ref_model)
+        report = sf.verify_factor(scaled, ref_cp)
         assert not report.passed
         assert report.spectrum_residual > 1.0
 
     @pytest.mark.parametrize("width", [1, 3])
-    def test_other_width_candidate_fails(self, ref_model, width):
-        report = sf.verify_factor(sf.identity(width), ref_model)
+    def test_other_width_candidate_fails(self, ref_cp, width):
+        report = sf.verify_factor(sf.identity(width), ref_cp)
         assert not report.passed
         assert (f"candidate is {width}x{width}, the outer factor is 2x2"
                 in report.reasons)
         assert not any("spectrum residual" in r for r in report.reasons)
 
-    def test_report_serializes(self, ref_model):
-        report = sf.verify_factor(ref_model, ref_model)
+    def test_report_serializes(self, ref_model, ref_cp):
+        report = sf.verify_factor(ref_model, ref_cp)
         d = report.to_dict()
         assert d["passed"] and d["degree"] == 2
         assert "pass" in str(report)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import spectralfactors as sf
+from spectralfactors.matnum import _MAX_CIRCLE_SAMPLES
 from spectralfactors.modelio import (
     ModelFileError,
     SpecFileError,
@@ -100,6 +101,11 @@ class TestSpecFile:
         path = self.write(tmp_path, payload)
         with pytest.raises(SpecFileError):
             read_spec_entries(path)
+
+    def test_theta_grid_at_the_ceiling_is_read(self, tmp_path):
+        path = self.write(tmp_path, {"specs": [
+            {"a_select": [0, 1], "theta_grid": _MAX_CIRCLE_SAMPLES}]})
+        assert read_spec_entries(path)[0]["theta_grid"] == _MAX_CIRCLE_SAMPLES
 
     def test_theta_expansion(self, tmp_path, ref_cp):
         path = self.write(tmp_path, {"specs": [

@@ -12,13 +12,22 @@ change meant to leave the numbers alone is checked with
     python tools/digest.py .               > change.txt
     cmp parent.txt change.txt
 
+Across a change of the library's API, the tool of one checkout may not run
+on the other.  Then run each checkout's own tool on its own checkout and
+diff the outputs:
+
+    python /path/to/parent/tools/digest.py /path/to/parent > parent.txt
+    python tools/digest.py .                               > change.txt
+    diff parent.txt change.txt
+
 Each line is ``<key> <sha256>``; a typed failure prints
 ``<key> error:<Type> <sha256 of type and message>``, and the failures are
 repeated in clear at the end.  Covered:
 
 * conjugate phase (every field, the extremal set and the Gramian check),
   every divisor (t_ell, basis, degree, dims, right complement), its
-  factor and report, its extraction and a ``verify_factor`` report, over
+  factor and report, its extraction and a ``verify_factor`` report (with
+  the extraction folded in), over
   ``roundtrip_round(7, 0..3)``, the reference model and ``identity(2)``.
   The extraction runs twice: with ``w_bar_plus`` on the factor that
   ``minimal_factor`` returns, whose carried certificate it reads
@@ -135,7 +144,7 @@ def factor_and_extraction(key, w, cp, div, config):
     w_fac, report = out
     emit(f"{key}/factor", w_fac)
     emit(f"{key}/factor.report", report)
-    emit(f"{key}/verify", sf.verify_factor(w_fac, w, config))
+    emit(f"{key}/verify", sf.verify_factor(w_fac, cp))
     plain = sf.Realization(w_fac.a, w_fac.b, w_fac.c, w_fac.d)
     for tag, cand, extra in (
             ("carried", w_fac, {"w_bar_plus": cp.extremals.w_bar_plus}),
@@ -224,7 +233,7 @@ def bad_inputs(ref, config):
     }
     for name, fn in cases.items():
         emit(f"bad/{name}", attempt(f"bad/{name}", fn))
-    emit("bad/verify_width", sf.verify_factor(sf.identity(1), ref, config))
+    emit("bad/verify_width", sf.verify_factor(sf.identity(1), cp))
 
 
 def eigen_structure(config):

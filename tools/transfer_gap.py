@@ -27,7 +27,10 @@ hashes: the factor's (``minimal_factor``), the extraction's with
 ``w_bar_plus`` and, without it, of a plain ``Realization`` copy of the
 factor (which is inventoried and sampled again), and ``verify_factor``'s
 for an enumerated or session divisor, the one ``factor_family`` or ``family_member`` returns for a
-Moebius or CLI factor.
+Moebius or CLI factor.  ``verify_factor(w, cp)`` folds the extraction into
+its report; where a checkout's ``verify_factor`` still takes W- and a
+config, the extraction is folded in here as that checkout's ``cli verify``
+did, so both report the same thing.
 
 It prints for every family the largest relative transfer gap of each part
 between the two checkouts, and the largest relative change
@@ -46,6 +49,8 @@ Takes about 30 s on a 2-core machine.
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import os
 import sys
 import tempfile
@@ -90,6 +95,22 @@ def _report(report):
             report.passed, tuple(report.reasons))
 
 
+def _verify(sf, w_fac, w, cp, config):
+    """``verify_factor(w_fac, cp)``, or on a library whose ``verify_factor``
+    takes (w, w_minus, config), its report with the extraction folded in."""
+    if "cp" in inspect.signature(sf.verify_factor).parameters:
+        return sf.verify_factor(w_fac, cp)
+    report = sf.verify_factor(w_fac, w, config)
+    if not report.passed:
+        return report
+    try:
+        return sf.extract_left_divisor(w, w_fac, config,
+                                       w_bar_plus=cp.extremals.w_bar_plus)[1]
+    except (sf.NotAFactor, sf.NotMinimalFactor) as exc:
+        return dataclasses.replace(report, passed=False, reasons=(
+            *report.reasons, f"divisor extraction: {exc}"))
+
+
 def _member(sf, w, cp, div, t_r, config):
     """(degree, dims, {part: (a, b, c, d) or typed failure}, {report name:
     report fields or typed failure}) of one divisor of the conjugate phase
@@ -104,7 +125,7 @@ def _member(sf, w, cp, div, t_r, config):
     reports = {name: out if isinstance(out, str) else out[1]
                for name, out in (("factor", factor), ("extract.carried", back),
                                  ("extract.rebuilt", rebuilt))}
-    reports["verify"] = sf.verify_factor(div.factor, w, config)
+    reports["verify"] = _verify(sf, div.factor, w, cp, config)
     return (div.degree, tuple(div.subspace_dims),
             {"t_ell": _abcd(div.t_ell), "factor": _abcd(div.factor),
              "right_complement": _abcd(t_r),
