@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .demo import run_demo
 from .errors import SpectralFactorsError
-from .factors import family_member, moebius_gate, verify_factor
+from .factors import family_member, verify_factor
 from .matnum import _MAX_CIRCLE_SAMPLES, DEFAULT_TOL
 from .modelio import (
     ModelFileError,
@@ -164,11 +164,10 @@ def analyze(model_path, out_path, tol, moebius_value):
     config = _config_for(doc, tol, None)
     moebius_param = _parse_moebius(moebius_value)
     try:
-        w_work, a = moebius_gate(doc.realization, moebius_param, config)
-        cp = conjugate_phase(w_work, config)
+        cp = conjugate_phase(doc.realization, config, moebius_param)
     except SpectralFactorsError as exc:
         _fail(EXIT_VALIDATION, str(exc))
-    ext = cp.extremals
+    ext, a = cp.extremals, cp.moebius_a
     report = {
         "model": doc.name,
         "moebius_a": a,
@@ -227,8 +226,7 @@ def factors(model_path, specs_path, outdir, tol, samples, moebius_value):
     except SpecFileError as exc:
         _fail(EXIT_PARSE, str(exc))
     try:
-        w_work, a = moebius_gate(doc.realization, moebius_param, config)
-        cp = conjugate_phase(w_work, config)
+        cp = conjugate_phase(doc.realization, config, moebius_param)
         specs = expand_spec_entries(entries, cp)
     except SpecFileError as exc:
         _fail(EXIT_PARSE, str(exc))
@@ -240,8 +238,7 @@ def factors(model_path, specs_path, outdir, tol, samples, moebius_value):
     rows = []
     try:
         for i, spec in enumerate(specs):
-            div, w, report = family_member(cp, spec, doc.realization, a,
-                                           config)
+            div, w, report = family_member(cp, spec)
             name = f"{doc.name}_factor_{i:03d}"
             write_model(out / f"factor_{i:03d}.json", w, name=name)
             pz = report.pole_zero.to_dict()
@@ -259,7 +256,7 @@ def factors(model_path, specs_path, outdir, tol, samples, moebius_value):
     except SpectralFactorsError as exc:
         _fail(EXIT_VALIDATION, str(exc))
 
-    summary = {"model": doc.name, "moebius_a": a, "factors": rows}
+    summary = {"model": doc.name, "moebius_a": cp.moebius_a, "factors": rows}
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n",
                                       encoding="utf-8")
     # family_member raises on a factor that fails its check, so every

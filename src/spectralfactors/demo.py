@@ -13,12 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divisors import SubspaceSpec, divisor_from_projector
-from .factors import (
-    extract_left_divisor,
-    family_member,
-    minimal_factor,
-    verify_factor,
-)
+from .factors import extract_left_divisor, family_member, minimal_factor
 from .matnum import DEFAULT_TOL, ToleranceConfig
 from .spectral import conjugate_phase, spectrum_samples
 from .statespace import Realization, eval_gap, series
@@ -152,18 +147,16 @@ def run_demo(config: ToleranceConfig = DEFAULT_TOL) -> list[DemoCheck]:
     checks.append(DemoCheck("unstable minimum-phase factor: spectrum residual",
                             rep2.spectrum_residual, 1e-8))
 
-    cand = ref["w_bar_minus"]
-    rep_c = verify_factor(cand, cp)
+    t_min, rep_c = extract_left_divisor(w_minus, ref["w_bar_minus"], config,
+                                        w_bar_plus=ext.w_bar_plus)
     checks.append(DemoCheck("closed-form candidate passes verification",
                             rep_c.spectrum_residual, 1e-8))
-    t_min, _ = extract_left_divisor(w_minus, cand, config,
-                                    w_bar_plus=ext.w_bar_plus)
     checks.append(DemoCheck("candidate divisor degree 2",
                             abs(t_min.n - 2), 0.5))
 
     for theta in (0.0, np.pi / 4):
         spec = SubspaceSpec(a_basis=np.array([[np.cos(theta)], [np.sin(theta)]]))
-        div, _, rep_theta = family_member(cp, spec, w_minus, None, config)
+        div, _, rep_theta = family_member(cp, spec)
         checks.append(DemoCheck(
             f"angle-family divisor feedthrough (theta={theta:.3f})",
             _gap(div.t_ell.d, theta_feedthrough(theta)), tol))

@@ -6,10 +6,11 @@ quotient W-^{-1} W0 of any minimal factor W0 is such a divisor.  This module
 reports on the factor each divisor carries, verifies candidate factors,
 and extracts and certifies the divisor of a given candidate.
 
-The conjugate phase is the family's context: it carries W-, its config and
-W-'s density, and every divisor carries its phase.  One rule decides every
-reuse (:func:`_made_from`): a carried fact is read only by a check against
-the phase's own W- object under a config equal to the phase's.  So
+The conjugate phase is the family's context: it carries W-, its config,
+its Moebius gate and the densities of both W-, and every divisor carries
+its phase.  One rule decides every reuse (:func:`_made_from`): a carried
+fact is read only by a check against one of the phase's own W- objects
+under a config equal to the phase's.  So
 :func:`minimal_factor` samples only the factor, which comes back as a
 :class:`CertifiedFactor` carrying its report and phase, and
 :func:`extract_left_divisor` reads that report and samples only T-.
@@ -50,7 +51,6 @@ from .statespace import (
     PoleZeroReport,
     Realization,
     _inventory,
-    choose_moebius_parameter,
     inverse,
     minimal,
     moebius,
@@ -64,7 +64,6 @@ __all__ = [
     "extract_left_divisor",
     "verify_factor",
     "factor_family",
-    "moebius_gate",
     "family_member",
     "spectrum_gap",
 ]
@@ -147,9 +146,9 @@ def _gap_and_scale(w, w_ref, config, cp=None):
             f"densities of a {w.n_out}x{w.n_in} and a "
             f"{w_ref.n_out}x{w_ref.n_in} system are not comparable"
         )
-    phi_w = _density(w, config)
-    phi_ref = (None if phi_w is None else cp.w_minus_density
-               if _made_from(cp, w_ref, config) else _density(w_ref, config))
+    phi_w, name = _density(w, config), _made_from(cp, w_ref, config)
+    phi_ref = (None if phi_w is None else getattr(cp, f"{name}_density")
+               if name else _density(w_ref, config))
     if phi_ref is None:
         return float("inf"), 1.0
     return (float(np.max(np.abs(phi_w - phi_ref))),
@@ -157,11 +156,17 @@ def _gap_and_scale(w, w_ref, config, cp=None):
 
 
 def _made_from(cp, w_minus, config):
-    """Whether the conjugate phase ``cp`` was made from this ``w_minus``
-    object under a config equal to ``config``: the one rule that decides
-    whether what the phase carries may be read."""
-    return (cp is not None and cp.extremals.w_minus is w_minus
-            and cp.config == config)
+    """Which W- of the conjugate phase ``cp`` this ``w_minus`` object is,
+    if ``cp`` was made under a config equal to ``config``: "w_minus" for
+    its working W-, "w_original" for a gated family's original one, else
+    None.  The one rule that decides every read of a density the phase
+    carries (``cp.<name>_density``) and every certification, which only
+    the working W- gives."""
+    if cp is None or cp.config != config:
+        return None
+    if cp.extremals.w_minus is w_minus:
+        return "w_minus"
+    return "w_original" if cp.w_original is w_minus else None
 
 
 def _report(w, w_minus, expected, pz, config, cp=None):
@@ -199,14 +204,15 @@ def _require_generated(w, w_minus, n, what, config, cp=None):
         raise SpectrumMismatch(
             f"{what} spectrum residual {report.spectrum_residual:.3e}"
         )
-    if _made_from(cp, w_minus, config):
+    if _made_from(cp, w_minus, config) == "w_minus":
         w = CertifiedFactor(w.a, w.b, w.c, w.d, report, cp)
     return w, report
 
 
 def verify_factor(w: Realization, cp: ConjugatePhase) -> FactorReport:
     """Check a candidate factor against the family of the conjugate phase
-    ``cp``, whose W-, density of W- and config it reads.
+    ``cp``, whose working W-, its density and config it reads: a gated
+    phase checks in its own variable (``cli verify`` builds it ungated).
 
     The candidate is reduced once, for its degree and inventory, and sampled
     once.  A passing report then has T- extracted from that reduction as
@@ -231,7 +237,8 @@ def verify_factor(w: Realization, cp: ConjugatePhase) -> FactorReport:
 
 def minimal_factor(w_minus: Realization, div: AllPassDivisor,
                    config: ToleranceConfig = DEFAULT_TOL):
-    """Minimal spectral factor W = W- T_l generated by a divisor.
+    """Minimal spectral factor W = W- T_l generated by a divisor, in the
+    working variable of its phase (:func:`family_member` maps it back).
 
     Returns ``div.factor``, the closed form on n states, and its report
     against ``w_minus`` with the degree n that the conjugate phase certified
@@ -328,7 +335,7 @@ def extract_left_divisor(w_minus: Realization, w0: Realization,
     # factor of this density has degree below n: on n states it is minimal
     # once the all-pass test below passes.
     cert = (w0.report if isinstance(w0, CertifiedFactor)
-            and _made_from(w0.phase, w_minus, config)
+            and _made_from(w0.phase, w_minus, config) == "w_minus"
             and w0.report.expected_degree == n else None)
     w0m = w0 if w0.n == n else minimal(w0, config)
     pz = cert.pole_zero if cert else _inventory(w0m, config)
@@ -363,43 +370,16 @@ def _quotient(w_inv, w0, w0m, pz, n, config):
     return t_minus, ap_res
 
 
-def moebius_gate(w: Realization, moebius_param: float | bool | None,
-                 config: ToleranceConfig = DEFAULT_TOL):
-    """Apply the gated Moebius change of variable.
-
-    ``None`` or ``False`` leaves ``w`` as given, ``True`` picks a parameter
-    clear of the eigenvalues of its A and zero matrix, unreduced (callers
-    certify minimality next), and a float is used as the parameter.
-
-    Returns the working model and the parameter ``a`` (None when ungated).
-    """
-    if moebius_param is None or moebius_param is False:
-        return w, None
-    if moebius_param is True:
-        pz = _inventory(w, config)
-        zeros = pz.zeros if pz.zeros is not None else []
-        a = choose_moebius_parameter(pz.poles, zeros, config)
-    else:
-        a = float(moebius_param)
-    return moebius(w, a, config), a
-
-
-def family_member(cp: ConjugatePhase, spec: SubspaceSpec,
-                  w_minus: Realization, a: float | None = None,
-                  config: ToleranceConfig = DEFAULT_TOL):
-    """The factor of one subspace specification.
-
-    ``cp`` is the conjugate phase of the working model, ``spec`` a
-    :class:`SubspaceSpec` (else InvalidSubspace), ``w_minus`` the outer
-    factor in the original variable and ``a`` the Moebius parameter that
-    maps it to the working variable (None when ungated).  The divisor comes
-    from the spec's basis, as in the enumeration.  A gated factor is mapped
-    back to the original variable, still on n states, and re-verified
-    against ``w_minus``; a failure there raises.
-
-    Returns the divisor, the factor (a :class:`CertifiedFactor` only when
-    ungated, as :func:`minimal_factor` decides) and its report.
-    """
+def family_member(cp: ConjugatePhase, spec: SubspaceSpec):
+    """The divisor, factor and report of one :class:`SubspaceSpec` (else
+    InvalidSubspace) of the family of ``cp``, which holds W-, the config
+    and the gate.  The divisor comes from the spec's basis, as in the
+    enumeration, and the factor from :func:`minimal_factor`.  In a gated
+    family the factor is mapped back to the original variable, still on n
+    states, and re-verified against ``cp.w_original``, whose density the
+    phase carries; it is then a plain :class:`Realization`, and a failure
+    raises."""
+    config, a = cp.config, cp.moebius_a
     div = _divisor(cp, *_spec_basis(cp, spec, config), config)
     w, report = minimal_factor(cp.extremals.w_minus, div, config)
     if a is None:
@@ -412,23 +392,16 @@ def family_member(cp: ConjugatePhase, spec: SubspaceSpec,
             "infinity); it is representable only in the transformed "
             "variable"
         ) from exc
-    w, report = _require_generated(w, w_minus, report.expected_degree,
-                                   "mapped-back factor", config)
+    w, report = _require_generated(w, cp.w_original, report.expected_degree,
+                                   "mapped-back factor", config, cp)
     return div, w, report
 
 
 def factor_family(w_minus: Realization, specs,
                   config: ToleranceConfig = DEFAULT_TOL,
                   moebius_param: float | bool | None = None):
-    """Generate the factors for a batch of subspace specifications.
-
-    ``moebius_param`` routes the pipeline through a Moebius change of
-    variable (see :func:`moebius_gate`); ``None`` (default) processes the
-    model as given.  Factors are mapped back to the original variable and
-    re-verified.
-
-    Returns a list of (factor, report) pairs, one per specification.
-    """
-    w_work, a = moebius_gate(w_minus, moebius_param, config)
-    cp = conjugate_phase(w_work, config)
-    return [family_member(cp, spec, w_minus, a, config)[1:] for spec in specs]
+    """The (factor, report) of each subspace specification: the
+    :func:`family_member`s of ``conjugate_phase(w_minus, config,
+    moebius_param)``, each gated factor in the original variable."""
+    cp = conjugate_phase(w_minus, config, moebius_param)
+    return [family_member(cp, spec)[1:] for spec in specs]

@@ -15,11 +15,13 @@ whether the cluster is semisimple: O(n^3) plus the reorders.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from numbers import Integral, Real
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, solve_discrete_lyapunov
+from scipy.linalg import (LinAlgWarning, get_lapack_funcs,
+                          solve_discrete_lyapunov)
 
 from .errors import (
     AmbiguousEigenspace,
@@ -134,7 +136,8 @@ def solve_stein(m, q, config: ToleranceConfig = DEFAULT_TOL):
     SingularSteinOperator
         If min |1 - lambda_i lambda_j| over the eigenvalues of M is at or
         below the relative rank tolerance, scaled by 1 + rho(M)^2, or if
-        the solver finds its linear system singular (M ill conditioned).
+        the solver finds its linear system singular or warns that it is
+        ill conditioned (M ill conditioned in these coordinates).
     """
     m = _as_matrix(m, "M")
     q = _as_matrix(q, "Q")
@@ -156,10 +159,13 @@ def solve_stein(m, q, config: ToleranceConfig = DEFAULT_TOL):
 
     def solve(rhs):
         try:
-            return solve_discrete_lyapunov(m.T, -rhs)
-        except np.linalg.LinAlgError as exc:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", LinAlgWarning)
+                return solve_discrete_lyapunov(m.T, -rhs)
+        except (np.linalg.LinAlgError, LinAlgWarning) as exc:
             # The eigenvalue gap is coordinate-free; scipy's solve works in
-            # the given coordinates and can still find its system singular.
+            # the given coordinates and can still find its system singular
+            # or, warning first, nearly so.
             raise SingularSteinOperator(
                 f"Stein solver failed although min |1 - lambda_i lambda_j| "
                 f"= {gap:.3e}: M is too ill conditioned in these coordinates "

@@ -27,6 +27,7 @@ depends on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import polar, svd
@@ -49,9 +50,12 @@ from .matnum import (
 from .statespace import (
     Realization,
     _circle,
+    _inventory,
+    choose_moebius_parameter,
     evalfr_many,
     inverse,
     mcmillan_degree,
+    moebius,
 )
 
 __all__ = [
@@ -242,22 +246,24 @@ class ConjugatePhase:
     with its Stein solution: the context of the whole factor family, since
     every minimal factor is W- T_l for a left divisor T_l of T.
 
-    The state matrix of ``t`` is block diagonal: the leading ``n_gamma``
-    states carry the zero matrix of W- (spectrum inside the circle), the
-    trailing ``n_a`` states carry A^{-T} (spectrum outside).  ``p0_inv`` is
-    the solution Q = [[X, -I], [-I, Z]] of A_T^T Q A_T - Q = C_T^T C_T, the
-    inverse of the structural Gramian P0, assembled without any inversion.
-    ``gramian`` holds the identity residuals that :func:`conjugate_phase`
-    certified.  T is minimal by construction: (C_T, A_T) is observable
-    blockwise, and an all-pass realization with observable (C, A) and
-    nonsingular Q is controllable.  ``gamma_blocks`` and ``a_blocks``, the
-    :func:`.matnum.eigen_blocks` of ``gamma`` and ``a_inv_t``, are the blocks
-    that the enumeration toggles and that ``SubspaceSpec`` indices refer to.
-    ``config`` is the config T was built with, and ``w_minus_density`` the
-    density of ``extremals.w_minus`` at the half-circle points that the
-    circle checks under it evaluate, or None where a sample hits a pole of
-    W- (every spectrum gap against it is then infinite).  Every divisor
-    carries its phase, and :mod:`.factors` reads the density in its place.
+    The state matrix of ``t`` is diag(Gamma, A^{-T}): ``n_gamma`` states
+    carry the zero matrix ``gamma`` of W- (spectrum inside the circle), the
+    ``n_a`` after them ``a_inv_t`` (outside).  ``p0_inv`` is its Stein
+    solution Q = [[X, -I], [-I, Z]], the inverse of the structural Gramian
+    P0, assembled without any inversion; ``gramian`` holds the identity
+    residuals certified with it.  T is minimal by construction: (C_T, A_T)
+    is observable blockwise, and an all-pass realization with observable
+    (C, A) and nonsingular Q is controllable.  ``gamma_blocks`` and
+    ``a_blocks`` are the :func:`.matnum.eigen_blocks` that the enumeration
+    toggles and that ``SubspaceSpec`` indices refer to.
+
+    ``config`` is the config T was built with.  ``extremals.w_minus`` is
+    the working W-: ``w_original``, the caller's W- object, or its image
+    under the Moebius change of variable with parameter ``moebius_a`` (None
+    when the family is ungated, and then the two are one object).  Every
+    divisor carries its phase, and :mod:`.factors` reads the densities of
+    both W- from it, each sampled on first read at the half-circle points
+    of ``config`` and None where a sample hits a pole.
     """
 
     t: Realization
@@ -270,8 +276,17 @@ class ConjugatePhase:
     gramian: GramianCheck
     gamma_blocks: tuple
     a_blocks: tuple
-    w_minus_density: np.ndarray | None
     config: ToleranceConfig
+    moebius_a: float | None
+    w_original: Realization
+
+    @cached_property
+    def w_minus_density(self):
+        return _density(self.extremals.w_minus, self.config)
+
+    @cached_property
+    def w_original_density(self):
+        return _density(self.w_original, self.config)
 
 
 def check_gramian_identities(cp: ConjugatePhase,
@@ -281,9 +296,29 @@ def check_gramian_identities(cp: ConjugatePhase,
     return _j_identities(cp.t.a, cp.t.b, cp.t.c, cp.t.d, cp.p0_inv, config)
 
 
+def _gate(w, moebius_param, config):
+    """The working model and Moebius parameter: ``None`` or ``False`` keeps
+    ``w`` (parameter None), ``True`` picks a parameter clear of the
+    eigenvalues of its A and zero matrix, read unreduced, and a float is
+    the parameter."""
+    if moebius_param is None or moebius_param is False:
+        return w, None
+    if moebius_param is True:
+        pz = _inventory(w, config)
+        zeros = pz.zeros if pz.zeros is not None else []
+        a = choose_moebius_parameter(pz.poles, zeros, config)
+    else:
+        a = float(moebius_param)
+    return moebius(w, a, config), a
+
+
 def conjugate_phase(w_minus: Realization,
-                    config: ToleranceConfig = DEFAULT_TOL) -> ConjugatePhase:
-    """Validate W- and build its conjugate phase function and extremal set.
+                    config: ToleranceConfig = DEFAULT_TOL,
+                    moebius_param: float | bool | None = None
+                    ) -> ConjugatePhase:
+    """Validate W- and build its conjugate phase function and extremal set,
+    after the Moebius change of variable that ``moebius_param`` gates
+    (:func:`_gate`; the default works on W- as given).
 
     X solves  Gamma^T X Gamma = X + H1^T H1  (H1 = D^{-1} C) and must be
     negative definite, its largest eigenvalue below -rank_rel_tol
@@ -292,19 +327,18 @@ def conjugate_phase(w_minus: Realization,
     [H1 | B^T A^{-T}]; its input and feedthrough matrices are the all-pass
     completion from Q = [[X, -I], [-I, Z]], with a symmetric positive
     definite feedthrough.  The off-diagonal -I is exact: it is the identity
-    Gamma^T + H1^T B^T = A^T.
-
-    The extremal factors are the closed form (:func:`_factor`) of W- T_Gamma,
-    W+ = (A, B D_Gamma + B_Gamma, C, D D_Gamma) with (B_Gamma, D_Gamma) the
-    completion of (H1, Gamma) from X, and Wbar+ = W- T = (A^{-T}, B_T[n:],
-    C Z + D B^T A^{-T}, D D_T).  Gamma and A^{-T} are clustered once, here,
-    and the density of W- is sampled once, here, on the circle points of
-    ``config``, which the phase keeps.
+    Gamma^T + H1^T B^T = A^T.  The extremal factors are the closed form
+    (:func:`_factor`) of W- T_Gamma, with T_Gamma the completion of
+    (H1, Gamma) from X, and of Wbar+ = W- T.  Gamma and A^{-T} are clustered
+    once, here.
 
     Raises NotOuter, SingularFeedthrough, CompressionNotPD if a completion
     Gram matrix is not definite, GramianIdentityViolation if T or T_Gamma
-    fails its all-pass identities, and DegreeViolation from the closed form.
+    fails its all-pass identities, DegreeViolation from the closed form,
+    and from the gate the errors of :func:`.statespace.moebius`.
     """
+    w_original = w_minus
+    w_minus, a_moebius = _gate(w_original, moebius_param, config)
     w_inv = validate_outer(w_minus, config)
     a, b, c, d = w_minus.a, w_minus.b, w_minus.c, w_minus.d
     n = w_minus.n
@@ -338,8 +372,8 @@ def conjugate_phase(w_minus: Realization,
                           a_inv_t=a_inv_t, extremals=ext, gramian=check,
                           gamma_blocks=tuple(eigen_blocks(gamma, config)),
                           a_blocks=tuple(eigen_blocks(a_inv_t, config)),
-                          w_minus_density=_density(w_minus, config),
-                          config=config)
+                          config=config, moebius_a=a_moebius,
+                          w_original=w_original)
 
 
 def extremal_set(w_minus: Realization,

@@ -30,8 +30,8 @@ The automatic Moebius gate reads the poles and zeros of the realization it
 is given, unreduced, so an auto-gated ``factor_family`` reduces only in
 ``validate_outer``, which certifies the working model minimal; without
 ``w_bar_plus`` the extraction uses the W-^{-1} that ``validate_outer``
-returns and inverts W- once.  W-'s density is sampled once, by
-``conjugate_phase``, and every divisor carries it; the factor that
+returns and inverts W- once.  W-'s density is sampled once, on the first
+read of the conjugate phase that every divisor carries; the factor that
 ``minimal_factor`` returns carries its report into its extraction, so a
 family samples W- once and each divisor's factor and T- once, and
 inventories each factor once.  The carried report is the one a plain copy
@@ -362,7 +362,7 @@ def test_family_member_makes_no_projector_round_trip(monkeypatch, make):
                   for module, name in ((matnum, "basis_from_projector"),
                                        (divisors, "divisor_from_projector"))]
     for spec in specs:
-        _, _, report = family_member(cp, spec, cp.extremals.w_minus)
+        _, _, report = family_member(cp, spec)
         assert report.passed
     assert round_trip == [[], []]
 
@@ -409,7 +409,8 @@ def _count_cli_verify(monkeypatch, model, cand, exit_code):
     assert extremals == []
     w_minus = phases[0][0]
     assert [args[0] is w_minus for args in calls] == [True, False]
-    assert [args[0] for args in densities] == [w_minus, calls[1][0]]
+    assert (sorted(_ids(args[0] for args in densities))
+            == sorted(_ids([w_minus, calls[1][0]])))
 
 
 def test_cli_verify_carries_one_extremal_set(monkeypatch, tmp_path, ref_model,
@@ -505,7 +506,8 @@ def test_each_system_is_sampled_once_per_family(monkeypatch, family):
     cp, out, failures = op(sf, w, config)
     assert not failures and out
     factors = [div.factor for div, _, _ in out]
-    assert _ids(args[0] for args in densities) == _ids([w, *factors])
+    assert (sorted(_ids(args[0] for args in densities))
+            == sorted(_ids([w, *factors])))
     assert (_ids(args[0] for args in allpass)
             == _ids(t_back for _, _, t_back in out))
     assert _ids(args[0] for args in inventories) == _ids(factors)
@@ -514,6 +516,41 @@ def test_each_system_is_sampled_once_per_family(monkeypatch, family):
 
 def _ids(objects):
     return [id(x) for x in objects]
+
+
+def test_gated_family_samples_the_original_w_minus_once(monkeypatch):
+    # The working W- once, each factor before and after its map back once,
+    # and the caller's W- once, read from the phase by every member.
+    w = reference_model()
+    specs = [sf.SubspaceSpec(), sf.SubspaceSpec(gamma_select=(0,)),
+             sf.SubspaceSpec(a_select=(0, 1))]
+    densities = _count_calls(monkeypatch, spectral, "spectrum_samples")
+    out = sf.factor_family(w, specs, moebius_param=0.3)
+    assert all(report.passed for _, report in out)
+    assert len(densities) == 8
+    assert sum(args[0] is w for args in densities) == 1
+
+
+@pytest.mark.parametrize("argv", [[], ["--moebius"]], ids=["plain", "moebius"])
+def test_cli_analyze_samples_nothing(monkeypatch, tmp_path, ref_model, argv):
+    path = tmp_path / "model.json"
+    write_model(path, ref_model, name="reference")
+    densities = _count_calls(monkeypatch, spectral, "spectrum_samples")
+    result = CliRunner().invoke(main, ["analyze", str(path), *argv])
+    assert result.exit_code == 0, result.output
+    assert densities == []
+
+
+def test_cli_gated_factors_sample_each_w_minus_once(monkeypatch, tmp_path):
+    # Seven specs: both W- once, and each factor before and after its map
+    # back once.
+    _, files = bench_workloads().cli_inputs(1234, 0, str(tmp_path))
+    densities = _count_calls(monkeypatch, spectral, "spectrum_samples")
+    result = CliRunner().invoke(main, [
+        "factors", files["model"], files["specs"], "--moebius",
+        "-d", str(tmp_path / "fam_m")])
+    assert result.exit_code == 0, result.output
+    assert len(densities) == 2 + 2 * 7
 
 
 def _plain(r):

@@ -303,7 +303,7 @@ def _selection_specs(cp):
 
 
 def _spec_divisors(cp):
-    return [family_member(cp, spec, cp.extremals.w_minus)[0]
+    return [family_member(cp, spec)[0]
             for spec in _selection_specs(cp)]
 
 

@@ -17,20 +17,25 @@ their divisor's subspace dims and pole set, and must agree to
 circle points, evaluated with numpy.  Up to cond S = 1e2 every case must
 give the family.
 
-Where scipy's Kronecker Lyapunov solve inside ``solve_stein`` meets a
-singular matrix, it warns with ``LinAlgWarning`` before the typed refusal
-that follows; tier-1 turns that warning into an error, so the case raises
-an untyped exception.  Those cases are strict xfails naming ROADMAP item
-10(b) (no untyped error in bad coordinates), so a fix shows.
+The Moebius leg builds the family of each model in the variable of
+``conjugate_phase(w, CONFIG, moebius_param=a)`` for a = +-0.5, one
+``family_member`` per block-subset spec, each factor mapped back to the
+original variable.  A divisor's pole p' there is the pole
+p = (p' + a) / (1 + a p') of the original variable.  Each divisor's
+feedthrough is normalised at infinity of its own variable, so a mapped-back
+factor equals the ungated one only up to a constant orthogonal right
+factor: the two must agree modulo it to ``FAMILY_TOL`` (the benchmark's
+``equivalence_gap``).
 """
 
 import functools
+from itertools import combinations
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgWarning
 
 import spectralfactors as sf
+from spectralfactors.factors import family_member
 
 from helpers import bench_workloads
 
@@ -38,27 +43,12 @@ CONFIG = sf.ToleranceConfig(circle_samples=64, residual_tol=1e-7)
 FAMILY_TOL = 1e-7
 MODELS = [(seed, slot) for seed in range(4) for slot in range(3)]
 TRANSFORMS = ("cond1e0", "cond1e2", "cond1e4", "cond1e8", "permutation")
-# (transform, seed, slot) whose solve_stein warns under this seeding.
-STEIN_WARNS = {
-    ("cond1e4", 0, 0), ("cond1e4", 0, 1), ("cond1e4", 1, 0),
-    ("cond1e4", 1, 1), ("cond1e4", 2, 0),
-    ("cond1e8", 0, 0), ("cond1e8", 0, 2), ("cond1e8", 1, 0),
-    ("cond1e8", 1, 1), ("cond1e8", 2, 1), ("cond1e8", 2, 2),
-    ("cond1e8", 3, 2),
-}
+MOEBIUS = (0.5, -0.5)
 
 
-def _cases():
-    for transform in TRANSFORMS:
-        for seed, slot in MODELS:
-            marks = ()
-            if (transform, seed, slot) in STEIN_WARNS:
-                marks = pytest.mark.xfail(
-                    strict=True, raises=LinAlgWarning,
-                    reason="ROADMAP 10(b): solve_stein lets scipy's "
-                           "LinAlgWarning through in bad coordinates")
-            yield pytest.param(transform, seed, slot, marks=marks,
-                               id=f"{transform}-s{seed}m{slot}")
+def _cases(legs):
+    return [pytest.param(leg, seed, slot, id=f"{leg}-s{seed}m{slot}")
+            for leg in legs for seed, slot in MODELS]
 
 
 @functools.cache
@@ -71,16 +61,33 @@ def _model(seed, slot):
 
 
 def _family(w):
-    """(subspace dims, divisor poles, factor on the circle points) of every
-    enumerated divisor of ``w``."""
-    wl = bench_workloads()
-    zs = wl._circle()
+    """(subspace dims, divisor poles, factor) of every enumerated divisor
+    of ``w``."""
     cp = sf.conjugate_phase(w, CONFIG)
+    return [(div.subspace_dims, np.linalg.eigvals(div.t_ell.a),
+             sf.minimal_factor(w, div, CONFIG)[0])
+            for div in sf.enumerate_divisors(cp, CONFIG)]
+
+
+def _block_specs(cp):
+    """The selection of every block subset pair of ``cp``."""
+    def subsets(blocks):
+        return [sum((b.indices for b in s), ())
+                for k in range(len(blocks) + 1)
+                for s in combinations(blocks, k)]
+    return [sf.SubspaceSpec(gamma_select=g, a_select=a)
+            for g in subsets(cp.gamma_blocks) for a in subsets(cp.a_blocks)]
+
+
+def _moebius_family(w, a):
+    """(subspace dims, divisor poles mapped back, factor in the original
+    variable) of every block-subset spec of the family gated by ``a``."""
+    cp = sf.conjugate_phase(w, CONFIG, moebius_param=a)
     out = []
-    for div in sf.enumerate_divisors(cp, CONFIG):
-        f = sf.minimal_factor(w, div, CONFIG)[0]
-        out.append((div.subspace_dims, np.linalg.eigvals(div.t_ell.a),
-                    wl.transfer(f.a, f.b, f.c, f.d, zs)))
+    for spec in _block_specs(cp):
+        div, f, _ = family_member(cp, spec)
+        p = np.linalg.eigvals(div.t_ell.a)
+        out.append((div.subspace_dims, (p + a) / (1 + a * p), f))
     return out
 
 
@@ -115,23 +122,29 @@ def _pole_distance(p, q):
     return max(d.min(axis=0).max(), d.min(axis=1).max())
 
 
-def _family_gap(base, family):
-    """Largest relative transfer gap between each factor of ``family`` and
-    the factor of ``base`` whose divisor has its subspace dims and the
-    nearest pole set."""
+def _relative_gap(f0, f, zs):
+    wl = bench_workloads()
+    g0, g = (wl.transfer(r.a, r.b, r.c, r.d, zs) for r in (f0, f))
+    return float(np.max(np.abs(g - g0)) / max(1.0, float(np.max(np.abs(g0)))))
+
+
+def _family_gap(base, family, gap):
+    """Largest ``gap`` between each factor of ``family`` and the factor of
+    ``base`` whose divisor has its subspace dims and the nearest pole set,
+    on the benchmark's circle points."""
     assert len(family) == len(base)
+    zs = bench_workloads()._circle()
     worst = 0.0
-    for dims, poles, g in family:
-        matches = [(_pole_distance(poles, p0), g0)
-                   for d0, p0, g0 in base if d0 == dims]
+    for dims, poles, f in family:
+        matches = [(_pole_distance(poles, p0), f0)
+                   for d0, p0, f0 in base if d0 == dims]
         assert matches, dims
-        g0 = min(matches, key=lambda m: m[0])[1]
-        worst = max(worst, float(np.max(np.abs(g - g0))
-                                 / max(1.0, float(np.max(np.abs(g0))))))
+        f0 = min(matches, key=lambda m: m[0])[1]
+        worst = max(worst, gap(f0, f, zs))
     return worst
 
 
-@pytest.mark.parametrize("transform, seed, slot", _cases())
+@pytest.mark.parametrize("transform, seed, slot", _cases(TRANSFORMS))
 def test_transformed_family_is_the_family_or_a_typed_refusal(transform, seed,
                                                              slot):
     w, cond = _transformed(transform, seed, slot)
@@ -140,7 +153,12 @@ def test_transformed_family_is_the_family_or_a_typed_refusal(transform, seed,
     except sf.SpectralFactorsError:
         assert cond > 1e2
         return
-    except LinAlgWarning as exc:
-        # Re-raised without scipy's frames, which are slow to report.
-        raise exc.with_traceback(None)
-    assert _family_gap(_base_family(seed, slot), family) <= FAMILY_TOL
+    assert (_family_gap(_base_family(seed, slot), family, _relative_gap)
+            <= FAMILY_TOL)
+
+
+@pytest.mark.parametrize("a, seed, slot", _cases(MOEBIUS))
+def test_moebius_family_mapped_back_is_the_family(a, seed, slot):
+    family = _moebius_family(sf.Realization(*_model(seed, slot)), a)
+    assert (_family_gap(_base_family(seed, slot), family,
+                        bench_workloads().equivalence_gap) <= FAMILY_TOL)

@@ -1,5 +1,6 @@
 """Dense kernel tests; expected values come from exact rational arithmetic."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -182,6 +183,20 @@ class TestSolveSteinKernel:
         with pytest.raises(sf.SingularSteinOperator,
                            match="Stein solver failed.*cond M"):
             sf.conjugate_phase(w, cfg)
+
+    def test_solver_warning_in_bad_coordinates_is_typed(self):
+        # Eigenvalues 0.3 and 0.6 under a similarity with cond S = 1e8:
+        # scipy's direct solve warns that its Kronecker system is ill
+        # conditioned rather than failing, and the warning is the refusal.
+        rng = np.random.default_rng(0)
+        u, v = (np.linalg.qr(rng.normal(size=(2, 2)))[0] for _ in range(2))
+        s = u @ np.diag([1.0, 1e8]) @ v.T
+        m = s @ np.diag([0.3, 0.6]) @ np.linalg.inv(s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(sf.SingularSteinOperator,
+                               match="Stein solver failed.*cond M"):
+                sf.solve_stein(m, np.eye(2))
 
 
 class TestSymSqrt:

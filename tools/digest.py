@@ -24,7 +24,8 @@ Each line is ``<key> <sha256>``; a typed failure prints
 ``<key> error:<Type> <sha256 of type and message>``, and the failures are
 repeated in clear at the end.  Covered:
 
-* conjugate phase (every field, the extremal set and the Gramian check),
+* conjugate phase (every field, W-'s density, which it computes on first
+  read, the extremal set and the Gramian check),
   every divisor (t_ell, basis, degree, dims, right complement), its
   factor and report, its extraction and a ``verify_factor`` report (with
   the extraction folded in), over
@@ -35,8 +36,10 @@ repeated in clear at the end.  Covered:
   the factor, which it inventories and samples again (``extract.rebuilt``);
 * the session specs of ``session_op`` over ``seasonal_round(7, 0)`` and
   ``varma_round(7, 0)``;
-* a Moebius-gated ``factor_family`` of the reference model and a few
-  deliberately bad inputs, among them the non-minimal candidate W- z^{-1} I;
+* the Moebius-gated family of the reference model (the working W- and
+  parameter of its conjugate phase, and ``family_member`` of each spec),
+  and a few deliberately bad inputs, among them the non-minimal candidate
+  W- z^{-1} I;
 * the kinds, dims and bases of ``eigen_blocks`` of fixed matrices with
   repeated eigenvalues: Jordan, semisimple and chained clusters;
 * exit code, stdout, stderr and written files of every command of
@@ -74,7 +77,7 @@ sys.path[:0] = [SRC, BENCH]
 import spectralfactors as sf  # noqa: E402
 import workloads as wl  # noqa: E402
 from spectralfactors.demo import reference_model  # noqa: E402
-from spectralfactors.factors import moebius_gate  # noqa: E402
+from spectralfactors.factors import family_member  # noqa: E402
 from spectralfactors.matnum import orth_basis  # noqa: E402
 
 ROUNDTRIP_CFG = sf.ToleranceConfig(circle_samples=64, residual_tol=1e-7)
@@ -131,7 +134,9 @@ def attempt(key, fn, *args, **kwargs):
 def conjugate_phase(key, w, config):
     cp = attempt(f"{key}/cp", sf.conjugate_phase, w, config)
     if cp is not None:
-        emit_fields(f"{key}/cp", cp)
+        names = [f.name for f in dataclasses.fields(cp)]
+        names.insert(names.index("config"), "w_minus_density")
+        emit_fields(f"{key}/cp", cp, names)
         emit_fields(f"{key}/cp.extremals", cp.extremals)
     return cp
 
@@ -274,11 +279,11 @@ def moebius_family(ref, config):
              sf.SubspaceSpec(gamma_select=(0, 1), a_basis=[[0.6], [0.8]])]
     for param in (True, 0.3, -0.45):
         key = f"moebius/{param}"
-        gate = attempt(key + "/gate", moebius_gate, ref, param, config)
-        emit(key + "/gate", gate)
-        for i, (w, report) in enumerate(
-                attempt(key, sf.factor_family, ref, specs, config,
-                        moebius_param=param) or []):
+        cp = attempt(key + "/gate", sf.conjugate_phase, ref, config, param)
+        emit(key + "/gate", cp and (cp.extremals.w_minus, cp.moebius_a))
+        members = cp and attempt(
+            key, lambda: [family_member(cp, spec)[1:] for spec in specs])
+        for i, (w, report) in enumerate(members or []):
             emit(f"{key}/{i}", w)
             emit(f"{key}/{i}.report", report)
 

@@ -30,7 +30,9 @@ for an enumerated or session divisor, the one ``factor_family`` or ``family_memb
 Moebius or CLI factor.  ``verify_factor(w, cp)`` folds the extraction into
 its report; where a checkout's ``verify_factor`` still takes W- and a
 config, the extraction is folded in here as that checkout's ``cli verify``
-did, so both report the same thing.
+did, so both report the same thing.  Where a checkout still gates the
+Moebius variable with ``moebius_gate`` and its ``family_member`` takes W-,
+the parameter and the config, those are passed here.
 
 It prints for every family the largest relative transfer gap of each part
 between the two checkouts, and the largest relative change
@@ -111,6 +113,25 @@ def _verify(sf, w_fac, w, cp, config):
             *report.reasons, f"divisor extraction: {exc}"))
 
 
+def _gated_phase(sf, w, param, config):
+    """The conjugate phase of ``w`` gated by ``param``, and the parameter,
+    on a library with or without ``conjugate_phase(w, config,
+    moebius_param)``."""
+    if hasattr(sf.factors, "moebius_gate"):
+        w_work, a = sf.factors.moebius_gate(w, param, config)
+        return sf.conjugate_phase(w_work, config), a
+    cp = sf.conjugate_phase(w, config, param)
+    return cp, cp.moebius_a
+
+
+def _family_member(sf, cp, spec, w, a, config):
+    """``family_member(cp, spec)``, or on a library whose ``family_member``
+    takes (cp, spec, w_minus, a, config), with those."""
+    if len(inspect.signature(sf.factors.family_member).parameters) == 2:
+        return sf.factors.family_member(cp, spec)
+    return sf.factors.family_member(cp, spec, w, a, config)
+
+
 def _member(sf, w, cp, div, t_r, config):
     """(degree, dims, {part: (a, b, c, d) or typed failure}, {report name:
     report fields or typed failure}) of one divisor of the conjugate phase
@@ -152,7 +173,7 @@ def _session(sf, w, config):
         return sf.divisor_from_projector(cp, pi, config)
 
     def member_path(spec):
-        return sf.factors.family_member(cp, spec, w, None, config)[0]
+        return _family_member(sf, cp, spec, w, None, config)[0]
 
     def built(make, spec):
         div = _attempt(sf, make, spec)
@@ -186,7 +207,7 @@ def _moebius(sf, ref, config):
 def _cli(sf, wl):
     """The factors that ``cli factors`` writes for the benchmark's CLI
     inputs, ungated (``cli/INDEX/fam``) and gated (``cli/INDEX/fam_m``)."""
-    family_member, modelio = sf.factors.family_member, sf.modelio
+    modelio = sf.modelio
     out = {}
     with tempfile.TemporaryDirectory() as work:
         for index in range(2):
@@ -195,11 +216,10 @@ def _cli(sf, wl):
             config = doc.tolerances or sf.DEFAULT_TOL
             entries = modelio.read_spec_entries(files["specs"])
             for tag, param in (("fam", None), ("fam_m", True)):
-                w, a = sf.factors.moebius_gate(doc.realization, param, config)
-                cp = sf.conjugate_phase(w, config)
+                cp, a = _gated_phase(sf, doc.realization, param, config)
                 specs = modelio.expand_spec_entries(entries, cp)
-                members = [family_member(cp, spec, doc.realization, a, config)
-                           for spec in specs]
+                members = [_family_member(sf, cp, spec, doc.realization, a,
+                                          config) for spec in specs]
                 out[f"cli/{index}/{tag}"] = [
                     (report.degree, tuple(div.subspace_dims),
                      {"factor": _abcd(factor)}, {"factor": _report(report)})
