@@ -220,6 +220,16 @@ class TestConjugatePhase:
         assert_allclose(ref_cp.gamma, np.diag([0.25, 1 / 3]), atol=1e-14)
         assert_allclose(ref_cp.a_inv_t, 2.0 * np.eye(2), atol=1e-14)
 
+    @pytest.mark.parametrize("param, a", [(None, None), (False, None),
+                                          (0.3, 0.3), (True, 0.1)])
+    def test_carries_its_moebius_gate(self, ref_model, param, a):
+        # The automatic parameter clears the poles 1/2 and zeros 1/4, 1/3.
+        cp = sf.conjugate_phase(ref_model, sf.DEFAULT_TOL, param)
+        assert cp.moebius_a == a and cp.w_original is ref_model
+        assert (cp.extremals.w_minus is ref_model) == (a is None)
+        with pytest.raises(sf.ParameterHitsSpectrum, match="must be < 1"):
+            sf.conjugate_phase(ref_model, sf.DEFAULT_TOL, 1.5)
+
     def test_constant_model(self):
         cp = sf.conjugate_phase(sf.identity(2))
         assert cp.t.n == 0
