@@ -6,8 +6,8 @@ or orthogonal projectors.  Because the two blocks have disjoint spectra
 (inside vs outside the unit circle), every invariant subspace splits
 block-diagonally, so a subspace is specified per block.  Selections,
 explicit bases and enumerated block subsets all get their orthonormal basis
-by one QR rule (``orth_basis``) and their divisor from it directly; only a
-caller's projector is checked and its range basis recovered from it.
+by one QR rule (``orth_basis``) and their divisor from it directly; a
+caller's projector, once checked, hands each block's range to that rule.
 
 Given V an orthonormal basis of the subspace, the pair (C V, V^T A V) is
 observable and Q_l = V^T Q V solves its Stein equation exactly, because the
@@ -48,6 +48,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
+from scipy.linalg import qr
 
 from .errors import (
     DegreeAdditivityViolation,
@@ -59,7 +60,6 @@ from .matnum import (
     DEFAULT_TOL,
     ToleranceConfig,
     _block_diag,
-    basis_from_projector,
     is_invariant,
     orth_basis,
     selection_basis,
@@ -154,8 +154,10 @@ def _selection_of(part):
         raise InvalidSubspace(f"invalid {part} selection: {exc}") from exc
 
 
-def _part_basis(block_matrix, blocks, select, basis, part, config):
-    """Orthonormal basis for one block of the subspace specification."""
+def _part_basis(cp, part, select, basis, config):
+    """Orthonormal basis for one block of the subspace specification; the
+    side's eigenvalue blocks are read only for a selection."""
+    block_matrix = cp.gamma if part == "gamma" else cp.a_inv_t
     if basis is not None:
         if basis.ndim != 2:
             raise InvalidSubspace(f"{part} basis has shape {basis.shape}, "
@@ -174,7 +176,7 @@ def _part_basis(block_matrix, blocks, select, basis, part, config):
             )
         return q
     with _selection_of(part):
-        return selection_basis(blocks, select, config)
+        return selection_basis(getattr(cp, f"{part}_blocks"), select, config)
 
 
 def _spec_basis(cp, spec, config):
@@ -183,10 +185,8 @@ def _spec_basis(cp, spec, config):
     if not isinstance(spec, SubspaceSpec):
         raise InvalidSubspace(f"expected a SubspaceSpec, got "
                               f"{type(spec).__name__}")
-    vg = _part_basis(cp.gamma, cp.gamma_blocks, spec.gamma_select,
-                     spec.gamma_basis, "gamma", config)
-    va = _part_basis(cp.a_inv_t, cp.a_blocks, spec.a_select, spec.a_basis,
-                     "a", config)
+    vg = _part_basis(cp, "gamma", spec.gamma_select, spec.gamma_basis, config)
+    va = _part_basis(cp, "a", spec.a_select, spec.a_basis, config)
     return _block_diag(vg, va), vg.shape[1]
 
 
@@ -202,15 +202,17 @@ def divisor_from_projector(cp: ConjugatePhase, pi,
                            config: ToleranceConfig = DEFAULT_TOL) -> AllPassDivisor:
     """Build the left all-pass divisor generated by the projector ``pi``.
 
-    ``pi`` must be symmetric, idempotent, and project onto an invariant
-    subspace of the conjugate phase state matrix.  The divisor depends only
-    on the range of ``pi``, on which it is realized: its degree is rank ``pi``.
+    ``pi`` must be an orthogonal projector whose range is invariant under
+    the state matrix A of T, ||A Pi - Pi A Pi|| <= residual_tol max(1, ||A||).
+    Each block's basis, the leading round(trace) columns of the pivoted QR
+    of its diagonal block of ``pi``, is then built as a basis spec is: the
+    divisor depends only on the range of ``pi``, and its degree is rank ``pi``.
 
     Raises
     ------
     NotInvariant
-        If the range of ``pi`` is not invariant (or ``pi`` is not an
-        orthogonal projector).
+        If ``pi`` is not an orthogonal projector, or its range or a block's
+        basis is not invariant.
     CompressionNotPD
         If the completion's complement or its Gram matrix fails its test.
     GramianIdentityViolation
@@ -229,12 +231,20 @@ def divisor_from_projector(cp: ConjugatePhase, pi,
             or np.linalg.norm(pi @ pi - pi) > config.residual_tol * scale):
         raise NotInvariant("matrix is not an orthogonal projector")
 
-    basis = basis_from_projector(pi, config)
-    if not is_invariant(cp.t.a, basis, config):
+    ap = cp.t.a @ pi
+    if (np.linalg.norm(ap - pi @ ap)
+            > config.residual_tol * max(1.0, np.linalg.norm(cp.t.a))):
         raise NotInvariant("projector range is not an invariant subspace of "
                            "the conjugate phase state matrix")
 
-    k_gamma = int(round(float(np.trace(pi[:cp.n_gamma, :cp.n_gamma]))))
+    g = cp.n_gamma
+    vg, va = (qr(p, pivoting=True)[0][:, :max(0, round(np.trace(p)))]
+              for p in (pi[:g, :g], pi[g:, g:]))
+    try:
+        basis, k_gamma = _spec_basis(
+            cp, SubspaceSpec(gamma_basis=vg, a_basis=va), config)
+    except InvalidSubspace as exc:
+        raise NotInvariant(f"projector range: {exc}") from exc
     return _divisor(cp, basis, k_gamma, config)
 
 

@@ -39,7 +39,6 @@ __all__ = [
     "sym_sqrt",
     "pseudo_inverse",
     "orth_basis",
-    "basis_from_projector",
     "EigenBlock",
     "eigen_blocks",
     "selection_basis",
@@ -249,36 +248,6 @@ def orth_basis(v, config: ToleranceConfig = DEFAULT_TOL):
     raise RankDeficientBasis(
         f"basis matrix has rank below its column count {v.shape[1]}"
     )
-
-
-def basis_from_projector(pi, config: ToleranceConfig = DEFAULT_TOL):
-    """Orthonormal basis of the range of an orthogonal projector.
-
-    Uses greedy column pivoting with modified Gram-Schmidt so that a
-    coordinate-aligned projector yields coordinate basis vectors exactly
-    (no sign or rotation surprises from a factorization routine).
-    """
-    pi = _as_matrix(pi, "Pi")
-    _require_square(pi, "Pi")
-    n = pi.shape[0]
-    rank = int(round(float(np.trace(pi)))) if n else 0
-    if rank <= 0:
-        return np.zeros((n, 0))
-    cols = pi.copy()
-    basis = []
-    for _ in range(rank):
-        norms = np.linalg.norm(cols, axis=0)
-        j = int(np.argmax(norms))
-        if norms[j] <= config.rank_rel_tol:
-            break
-        q = cols[:, j] / norms[j]
-        basis.append(q)
-        cols -= np.outer(q, q @ cols)
-    if len(basis) != rank:
-        raise RankDeficientBasis(
-            "projector trace and numerical range dimension disagree"
-        )
-    return np.column_stack(basis)
 
 
 @dataclass(frozen=True)

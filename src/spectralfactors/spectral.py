@@ -254,8 +254,9 @@ class ConjugatePhase:
     residuals certified with it.  T is minimal by construction: (C_T, A_T)
     is observable blockwise, and an all-pass realization with observable
     (C, A) and nonsingular Q is controllable.  ``gamma_blocks`` and
-    ``a_blocks`` are the :func:`.matnum.eigen_blocks` that the enumeration
-    toggles and that ``SubspaceSpec`` indices refer to.
+    ``a_blocks``, clustered on first read, are the
+    :func:`.matnum.eigen_blocks` that the enumeration toggles and that
+    ``SubspaceSpec`` indices refer to.
 
     ``config`` is the config T was built with.  ``extremals.w_minus`` is
     the working W-: ``w_original``, the caller's W- object, or its image
@@ -274,11 +275,17 @@ class ConjugatePhase:
     a_inv_t: np.ndarray
     extremals: ExtremalSet
     gramian: GramianCheck
-    gamma_blocks: tuple
-    a_blocks: tuple
     config: ToleranceConfig
     moebius_a: float | None
     w_original: Realization
+
+    @cached_property
+    def gamma_blocks(self):
+        return tuple(eigen_blocks(self.gamma, self.config))
+
+    @cached_property
+    def a_blocks(self):
+        return tuple(eigen_blocks(self.a_inv_t, self.config))
 
     @cached_property
     def w_minus_density(self):
@@ -329,8 +336,7 @@ def conjugate_phase(w_minus: Realization,
     definite feedthrough.  The off-diagonal -I is exact: it is the identity
     Gamma^T + H1^T B^T = A^T.  The extremal factors are the closed form
     (:func:`_factor`) of W- T_Gamma, with T_Gamma the completion of
-    (H1, Gamma) from X, and of Wbar+ = W- T.  Gamma and A^{-T} are clustered
-    once, here.
+    (H1, Gamma) from X, and of Wbar+ = W- T.
 
     Raises NotOuter, SingularFeedthrough, CompressionNotPD if a completion
     Gram matrix is not definite, GramianIdentityViolation if T or T_Gamma
@@ -370,8 +376,6 @@ def conjugate_phase(w_minus: Realization,
                       x=x, y=y, z=z)
     return ConjugatePhase(t=t, p0_inv=q, n_gamma=n, n_a=n, gamma=gamma,
                           a_inv_t=a_inv_t, extremals=ext, gramian=check,
-                          gamma_blocks=tuple(eigen_blocks(gamma, config)),
-                          a_blocks=tuple(eigen_blocks(a_inv_t, config)),
                           config=config, moebius_a=a_moebius,
                           w_original=w_original)
 

@@ -20,10 +20,11 @@ enumeration builds each side subset's basis once, from the carried Schur
 bases of its blocks, and makes no projector round trip; neither does
 ``family_member`` on a selection or basis spec, whose divisor is built from
 the spec's basis the same way.  The eigenvalue blocks of Gamma and A^{-T}
-are clustered once, by ``conjugate_phase``: the enumeration, the spec
-projectors and the theta-grid expansion read the carried blocks, so
-together they make two ``eigen_blocks`` calls, each of which reduces its
-matrix to real Schur form once and reorders that form once per block.
+are clustered once, on the conjugate phase's first read of them: the
+enumeration, the spec projectors and the theta-grid expansion read the
+carried blocks, so together they make two ``eigen_blocks`` calls, each of
+which reduces its matrix to real Schur form once and reorders that form
+once per block.  ``verify_factor`` and a caller's projector read no block.
 ``validate_outer`` certifies the degree of a wide model from a sketch of
 its Loewner matrix, with no full SVD of it.
 The automatic Moebius gate reads the poles and zeros of the realization it
@@ -333,20 +334,19 @@ def test_enumeration_and_complements_reduce_nothing(monkeypatch, make):
 def test_enumeration_builds_each_basis_once(monkeypatch, make):
     cp = sf.conjugate_phase(make())
     round_trip = [_count_calls(monkeypatch, module, name)
-                  for module, name in ((matnum, "basis_from_projector"),
-                                       (matnum, "is_invariant"),
+                  for module, name in ((matnum, "is_invariant"),
                                        (divisors, "divisor_from_projector"))]
     ranks = _count_calls(monkeypatch, matnum, "orth_basis")
     divs = sf.enumerate_divisors(cp)
     # One rank-checked basis per non-empty side subset, no projector round
     # trip; the right complement reads the carried basis.
     subsets = 2 ** len(cp.gamma_blocks) + 2 ** len(cp.a_blocks) - 2
-    assert round_trip == [[], [], []]
+    assert round_trip == [[], []]
     assert len(ranks) == subsets
     for div in divs:
         assert div.basis.shape == (cp.t.n, div.degree)
         sf.right_complement(cp, div)
-    assert round_trip == [[], [], []]
+    assert round_trip == [[], []]
     assert len(ranks) == subsets
 
 
@@ -358,13 +358,11 @@ def test_family_member_makes_no_projector_round_trip(monkeypatch, make):
     specs += [sf.SubspaceSpec(gamma_basis=blk.basis)
               for blk in cp.gamma_blocks[:1]]
     specs += [sf.SubspaceSpec(a_basis=blk.basis) for blk in cp.a_blocks[:1]]
-    round_trip = [_count_calls(monkeypatch, module, name)
-                  for module, name in ((matnum, "basis_from_projector"),
-                                       (divisors, "divisor_from_projector"))]
+    round_trip = _count_calls(monkeypatch, divisors, "divisor_from_projector")
     for spec in specs:
         _, _, report = family_member(cp, spec)
         assert report.passed
-    assert round_trip == [[], []]
+    assert round_trip == []
 
 
 @pytest.mark.parametrize("make", [MODELS["reference"], MODELS["random"]],
@@ -450,7 +448,6 @@ def test_divisor_degree_is_the_projector_rank(make):
 def test_spectral_structure_is_clustered_once(monkeypatch, ref_model):
     blocks = _count_calls(monkeypatch, matnum, "eigen_blocks")
     cp = sf.conjugate_phase(ref_model)
-    assert len(blocks) == 2
     sf.enumerate_divisors(cp)
     for spec in (sf.SubspaceSpec(),
                  sf.SubspaceSpec(gamma_select=range(cp.n_gamma)),
@@ -463,6 +460,20 @@ def test_spectral_structure_is_clustered_once(monkeypatch, ref_model):
     assert [args[0] for args in blocks] == [cp.gamma, cp.a_inv_t]
 
 
+@pytest.mark.parametrize("make", MODELS.values(), ids=MODELS.keys())
+def test_verify_and_projector_read_no_block(monkeypatch, make):
+    # A fresh phase clusters nothing until a selection or the enumeration
+    # reads its blocks.
+    w = make()
+    blocks = _count_calls(monkeypatch, matnum, "eigen_blocks")
+    cp = sf.conjugate_phase(w)
+    assert sf.verify_factor(cp.extremals.w_plus, cp).passed
+    cp = sf.conjugate_phase(w)
+    for k in (0, cp.n_gamma, cp.t.n):
+        sf.divisor_from_projector(cp, np.diag(np.arange(cp.t.n) < k) * 1.0)
+    assert blocks == []
+
+
 @pytest.mark.parametrize("make", [MODELS["reference"], MODELS["random"],
                                   lambda: recipe_outer(8, 0)],
                          ids=["reference", "random", "recipe8_0"])
@@ -471,20 +482,20 @@ def test_each_spectrum_takes_one_schur_form(monkeypatch, make):
     forms = _count_calls(monkeypatch, matnum, "_GEES")
     reorders = _count_calls(monkeypatch, matnum, "_TRSEN")
     cp = sf.conjugate_phase(w)
+    n_blocks = len(cp.gamma_blocks) + len(cp.a_blocks)
     # One gees each for Gamma and A^{-T}, whatever their block counts.
     assert len(forms) == 2
-    assert len(reorders) == len(cp.gamma_blocks) + len(cp.a_blocks)
+    assert len(reorders) == n_blocks
 
 
-def test_divisor_input_leaving_the_range_raises(monkeypatch, ref_cp):
-    # Only a projector that passes the invariance test can reach the
-    # completion's identity check, so that test is switched off here.
-    monkeypatch.setattr(divisors, "is_invariant", lambda *args: True)
+def test_divisor_input_leaving_the_range_raises(ref_cp):
+    # Every public route refuses this range before the completion, so the
+    # divisor is built from its basis directly.
     v = np.array([[0.0], [0.1], [1.0], [0.0]])   # mixes the two blocks
     q = matnum.orth_basis(v)
     with pytest.raises(sf.GramianIdentityViolation,
                        match="divisor fails its all-pass identities"):
-        sf.divisor_from_projector(ref_cp, q @ q.T)
+        divisors._divisor(ref_cp, q, 0, sf.DEFAULT_TOL)
 
 
 BENCH_CFG = sf.ToleranceConfig(circle_samples=64, residual_tol=1e-7)

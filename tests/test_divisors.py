@@ -10,7 +10,6 @@ from numpy.testing import assert_allclose
 import spectralfactors as sf
 from spectralfactors.demo import reference_model, theta_feedthrough
 from spectralfactors.factors import family_member
-from spectralfactors.matnum import basis_from_projector
 from spectralfactors.spectral import ALLPASS_CERT_TOL
 from spectralfactors.statespace import eval_gap
 
@@ -171,6 +170,61 @@ class TestDivisorFromProjector:
             sf.divisor_from_projector(ref_cp, v @ v.T)
 
 
+TILT_MODELS = {"reference": reference_model,
+               "recipe6_0": lambda: recipe_outer(6, 0)}
+
+
+def _tilted(u0, theta, d):
+    """Orthonormal basis of range ``u0`` with its first column tilted by
+    ``theta`` toward the unit vector ``d`` of the complement."""
+    u = u0.copy()
+    u[:, 0] = np.cos(theta) * u0[:, 0] + np.sin(theta) * d
+    return np.linalg.qr(u)[0]
+
+
+class TestProjectorTilt:
+    @pytest.mark.parametrize("part", ["a", "gamma", "both"])
+    @pytest.mark.parametrize("make", TILT_MODELS.values(),
+                             ids=TILT_MODELS.keys())
+    def test_refused_iff_the_range_is_not_invariant(self, make, part):
+        # Decade-spaced tilts clear of the residual_tol bound, toward a
+        # seeded direction of the complement.
+        cp = sf.conjugate_phase(make())
+        spec = {"a": sf.SubspaceSpec(a_select=range(cp.n_a)),
+                "gamma": sf.SubspaceSpec(
+                    gamma_select=cp.gamma_blocks[0].indices),
+                "both": sf.SubspaceSpec(
+                    gamma_select=cp.gamma_blocks[0].indices,
+                    a_select=cp.a_blocks[0].indices)}[part]
+        pi = sf.projector_from_spec(cp, spec)
+        k = int(round(np.trace(pi)))
+        u0, comp = np.linalg.eigh(pi)[1][:, ::-1][:, :k], np.eye(cp.t.n) - pi
+        d = comp @ np.random.default_rng(0).standard_normal(cp.t.n)
+        d /= np.linalg.norm(d)
+        invariant = []
+        for theta in (1e-12, 1e-11, 1e-10, 1e-6, 1e-5, 1e-4, 1e-3):
+            u = _tilted(u0, theta, d)
+            invariant.append(sf.is_invariant(cp.t.a, u))
+            if invariant[-1]:
+                assert sf.divisor_from_projector(cp, u @ u.T).degree == k
+            else:
+                with pytest.raises(sf.NotInvariant):
+                    sf.divisor_from_projector(cp, u @ u.T)
+        assert set(invariant) == {False, True}
+
+    def test_tilt_into_the_other_block_keeps_the_block_divisor(self, ref_cp):
+        # A range that passes the invariance test but leans 2.2e-9 into
+        # the A^{-T} block gives the divisor of its block-split range.
+        u0 = np.eye(4)[:, :1]                 # first Gamma block
+        d = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2.0)
+        u = _tilted(u0, 2.2e-9, d)
+        base = sf.divisor_from_projector(ref_cp, u0 @ u0.T)
+        div = sf.divisor_from_projector(ref_cp, u @ u.T)
+        assert div.degree == base.degree == 1
+        assert div.subspace_dims == base.subspace_dims == (1, 0)
+        assert equivalence_gap(div.t_ell, base.t_ell) <= 1e-7
+
+
 class TestRightComplement:
     def test_zero_projector_complement_is_whole_function(self, ref_cp):
         div = sf.divisor_from_projector(ref_cp, np.zeros((4, 4)))
@@ -261,8 +315,7 @@ class TestClosedFormComplement:
         # reflection swapping v in range Pi with u in its complement.
         pi = ref_values["pi_2"]
         div = sf.divisor_from_projector(ref_cp, pi)
-        v = basis_from_projector(pi)[:, 0]
-        u = basis_from_projector(np.eye(4) - pi)[:, 0]
+        v, u = np.eye(4)[:, 2], np.eye(4)[:, 0]
         x = (v - u) / np.linalg.norm(v - u)
         doctored = dataclasses.replace(
             ref_cp, p0_inv=np.eye(4) - 2.0 * np.outer(x, x))

@@ -12,7 +12,6 @@ import spectralfactors as sf
 from spectralfactors import matnum
 from spectralfactors.divisors import _block_choices
 from spectralfactors.matnum import (
-    basis_from_projector,
     eigen_blocks,
     orth_basis,
     selection_basis,
@@ -535,19 +534,3 @@ class TestIsInvariant:
     def test_more_columns_than_rows_raises(self):
         with pytest.raises(sf.RankDeficientBasis):
             sf.is_invariant(np.eye(2), np.eye(2, 3))
-
-
-class TestBasisFromProjector:
-    def test_coordinate_projector_gives_coordinate_basis(self):
-        v = basis_from_projector(np.diag([0.0, 0.0, 1.0, 1.0]))
-        assert_allclose(v, np.eye(4)[:, 2:], atol=1e-15)
-
-    def test_zero_projector(self):
-        assert basis_from_projector(np.zeros((4, 4))).shape == (4, 0)
-
-    def test_general_projector(self, rng):
-        q, _ = np.linalg.qr(rng.normal(size=(5, 2)))
-        pi = q @ q.T
-        v = basis_from_projector(pi)
-        assert_allclose(v.T @ v, np.eye(2), atol=1e-12)
-        assert_allclose(v @ v.T, pi, atol=1e-12)

@@ -135,7 +135,8 @@ def conjugate_phase(key, w, config):
     cp = attempt(f"{key}/cp", sf.conjugate_phase, w, config)
     if cp is not None:
         names = [f.name for f in dataclasses.fields(cp)]
-        names.insert(names.index("config"), "w_minus_density")
+        at = names.index("config")
+        names[at:at] = ["gamma_blocks", "a_blocks", "w_minus_density"]
         emit_fields(f"{key}/cp", cp, names)
         emit_fields(f"{key}/cp.extremals", cp.extremals)
     return cp
